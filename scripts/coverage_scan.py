@@ -3,8 +3,9 @@
 
 Every covering graph is a group MSTD subset, so the covering fraction
 lower-bounds how common MSTD subsets are in this family.  The table
-shows the exact count against the parity-matched closed-form bound and
-the fraction of all 2^n graphs.
+shows the exact count (from the closed form in mstdkit.counting, so any
+n up to 4096 is quick) against the union bound and the fraction of all
+2^n graphs.
 """
 
 import argparse

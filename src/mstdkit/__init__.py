@@ -38,7 +38,6 @@ from .grouplattice import (
     LatticeSet,
     LinearImage,
     ThickeningBounds,
-    embed_pipeline,
     embed_report,
     embedding_consistency,
     find_thickness,
@@ -46,7 +45,6 @@ from .grouplattice import (
     lattice_sum_diff,
     lattice_sum_diff_card,
     linearize,
-    minkowski_diff,
     minkowski_sum,
     reduce_to_cell,
     sublattice_box,

@@ -26,11 +26,34 @@ from .setops import IntSet, mstd_delta, symmetry_witness
 FAMILIES = ("t1", "t2", "t3", "gap", "gap2", "hr")
 
 
-def _parse_gap(raw: dict) -> Gap:
+def _int_param(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _parse_gap(raw) -> Gap:
+    dims = raw.get("dims", []) if isinstance(raw, dict) else None
+    if not isinstance(dims, list) or any(
+        not isinstance(d, list) or len(d) != 3 for d in dims
+    ):
+        raise ValueError('p must be {"base": b, "dims": [[step, offset, length], ...]}')
     return Gap(
-        base=raw.get("base", 0),
-        dims=tuple(tuple(d) for d in raw.get("dims", [])),
+        base=_int_param("p.base", raw.get("base", 0)),
+        dims=tuple(tuple(_int_param("p.dims", x) for x in d) for d in dims),
     )
+
+
+def _parse_params(text: str) -> dict:
+    """The --params JSON object: integer values, and a progression under "p"."""
+    params = json.loads(text)
+    if not isinstance(params, dict):
+        raise ValueError("--params must be a JSON object")
+    for key, value in params.items():
+        if key != "p":
+            _int_param(key, value)
+    _parse_gap(params.get("p", {}))
+    return params
 
 
 def _need(family: str, params: dict, *keys: str):
@@ -59,7 +82,7 @@ def _build_family(family: str, params: dict) -> tuple[IntSet, int]:
         return hegarty_roesler_family(params["k"]), 4
     if family in ("gap", "gap2"):
         _need(family, params, "m", "k", "r", "s")
-        p = _parse_gap(params.get("p", {"base": 0, "dims": []}))
+        p = _parse_gap(params.get("p", {}))
         base = gap_base_recipe(p, params["r"], params["s"], params["m"])
         variant = "one_to_k" if family == "gap" else "zero_to_k"
         return gap_family(base, params["k"], variant), params["m"]
@@ -67,7 +90,7 @@ def _build_family(family: str, params: dict) -> tuple[IntSet, int]:
 
 
 def _cmd_construct(args) -> dict:
-    params = json.loads(args.params)
+    params = _parse_params(args.params)
     built, adjoined = _build_family(args.family, params)
     core = IntSet(e for e in built if e != adjoined)
     witness = symmetry_witness(core)

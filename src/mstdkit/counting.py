@@ -1,4 +1,4 @@
-"""Covering counts for parity graphs in Z/n x Z/2.
+"""Covering counts for parity graphs in Z/n x Z/2, by a closed form.
 
 A parity graph assigns one bit eps_i to each residue i, giving the
 n-element subset {(i, eps_i)} of Z/n x Z/2.  Its difference set always
@@ -7,24 +7,41 @@ is an MSTD subset of the group.  This module counts exactly how many of
 the 2^n parity graphs cover, tabulates per-element miss counts, and
 surfaces covering witnesses for the embedding pipeline.
 
-The enumeration core works on raw bitmasks: the sumset of a parity graph
-misses (b, parity) exactly when the mask equals (or complements) its own
-b-reflection, so coverage of all 2^n graphs reduces to n rotate-compare
-passes over a vector of masks.
+The counts come from symmetry, not enumeration.  The sumset misses
+(b, p) exactly when eps(b - i) = eps(i) + c for all i, with c = 1 - p:
+the graph is fixed by the twisted reflection R(b, c).  For e | n, let
+T(b, c, e, u) count the graphs also fixed by the twisted translation
+S(e, u): eps(i + e) = eps(i) + u.  Such a graph is set by its bits on
+[0, e) and needs (n/e)*u even.  The map i -> b - i (mod e) pairs up
+[0, e): each pair carries one free bit, and each of its f fixed points
+(2i = b mod e) one bit, provided c + k*u is even, where b - i = i + k*e
+(mod n).  So T is 0 or 2^((e + f)/2); the miss count of (b, p) is
+T(b, 1 - p, n, 0).
+
+A graph that fails to cover is fixed by exactly n/t of the R(b, c),
+where t is its minimal twisted period: its reflections are one coset of
+its translations, the multiples of t.  The divisor weight
+w(e) = e * prod(1 - q for primes q | n/e) = e * sum(k * mu(k) for k | n/e)
+sums to t over t | e | n, and e is a twisted period for at most one u, so
+
+    #not covering = (1/n) * sum_{e | n} w(e) * sum_{b, c, u} T(b, c, e, u).
+
+Translating by one conjugates R(b, c) to R(b + 2, c) and commutes with
+S(e, u), so T depends on b only through b mod gcd(2, n): the inner sum
+has at most two distinct terms.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .grouplattice import GroupSpec, GroupSubset, group_sum_diff
 
-MAX_ENUM_N = 24  # 16.7M graphs, the desk-scale enumeration budget
-
-_CHUNK = 1 << 20
+# 2^4096 has 1,234 decimal digits: far below the 4,300-digit int-to-str
+# limit that JSON output hits, and a full --table takes milliseconds.
+MAX_COUNT_N = 4096
 
 
 @dataclass(frozen=True)
@@ -64,30 +81,20 @@ class ParityGraph:
 def covers_group(g: ParityGraph) -> bool:
     """True iff the sumset of the graph covers all of Z/n x Z/2.
 
-    Computed by the exact group sumset; the mask-based enumeration below
-    is the fast route, and the two are cross-checked in the test suite.
+    Computed by the exact group sumset; the tests check it against the mask
+    test behind find_group_mstd and against the closed-form counts.
     """
     a = g.to_subset()
     return len(group_sum_diff(a, 2, 0)) == 2 * g.n
 
 
 def coverage_bound(n: int) -> int:
-    """Exact integer lower bound for the covering count, by parity of n."""
-    if n % 2 == 1:
-        return 2**n - n * 2 ** ((n + 1) // 2)
-    return 2**n - n * 2 ** ((n + 2) // 2)
-
-
-def _reflections(masks: np.ndarray, n: int) -> np.ndarray:
-    """r with bit i = bit (n - i) mod n of each mask (reflection about 0)."""
-    r = masks & np.uint64(1)
-    for i in range(1, n):
-        r |= ((masks >> np.uint64(n - i)) & np.uint64(1)) << np.uint64(i)
-    return r
+    """The union bound: 2^n minus the sum of all 2n miss counts."""
+    return 2**n - n * 2 ** (n // 2 + 1)
 
 
 def _mask_covers(mask: int, n: int) -> bool:
-    """Scalar twin of the vectorized coverage test."""
+    """True iff no b-reflection of the mask equals the mask or its complement."""
     full = (1 << n) - 1
     r = mask & 1
     for i in range(1, n):
@@ -127,49 +134,48 @@ class CoverReport:
         return out
 
 
+def _twisted_fixed(n: int, b: int, c: int, e: int, u: int) -> int:
+    """T(b, c, e, u): the graphs fixed by both R(b, c) and S(e, u)."""
+    if e % 2:  # the fixed points i in [0, e) of i -> b - i (mod e)
+        fixed = [(b * (e + 1) // 2) % e]
+    else:
+        fixed = [] if b % 2 else [(b // 2) % e, (b // 2 + e // 2) % e]
+    if u * (n // e) % 2 or any((c + ((b - i) % n - i) // e * u) % 2 for i in fixed):
+        return 0
+    return 1 << ((e + len(fixed)) // 2)
+
+
 def count_covering(n: int) -> CoverReport:
-    """Enumerate all 2^n parity graphs; count those whose sumset covers the group.
+    """Count the parity graphs whose sumset covers Z/n x Z/2, by the closed form.
 
     Also tabulates, for every group element g, how many graphs miss g in
-    their sumset.  Chunked so peak memory stays modest at the n = 24 cap.
+    their sumset.  Exact for every n up to MAX_COUNT_N.
     """
-    if not 2 <= n <= MAX_ENUM_N:
-        raise ValueError(f"n must be in [2, {MAX_ENUM_N}]")
-    full = np.uint64((1 << n) - 1)
-    covering = 0
-    misses = {(b, p): 0 for b in range(n) for p in (0, 1)}
-    for lo in range(0, 1 << n, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << n)
-        masks = np.arange(lo, hi, dtype=np.uint64)
-        r = _reflections(masks, n)
-        covered = np.ones(len(masks), dtype=bool)
-        for b in range(n):
-            w = ((r << np.uint64(b)) | (r >> np.uint64(n - b))) & full
-            eq_odd = masks == w  # (b, 1) missing
-            eq_even = masks == (w ^ full)  # (b, 0) missing
-            misses[(b, 1)] += int(eq_odd.sum())
-            misses[(b, 0)] += int(eq_even.sum())
-            covered &= ~(eq_odd | eq_even)
-        covering += int(covered.sum())
-    return CoverReport(n=n, covering=covering, bound=coverage_bound(n), misses=misses)
+    if not 2 <= n <= MAX_COUNT_N:
+        raise ValueError(f"n must be in [2, {MAX_COUNT_N}]")
+    primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+    g = 2 - n % 2  # T depends on b only through b mod gcd(2, n)
+    weighted = 0
+    for e in (e for e in range(1, n + 1) if n % e == 0):
+        weight = e * math.prod(1 - q for q in primes if (n // e) % q == 0)
+        fixed = sum(
+            _twisted_fixed(n, b, c, e, u) for b in range(g) for c in (0, 1) for u in (0, 1)
+        )
+        weighted += weight * (n // g) * fixed
+    not_covering, rem = divmod(weighted, n)
+    if rem:
+        raise RuntimeError("internal error: weighted symmetry count not divisible by n")
+    misses = {(b, p): _twisted_fixed(n, b, 1 - p, n, 0) for b in range(n) for p in (0, 1)}
+    return CoverReport(n, 2**n - not_covering, coverage_bound(n), misses)
 
 
 def miss_count(n: int, b: int, parity: int) -> int:
-    """Number of parity graphs whose sumset misses (b, parity), by enumeration."""
-    if not 2 <= n <= MAX_ENUM_N:
-        raise ValueError(f"n must be in [2, {MAX_ENUM_N}]")
+    """Number of parity graphs whose sumset misses (b, parity), by the closed form."""
+    if not 2 <= n <= MAX_COUNT_N:
+        raise ValueError(f"n must be in [2, {MAX_COUNT_N}]")
     if not 0 <= b < n or parity not in (0, 1):
         raise ValueError("element must satisfy 0 <= b < n, parity in {0, 1}")
-    full = np.uint64((1 << n) - 1)
-    count = 0
-    for lo in range(0, 1 << n, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << n)
-        masks = np.arange(lo, hi, dtype=np.uint64)
-        r = _reflections(masks, n)
-        w = ((r << np.uint64(b)) | (r >> np.uint64(n - b))) & full
-        target = w if parity == 1 else w ^ full
-        count += int((masks == target).sum())
-    return count
+    return _twisted_fixed(n, b, 1 - parity, n, 0)
 
 
 def find_group_mstd(
@@ -188,21 +194,14 @@ def find_group_mstd(
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    mask = None
     if strategy == "first":
-        for cand in range(1 << n):
-            if _mask_covers(cand, n):
-                mask = cand
-                break
+        candidates = range(1 << n)
     elif strategy == "random":
         rng = random.Random(seed)
-        for _ in range(trials):
-            cand = rng.getrandbits(n)
-            if _mask_covers(cand, n):
-                mask = cand
-                break
+        candidates = (rng.getrandbits(n) for _ in range(trials))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
+    mask = next((m for m in candidates if _mask_covers(m, n)), None)
     if mask is None:
         raise RuntimeError(f"no covering parity graph found for n={n}")
     sub = ParityGraph.from_mask(n, mask).to_subset()

@@ -27,7 +27,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .setops import IntSet, MstdDelta, _bit_positions, _check_i64, _check_span, mstd_delta
+from .setops import IntSet, MstdDelta, _bit_positions, _check_i64, _check_span, _shift_or
+from .setops import mstd_delta
 
 
 @dataclass(frozen=True)
@@ -189,17 +190,6 @@ def minkowski_sum(a: LatticeSet, b: LatticeSet) -> LatticeSet:
     )
 
 
-def minkowski_diff(a: LatticeSet, b: LatticeSet) -> LatticeSet:
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    return LatticeSet(
-        a.dim,
-        frozenset(
-            tuple(x - y for x, y in zip(p, q)) for p in a.points for q in b.points
-        ),
-    )
-
-
 # -- dense fold kernel -----------------------------------------------------------
 
 
@@ -230,22 +220,15 @@ def _fold_mask(s: LatticeSet, h: int, k: int):
     acc = 1  # the single all-zero offset: empty sum
     base = [0] * dim
     for _ in range(h):
-        acc = _or_shifted(acc, add_shifts)
+        acc = _shift_or(acc, add_shifts)
         base = [b + lo for b, lo in zip(base, los)]
     for _ in range(k):
-        acc = _or_shifted(acc, sub_shifts)
+        acc = _shift_or(acc, sub_shifts)
         base = [b - hi for b, hi in zip(base, his)]
     for b, sp in zip(base, spans):
         _check_i64(b)
         _check_i64(b + total * sp)
     return acc, base, weights, radixes
-
-
-def _or_shifted(mask: int, shifts: list[int]) -> int:
-    acc = 0
-    for sh in shifts:
-        acc |= mask << sh
-    return acc
 
 
 def _decode_mask(mask, base, weights, radixes, dim) -> frozenset:
@@ -455,8 +438,3 @@ def embed_report(a: GroupSubset, t_max: int = 32, cap_l: int = 2) -> EmbedResult
     if d.delta < 1:
         raise EmbedError(f"verification: image delta = {d.delta}, expected >= 1")
     return EmbedResult(t=t, radix=lin.radix, image=lin.image, delta=d.delta)
-
-
-def embed_pipeline(a: GroupSubset, t_max: int = 32) -> IntSet:
-    """The integer MSTD set from :func:`embed_report` (fold budget 2)."""
-    return embed_report(a, t_max=t_max, cap_l=2).image

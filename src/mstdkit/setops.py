@@ -214,9 +214,8 @@ class MstdDelta:
 # -- kernel ------------------------------------------------------------------
 
 
-def _shift_or(big: IntSet, shifts: Iterable[int]) -> int:
-    """OR together ``big.mask << s`` over nonnegative shifts ``s``."""
-    mask = big.mask
+def _shift_or(mask: int, shifts: Iterable[int]) -> int:
+    """OR together ``mask << s`` over nonnegative shifts ``s``."""
     acc = 0
     for s in shifts:
         acc |= mask << s
@@ -232,7 +231,7 @@ def sumset(a: IntSet, b: IntSet) -> IntSet:
     _check_span(a.span + b.span)
     small, big = (a, b) if len(a) <= len(b) else (b, a)
     smin = small.min
-    acc = _shift_or(big, (y - smin for y in small))
+    acc = _shift_or(big.mask, (y - smin for y in small))
     return IntSet._from_sorted((_bit_positions(acc) + base).tolist())
 
 

@@ -1,10 +1,12 @@
 """Independent brute-force oracles used to cross-check the library kernels.
 
-Everything here enumerates pairs/tuples directly with set comprehensions
-and never touches the bitmask code paths under test.
+Everything here enumerates directly (pairs/tuples with set comprehensions,
+or all 2^n parity graphs) and never touches the code paths under test.
 """
 
 import itertools
+
+import numpy as np
 
 from mstdkit import IntSet
 
@@ -48,6 +50,34 @@ def brute_lattice_fold(points, h, k) -> set:
             tuple(x + sign * y for x, y in zip(u, p)) for u in acc for p in points
         }
     return acc
+
+
+def enumerate_covering(n):
+    """(covering count, {(b, p): miss count}) over all 2^n parity graphs of Z/n x Z/2.
+
+    Vectorized bitmask scan: the sumset misses (b, 1) exactly when the mask
+    equals its b-reflection, and (b, 0) when it equals that reflection's
+    complement.  Chunked so peak memory stays modest at n = 24.
+    """
+    chunk = 1 << 20
+    full = np.uint64((1 << n) - 1)
+    covering = 0
+    misses = {(b, p): 0 for b in range(n) for p in (0, 1)}
+    for lo in range(0, 1 << n, chunk):
+        masks = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.uint64)
+        r = masks & np.uint64(1)  # bit i of r is bit (n - i) mod n of the mask
+        for i in range(1, n):
+            r |= ((masks >> np.uint64(n - i)) & np.uint64(1)) << np.uint64(i)
+        covered = np.ones(len(masks), dtype=bool)
+        for b in range(n):
+            w = ((r << np.uint64(b)) | (r >> np.uint64(n - b))) & full
+            eq_odd = masks == w
+            eq_even = masks == (w ^ full)
+            misses[(b, 1)] += int(eq_odd.sum())
+            misses[(b, 0)] += int(eq_even.sum())
+            covered &= ~(eq_odd | eq_even)
+        covering += int(covered.sum())
+    return covering, misses
 
 
 def as_intset(elems) -> IntSet:

@@ -73,6 +73,26 @@ class TestConstruct:
         code, _, err = run_cli(capsys, "construct", "--family", "t1", "--params", "{}")
         assert code == 2 and "needs parameter" in err
 
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            ("t1", '{"m": 4.5, "d": 1, "k": 3}', "m must be an integer, got 4.5"),
+            ("t2", '{"k": 2.0}', "k must be an integer, got 2.0"),
+            ("t1", '{"m": 4, "d": true, "k": 3}', "d must be an integer, got true"),
+            ("t1", "[4, 1, 3]", "--params must be a JSON object"),
+            ("hr", '"k"', "--params must be a JSON object"),
+            ("gap", '{"m": 6, "k": 2, "r": 2, "s": 3, "p": {"base": 0.5, "dims": []}}',
+             "p.base must be an integer"),
+            ("gap", '{"m": 6, "k": 2, "r": 2, "s": 3, "p": {"base": 0, "dims": [[1, 2]]}}',
+             'p must be {"base"'),
+            ("gap", '{"m": 6, "k": 2, "r": 2, "s": 3, "p": [0]}', 'p must be {"base"'),
+        ],
+    )
+    def test_bad_params_rejected(self, capsys, family, params, message):
+        code, out, err = run_cli(capsys, "construct", "--family", family, "--params", params)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
 
 class TestCount:
     def test_basic(self, capsys):
@@ -88,6 +108,19 @@ class TestCount:
         assert len(data["misses"]) == 12
         by_g = {tuple(row["g"]): row["count"] for row in data["misses"]}
         assert by_g[(1, 0)] == 8 and by_g[(0, 1)] == 16 and by_g[(0, 0)] == 0
+
+    def test_cap_is_exact(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--n", "4096", "--table")
+        assert code == 0
+        data = json.loads(out)
+        assert data["bound"] <= data["covering"] < 2**4096
+        assert len(data["misses"]) == 2 * 4096
+
+    @pytest.mark.parametrize("n", ["1", "4097"])
+    def test_out_of_range_rejected(self, capsys, n):
+        code, out, err = run_cli(capsys, "count", "--n", n)
+        assert code == 2 and out == ""
+        assert "error: n must be in [2, 4096]" in err
 
 
 class TestGroupSearchAndEmbed:

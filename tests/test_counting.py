@@ -14,11 +14,12 @@ from mstdkit import (
     group_sum_diff,
     miss_count,
 )
-from oracles import brute_group_fold
+from mstdkit.counting import MAX_COUNT_N
+from oracles import brute_group_fold, enumerate_covering
 
-# Exact covering counts, frozen from an exhaustive enumeration that three
-# independent routes (pairwise group sumsets, the scalar mask test, and the
-# vectorized scan) agreed on.
+# Exact covering counts, frozen from an exhaustive enumeration: pairwise
+# group sumsets, the scalar mask test and the vectorized scan agreed up to
+# n = 16, and the vectorized scan gave n = 17..24.
 COVERING = {
     4: 0,
     5: 0,
@@ -33,6 +34,14 @@ COVERING = {
     14: 13048,
     15: 29040,
     16: 57792,
+    17: 122400,
+    18: 244440,
+    19: 504868,
+    20: 1008720,
+    21: 2054416,
+    22: 4105640,
+    23: 8294444,
+    24: 16583464,
 }
 
 SMALLEST_COVERING_N = 7
@@ -115,6 +124,21 @@ class TestCountCovering:
             )
             assert count_covering(n).covering == want
 
+    def test_matches_enumeration_oracle(self):
+        for n in range(2, 21):
+            rep = count_covering(n)
+            covering, misses = enumerate_covering(n)
+            assert rep.covering == covering, n
+            assert rep.misses == misses, n
+            for (b, p), want in misses.items():
+                assert miss_count(n, b, p) == want
+
+    def test_exact_beyond_enumeration(self):
+        for n in (25, 64, 257, 1000):
+            rep = count_covering(n)
+            assert rep.bound <= rep.covering < 2**n
+            assert 2**n - rep.covering <= sum(rep.misses.values())
+
     def test_bound_formula(self):
         assert coverage_bound(7) == 2**7 - 7 * 2**4
         assert coverage_bound(8) == 2**8 - 8 * 2**5
@@ -138,10 +162,13 @@ class TestCountCovering:
                 assert fractions[a] < fractions[b]
 
     def test_budget(self):
+        assert count_covering(MAX_COUNT_N).n == MAX_COUNT_N
         with pytest.raises(ValueError):
-            count_covering(25)
+            count_covering(MAX_COUNT_N + 1)
         with pytest.raises(ValueError):
             count_covering(1)
+        with pytest.raises(ValueError):
+            miss_count(MAX_COUNT_N + 1, 0, 0)
 
 
 class TestMissCounts:

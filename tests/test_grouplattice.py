@@ -9,7 +9,6 @@ from mstdkit import (
     GroupSubset,
     IntSet,
     LatticeSet,
-    embed_pipeline,
     embed_report,
     embedding_consistency,
     find_thickness,
@@ -17,7 +16,6 @@ from mstdkit import (
     lattice_sum_diff,
     lattice_sum_diff_card,
     linearize,
-    minkowski_diff,
     minkowski_sum,
     reduce_to_cell,
     sublattice_box,
@@ -156,7 +154,8 @@ class TestBoxes:
                 want_sum = sublattice_box(spec, s1 + s2, s1 + w1 + s2 + w2 - 1)
                 want_diff = sublattice_box(spec, s1 - (s2 + w2) + 1, s1 + w1 - s2)
                 assert minkowski_sum(b1, b2).points == want_sum.points
-                assert minkowski_diff(b1, b2).points == want_diff.points
+                diff = {tuple(x - y for x, y in zip(p, q)) for p in b1.points for q in b2.points}
+                assert diff == want_diff.points
 
     def test_fold_law(self):
         spec = GroupSpec((3, 2))
@@ -349,7 +348,6 @@ class TestPipeline:
         a = covering_pair_subset()
         res = embed_report(a)
         assert res.delta >= 1
-        assert res.image == embed_pipeline(a)
         d = len(sum_diff(res.image, 1, 1))
         s = len(sum_diff(res.image, 2, 0))
         assert s - d == res.delta
