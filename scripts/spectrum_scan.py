@@ -14,11 +14,10 @@ from mstdkit import exhaustive_spectrum
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-range", type=int, default=15)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     for n in range(1, args.max_range + 1):
-        rep = exhaustive_spectrum(n, 1, n + 1, threads=args.threads)
+        rep = exhaustive_spectrum(n, 1, n + 1)
         positive = {d: c for d, c in rep.spectrum.items() if d > 0}
         line = f"[0,{n:2d}] subsets={rep.enumerated:>8}"
         if positive:

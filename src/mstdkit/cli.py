@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import partial
 
 from .constructions import (
     ConstructionError,
@@ -21,15 +23,7 @@ from .constructions import (
 from .counting import count_covering, find_group_mstd
 from .grouplattice import GroupSubset, embed_report
 from .search import DEFAULT_BUDGET, exhaustive_spectrum
-from .setops import IntSet, mstd_delta, symmetry_witness
-
-FAMILIES = ("t1", "t2", "t3", "gap", "gap2", "hr")
-
-
-def _int_param(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
-    return value
+from .setops import IntSet, _strict_int, mstd_delta, symmetry_witness
 
 
 def _parse_gap(raw) -> Gap:
@@ -39,8 +33,8 @@ def _parse_gap(raw) -> Gap:
     ):
         raise ValueError('p must be {"base": b, "dims": [[step, offset, length], ...]}')
     return Gap(
-        base=_int_param("p.base", raw.get("base", 0)),
-        dims=tuple(tuple(_int_param("p.dims", x) for x in d) for d in dims),
+        base=_strict_int("p.base", raw.get("base", 0)),
+        dims=tuple(tuple(_strict_int("p.dims", x) for x in d) for d in dims),
     )
 
 
@@ -51,42 +45,45 @@ def _parse_params(text: str) -> dict:
         raise ValueError("--params must be a JSON object")
     for key, value in params.items():
         if key != "p":
-            _int_param(key, value)
+            _strict_int(key, value)
     _parse_gap(params.get("p", {}))
     return params
 
 
-def _need(family: str, params: dict, *keys: str):
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise ConstructionError(
-            f"family {family!r} needs parameter(s): {', '.join(missing)}"
-        )
+def _build_gap(variant: str, m: int, k: int, r: int, s: int, p=None):
+    # _parse_params rejects "p": null, so None here means "p" was left out
+    base = gap_base_recipe(_parse_gap({} if p is None else p), r, s, m)
+    return gap_family(base, k, variant), m
+
+
+# family code -> (required parameters, optional parameters,
+#                 builder from the parameters to (set, adjoined element))
+FAMILIES = {
+    "t1": (("m", "d", "k"), (), lambda m, d, k: (
+        one_track_family(OneTrackParams(m, d, k)), m)),
+    "t2": (("k",), (), lambda k: (two_dim_family(k), 4)),
+    "t3": (("m", "d", "k"), (), lambda m, d, k: (
+        two_track_family(TwoTrackParams(m, d, k)), m)),
+    "gap": (("m", "k", "r", "s"), ("p",), partial(_build_gap, "one_to_k")),
+    "gap2": (("m", "k", "r", "s"), ("p",), partial(_build_gap, "zero_to_k")),
+    "hr": (("k",), (), lambda k: (hegarty_roesler_family(k), 4)),
+}
 
 
 def _build_family(family: str, params: dict) -> tuple[IntSet, int]:
     """Return (set, adjoined element) for a family code and its parameters."""
-    if family == "t1":
-        _need(family, params, "m", "d", "k")
-        p = OneTrackParams(params["m"], params["d"], params["k"])
-        return one_track_family(p), p.m
-    if family == "t3":
-        _need(family, params, "m", "d", "k")
-        p = TwoTrackParams(params["m"], params["d"], params["k"])
-        return two_track_family(p), p.m
-    if family == "t2":
-        _need(family, params, "k")
-        return two_dim_family(params["k"]), 4
-    if family == "hr":
-        _need(family, params, "k")
-        return hegarty_roesler_family(params["k"]), 4
-    if family in ("gap", "gap2"):
-        _need(family, params, "m", "k", "r", "s")
-        p = _parse_gap(params.get("p", {}))
-        base = gap_base_recipe(p, params["r"], params["s"], params["m"])
-        variant = "one_to_k" if family == "gap" else "zero_to_k"
-        return gap_family(base, params["k"], variant), params["m"]
-    raise ConstructionError(f"unknown family {family!r}")
+    required, optional, build = FAMILIES[family]
+    missing = [k for k in required if k not in params]
+    if missing:
+        raise ConstructionError(
+            f"family {family!r} needs parameter(s): {', '.join(missing)}"
+        )
+    unknown = [k for k in params if k not in required + optional]
+    if unknown:
+        raise ConstructionError(
+            f"family {family!r} does not take parameter(s): {', '.join(unknown)}"
+        )
+    return build(**params)
 
 
 def _cmd_construct(args) -> dict:
@@ -136,12 +133,8 @@ def _cmd_spectrum(args):
         args.min_size,
         args.max_size,
         budget=args.budget,
-        threads=args.threads,
     )
-    if args.format == "csv":
-        sys.stdout.write(report.to_csv())
-        return None
-    return report.to_dict()
+    return report.to_csv() if args.format == "csv" else report.to_dict()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range-max", type=int, required=True, dest="range_max")
     p.add_argument("--min-size", type=int, default=0, dest="min_size")
     p.add_argument("--max-size", type=int, required=True, dest="max_size")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=_cmd_spectrum)
@@ -192,8 +184,15 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OverflowError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if result is not None:
-        print(json.dumps(result, indent=2))
+    text = result if isinstance(result, str) else json.dumps(result, indent=2) + "\n"
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``mstd ... | head``).  Point stdout at
+        # devnull so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

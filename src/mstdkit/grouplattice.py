@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .setops import IntSet, MstdDelta, _bit_positions, _check_i64, _check_span, _shift_or
-from .setops import mstd_delta
+from .setops import _strict_int, mstd_delta
 
 
 @dataclass(frozen=True)
@@ -89,15 +89,13 @@ class GroupSubset:
         elements = data["elements"]
         if not isinstance(moduli, list) or not isinstance(elements, list):
             raise ValueError('"moduli" and "elements" must be lists')
-        if not all(
-            isinstance(e, list) and all(isinstance(c, int) for c in e)
-            for e in elements
-        ):
+        if not all(isinstance(e, list) for e in elements):
             raise ValueError("elements must be lists of integers")
-        vecs = [tuple(e) for e in elements]
+        moduli = tuple(_strict_int("modulus", m) for m in moduli)
+        vecs = [tuple(_strict_int("residue", c) for c in e) for e in elements]
         if len(set(vecs)) != len(vecs):
             raise ValueError("duplicate elements in JSON input")
-        return cls(GroupSpec(tuple(moduli)), frozenset(vecs))
+        return cls(GroupSpec(moduli), frozenset(vecs))
 
     def to_json(self) -> str:
         return json.dumps(

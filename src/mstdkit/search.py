@@ -7,21 +7,28 @@ sumset is the OR of the mask shifted by each of its own elements, and its
 difference set is the same with mirrored shifts, so one pass over the bit
 positions evaluates a whole chunk of subsets at once.
 
+The scan enumerates only the masks containing bit 0, half of all masks,
+and weights each by range_max - t + 1, where t is its highest bit.  This
+is exact: translation by s maps the subsets with minimum 0 and maximum t
+one to one onto those with minimum s, which lie in [0, range_max]
+exactly for 0 <= s <= range_max - t, and it preserves the size, |A+A|
+and |A-A|.  The empty set adds {0: 1} to a band that contains size 0.
+
 Witness selection per delta is restricted to masks containing 0: every
 subset's normalized form (translate to 0, divide by the gcd) lies in the
 same size band and has the same delta, so the lexicographically minimal
 normalized witness is exactly the minimal mask-with-bit-0 — if that
 minimum had a gcd above 1, dividing it out would yield a strictly smaller
-enumerated candidate.  Chunk results merge additively (counts) and by
-lexicographic minimum (witnesses), so serial and parallel runs agree
-bit for bit.
+enumerated candidate.  The quotient enumerates exactly these masks, so
+it leaves the witnesses unchanged.  Chunk results merge additively
+(counts) and by lexicographic minimum (witnesses), so the report does
+not depend on the chunk size.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,27 +103,26 @@ def _mask_lex_less(a: int, b: int) -> bool:
 
 
 def _scan_chunk(lo: int, hi: int, range_max: int, min_size: int, max_size: int):
-    masks = np.arange(lo, hi, dtype=np.uint64)
+    """Weighted delta counts and lex-min witnesses of masks 2i + 1, lo <= i < hi."""
+    masks = (np.arange(lo, hi, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
     sizes = _popcount(masks)
     masks = masks[(sizes >= min_size) & (sizes <= max_size)]
-    if len(masks) == 0:
-        return {}, {}
     sum_mask = np.zeros(len(masks), dtype=np.uint64)
     diff_mask = np.zeros(len(masks), dtype=np.uint64)
     for b in range(range_max + 1):
-        has = (masks >> np.uint64(b)) & np.uint64(1) == 1
-        picked = masks[has]
-        sum_mask[has] |= picked << np.uint64(b)
-        diff_mask[has] |= picked << np.uint64(range_max - b)
+        sel = -((masks >> np.uint64(b)) & np.uint64(1))  # all ones where bit b is set
+        sum_mask |= (masks << np.uint64(b)) & sel
+        diff_mask |= (masks << np.uint64(range_max - b)) & sel
     delta = _popcount(sum_mask) - _popcount(diff_mask)
-    values, counts = np.unique(delta, return_counts=True)
-    spectrum = {int(v): int(c) for v, c in zip(values, counts)}
-    best = {}
-    has_zero = masks & np.uint64(1) == 1
-    for v in values:
-        cands = masks[(delta == v) & has_zero]
-        if len(cands):
-            best[int(v)] = _lex_min_mask(cands, range_max)
+    # masks ascend, so those with highest bit t are masks[bounds[t] : bounds[t + 1]]
+    powers = np.uint64(1) << np.arange(range_max + 2, dtype=np.uint64)
+    bounds = np.searchsorted(masks, powers)
+    spectrum: dict = {}
+    for t in range(range_max + 1):
+        values, counts = np.unique(delta[bounds[t] : bounds[t + 1]], return_counts=True)
+        for v, c in zip(values.tolist(), counts.tolist()):
+            spectrum[v] = spectrum.get(v, 0) + c * (range_max - t + 1)
+    best = {v: _lex_min_mask(masks[delta == v], range_max) for v in spectrum}
     return spectrum, best
 
 
@@ -129,14 +135,13 @@ def exhaustive_spectrum(
     min_size: int,
     max_size: int,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> SearchReport:
     """Evaluate delta for every subset of [0, range_max] in the size band.
 
     The spectrum maps each delta value to the number of subsets attaining
     it; witnesses map each delta to the lexicographically minimal
     normalized subset attaining it (absent only for the empty-set band).
-    Deterministic, and independent of the thread count.
+    Deterministic, and independent of the chunk size.
     """
     if not 0 <= range_max <= MAX_RANGE:
         raise ValueError(f"range_max must be in [0, {MAX_RANGE}]")
@@ -147,21 +152,14 @@ def exhaustive_spectrum(
         raise ValueError(
             f"budget exceeded: {enumerated} subsets in band, budget {budget}"
         )
-    total = 1 << (range_max + 1)
-    chunk = 1 << _CHUNK_BITS
-    jobs = [
-        (lo, min(lo + chunk, total), range_max, min_size, max_size)
-        for lo in range(0, total, chunk)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda j: _scan_chunk(*j), jobs))
-    else:
-        results = [_scan_chunk(*j) for j in jobs]
-
-    spectrum: dict = {}
+    spectrum: dict = {0: 1} if min_size == 0 else {}
     best: dict = {}
-    for part_spectrum, part_best in results:
+    half = 1 << range_max  # the masks with bit 0 are 2i + 1 for i < half
+    chunk = 1 << _CHUNK_BITS
+    for lo in range(0, half, chunk):
+        part_spectrum, part_best = _scan_chunk(
+            lo, min(lo + chunk, half), range_max, min_size, max_size
+        )
         for v, c in part_spectrum.items():
             spectrum[v] = spectrum.get(v, 0) + c
         for v, mask in part_best.items():

@@ -44,6 +44,13 @@ def _check_span(span: int) -> int:
     return span
 
 
+def _strict_int(name: str, value) -> int:
+    """``value`` itself if it is an int; a float, a bool or any other type raises."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _bit_positions(mask: int) -> np.ndarray:
     """Ascending positions of the set bits of a nonnegative int."""
     if mask == 0:
@@ -166,11 +173,9 @@ class IntSet:
         if not isinstance(data, dict) or "elements" not in data:
             raise ValueError('JSON input must be an object with an "elements" key')
         raw = data["elements"]
-        if not isinstance(raw, list) or not all(
-            isinstance(e, int) and not isinstance(e, bool) for e in raw
-        ):
+        if not isinstance(raw, list):
             raise ValueError('"elements" must be a list of integers')
-        return cls._validated(list(raw), "JSON input")
+        return cls._validated([_strict_int("element", e) for e in raw], "JSON input")
 
     def to_text(self) -> str:
         return " ".join(map(str, self._elements))

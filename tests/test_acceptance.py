@@ -33,6 +33,7 @@ from mstdkit import (
     mstd_delta,
     normalize,
     one_track_family,
+    search,
     sum_diff,
     sumset,
     thickening_bounds,
@@ -306,22 +307,23 @@ def test_criterion_8_property_suite():
     )
 
 
-def test_criterion_9_spectrum_oracle():
+def test_criterion_9_spectrum_oracle(monkeypatch):
     start = time.perf_counter()
-    serial = exhaustive_spectrum(14, 1, 15, threads=1)
-    parallel = exhaustive_spectrum(14, 1, 15, threads=4)
-    assert serial == parallel
-    assert serial.to_dict() == parallel.to_dict()
-    assert serial.to_csv() == parallel.to_csv()
-    assert serial.spectrum.get(1, 0) >= 1
-    witness = serial.witnesses[1]
+    default = exhaustive_spectrum(14, 1, 15)
+    monkeypatch.setattr(search, "_CHUNK_BITS", 10)
+    chunked = exhaustive_spectrum(14, 1, 15)
+    assert default == chunked
+    assert default.to_dict() == chunked.to_dict()
+    assert default.to_csv() == chunked.to_csv()
+    assert default.spectrum.get(1, 0) >= 1
+    witness = default.witnesses[1]
     assert mstd_delta(witness).delta == 1
     assert witness == normalize(witness)
     elapsed = time.perf_counter() - start
     report(
         9,
         elapsed < 120.0,
-        f"spectrum over [0,14] sizes 1..15: {serial.spectrum.get(1, 0)} subsets "
-        f"with delta=+1, minimal witness {list(witness.elements)}, serial and "
-        f"4-thread runs identical ({elapsed:.2f} s)",
+        f"spectrum over [0,14] sizes 1..15: {default.spectrum.get(1, 0)} subsets "
+        f"with delta=+1, minimal witness {list(witness.elements)}, one chunk and "
+        f"16 chunks of 2^10 masks identical ({elapsed:.2f} s)",
     )

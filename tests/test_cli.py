@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,7 @@ class TestConstruct:
             ("gap", '{"m": 6, "k": 2, "r": 2, "s": 3, "p": {"base": 0, "dims": [[1, 2]]}}',
              'p must be {"base"'),
             ("gap", '{"m": 6, "k": 2, "r": 2, "s": 3, "p": [0]}', 'p must be {"base"'),
+            ("t2", '{"k": 2, "m": 9}', "family 't2' does not take parameter(s): m"),
         ],
     )
     def test_bad_params_rejected(self, capsys, family, params, message):
@@ -164,6 +169,22 @@ class TestGroupSearchAndEmbed:
         code, _, err = run_cli(capsys, "embed", "--input", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"moduli": [7.9, 2], "elements": [[true, 0], [2, false]]}',
+             "modulus must be an integer, got 7.9"),
+            ('{"moduli": [7, 2], "elements": [[true, 0], [2, false]]}',
+             "residue must be an integer, got true"),
+            ('{"moduli": [7, 2], "elements": {"0": [1, 0]}}', "must be lists"),
+        ],
+    )
+    def test_embed_rejects_non_strict_integers(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "embed", "--input", str(path))
+        assert code == 2 and out == "" and message in err
+
 
 class TestSpectrum:
     def test_json_output(self, capsys):
@@ -185,19 +206,27 @@ class TestSpectrum:
         assert lines[0] == "delta,count,witness"
         assert len(lines) > 1
 
-    def test_threads_match_serial(self, capsys):
-        code, serial, _ = run_cli(
-            capsys, "spectrum", "--range-max", "10", "--min-size", "0", "--max-size", "11"
-        )
-        code2, parallel, _ = run_cli(
-            capsys, "spectrum", "--range-max", "10", "--min-size", "0",
-            "--max-size", "11", "--threads", "4",
-        )
-        assert code == code2 == 0 and serial == parallel
-
     def test_budget_flag(self, capsys):
         code, _, err = run_cli(
             capsys, "spectrum", "--range-max", "12", "--min-size", "0",
             "--max-size", "13", "--budget", "100",
         )
         assert code == 2 and "budget" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_closed_stdout_exits_quietly(self, fmt):
+        """A reader that closes the pipe (``mstd ... | head``) gets no traceback."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader at all, so the first write fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mstdkit", "spectrum", "--range-max", "8",
+                 "--max-size", "9", "--format", fmt],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1 and proc.stderr == ""

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -64,6 +65,21 @@ class TestGroupTypes:
             GroupSubset.from_json('{"moduli": [5, 2], "elements": [3]}')
         with pytest.raises(ValueError):
             GroupSubset.from_json('{"moduli": [5, 2], "elements": [["a", 0]]}')
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"moduli": [7.9, 2], "elements": [[1, 0]]}', "modulus must be an integer, got 7.9"),
+            ('{"moduli": [true, 2], "elements": [[0, 0]]}', "modulus must be an integer, got true"),
+            ('{"moduli": [7, 2], "elements": [[true, 0]]}', "residue must be an integer, got true"),
+            ('{"moduli": [7, 2], "elements": [[2, 1.0]]}', "residue must be an integer, got 1.0"),
+            ('{"moduli": 7, "elements": [[2]]}', "must be lists"),
+            ('{"moduli": [7], "elements": [[2], 3]}', "lists of integers"),
+        ],
+    )
+    def test_json_rejects_non_strict_integers(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GroupSubset.from_json(text)
 
     def test_lattice_set_validation(self):
         with pytest.raises(ValueError):

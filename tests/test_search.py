@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from mstdkit import IntSet, exhaustive_spectrum, mstd_delta, normalize, random_search
+from mstdkit import search
 
 
 def brute_spectrum(range_max, min_size, max_size):
@@ -74,10 +75,14 @@ class TestExhaustive:
                 assert mstd_delta(a).delta == 0
         assert 0 < symmetric <= rep.spectrum[0]
 
-    def test_serial_parallel_identical(self):
-        serial = exhaustive_spectrum(12, 0, 13, threads=1)
-        parallel = exhaustive_spectrum(12, 0, 13, threads=4)
-        assert serial == parallel
+    @pytest.mark.parametrize("chunk_bits", [1, 3, 6])
+    def test_chunk_size_invariant(self, monkeypatch, chunk_bits):
+        bands = [(0, 13), (1, 13), (4, 6), (0, 0)]
+        default = [exhaustive_spectrum(12, lo, hi) for lo, hi in bands]
+        monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
+        assert [exhaustive_spectrum(12, lo, hi) for lo, hi in bands] == default
+        empty = default[-1]
+        assert empty.spectrum == {0: 1} and empty.witnesses == {}
 
     def test_budget_enforced(self):
         with pytest.raises(ValueError, match="budget"):

@@ -222,6 +222,8 @@ class TestParsing:
     def test_json_rejects_non_integers(self):
         with pytest.raises(ValueError):
             IntSet.from_json('{"elements": [1, 2.5]}')
+        with pytest.raises(ValueError, match="element must be an integer, got true"):
+            IntSet.from_json('{"elements": [true, 2]}')
         with pytest.raises(ValueError):
             IntSet.from_json('{"elements": "nope"}')
 
