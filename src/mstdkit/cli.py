@@ -23,7 +23,7 @@ from .constructions import (
 from .counting import count_covering, find_group_mstd
 from .grouplattice import GroupSubset, embed_report
 from .search import DEFAULT_BUDGET, exhaustive_spectrum
-from .setops import IntSet, _strict_int, mstd_delta, symmetry_witness
+from .setops import IntSet, _strict_int, _strict_ints, mstd_delta, symmetry_witness
 
 
 def _parse_gap(raw) -> Gap:
@@ -34,7 +34,7 @@ def _parse_gap(raw) -> Gap:
         raise ValueError('p must be {"base": b, "dims": [[step, offset, length], ...]}')
     return Gap(
         base=_strict_int("p.base", raw.get("base", 0)),
-        dims=tuple(tuple(_strict_int("p.dims", x) for x in d) for d in dims),
+        dims=tuple(_strict_ints("p.dims", d) for d in dims),
     )
 
 
@@ -109,7 +109,7 @@ def _cmd_embed(args) -> dict:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
     subset = GroupSubset.from_json(text)
-    result = embed_report(subset, t_max=args.t_max, cap_l=args.cap_l)
+    result = embed_report(subset, t_max=args.t_max)
     return {
         "t_used": result.t,
         "m_used": result.radix,
@@ -152,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="turn a group MSTD subset into an integer one")
     p.add_argument("--input", required=True, help="group subset JSON file, or -")
     p.add_argument("--t-max", type=int, default=32, dest="t_max")
-    p.add_argument("--cap-l", type=int, default=2, dest="cap_l")
     p.set_defaults(handler=_cmd_embed)
 
     p = sub.add_parser("count", help="covering counts for parity graphs in Z/n x Z/2")

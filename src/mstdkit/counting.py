@@ -38,6 +38,7 @@ import random
 from dataclasses import dataclass
 
 from .grouplattice import GroupSpec, GroupSubset, group_sum_diff
+from .setops import _strict_int, _strict_ints
 
 # 2^4096 has 1,234 decimal digits: far below the 4,300-digit int-to-str
 # limit that JSON output hits, and a full --table takes milliseconds.
@@ -52,8 +53,8 @@ class ParityGraph:
     eps: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", tuple(int(e) for e in self.eps))
-        if self.n < 2:
+        object.__setattr__(self, "eps", _strict_ints("eps", self.eps))
+        if _strict_int("n", self.n) < 2:
             raise ValueError("n must be at least 2")
         if len(self.eps) != self.n:
             raise ValueError("eps must have exactly n bits")

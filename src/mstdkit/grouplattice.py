@@ -6,15 +6,20 @@ reduced representative of each coordinate; the reverse direction reduces
 lattice points coordinatewise.  Thickening a group subset by a box of
 sublattice translates produces lattice sets whose iterated sum-difference
 cardinalities eventually order the same way as in the group, and a base-m
-positional map linearizes lattice sets into integer sets while preserving
-those cardinalities up to a chosen fold budget.
+positional map (``linearize``) flattens lattice sets into integer sets
+while preserving those cardinalities up to a chosen fold budget.
 
-Iterated lattice sum-differences run on the same dense bitmask idea as
-the integer kernel: points are encoded into a mixed-radix index wide
-enough that coordinate sums never carry between axes, so a Minkowski sum
-is a handful of shifted ORs on one big integer.  Plain pairwise loops on
-hash sets were an order of magnitude too slow for the fold/thickness
-ranges exercised here.
+``linearize`` is the only map from Z^d to Z, and lattice folds run on it:
+with c the minimum corner of S, hS - kS = h(S - c) - k(S - c) + (h - k)c,
+and fold budget h + k makes the radix exceed twice the magnitude of every
+coordinate of h(S - c) - k(S - c).  The map is then injective there and
+carries sums and differences, so folding the integer image with ``setops``
+gives |hS - kS| exactly, and its balanced base-radix digits give the
+points.  The envelope is the one ``linearize`` and ``setops`` share: image
+values within signed 64 bits and a folded span of at most
+``MAX_SPAN_BITS``; inputs outside it raise instead of answering wrongly.
+``thicken`` and ``sublattice_box`` check their size against
+``MAX_LATTICE_POINTS`` first.
 """
 
 from __future__ import annotations
@@ -25,10 +30,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
+from .setops import IntSet, MstdDelta, _check_i64, _strict_int, _strict_ints, mstd_delta
+from .setops import sum_diff
 
-from .setops import IntSet, MstdDelta, _bit_positions, _check_i64, _check_span, _shift_or
-from .setops import _strict_int, mstd_delta
+# Most points ``thicken`` or ``sublattice_box`` may build.  A 2-d point costs
+# about 230 bytes (tuple, ints, set entry), so one set stays near 240 MB.
+MAX_LATTICE_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -38,7 +45,7 @@ class GroupSpec:
     moduli: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
+        object.__setattr__(self, "moduli", _strict_ints("modulus", self.moduli))
         if len(self.moduli) < 1:
             raise ValueError("a group needs at least one modulus")
         if any(m < 2 for m in self.moduli):
@@ -67,7 +74,7 @@ class GroupSubset:
     elements: frozenset
 
     def __post_init__(self):
-        elems = frozenset(tuple(int(c) for c in e) for e in self.elements)
+        elems = frozenset(_strict_ints("residue", e) for e in self.elements)
         object.__setattr__(self, "elements", elems)
         moduli = self.spec.moduli
         for e in elems:
@@ -91,11 +98,10 @@ class GroupSubset:
             raise ValueError('"moduli" and "elements" must be lists')
         if not all(isinstance(e, list) for e in elements):
             raise ValueError("elements must be lists of integers")
-        moduli = tuple(_strict_int("modulus", m) for m in moduli)
-        vecs = [tuple(_strict_int("residue", c) for c in e) for e in elements]
-        if len(set(vecs)) != len(vecs):
+        subset = cls(GroupSpec(moduli), elements)
+        if len(subset) != len(elements):
             raise ValueError("duplicate elements in JSON input")
-        return cls(GroupSpec(moduli), frozenset(vecs))
+        return subset
 
     def to_json(self) -> str:
         return json.dumps(
@@ -114,9 +120,9 @@ class LatticeSet:
     points: frozenset
 
     def __post_init__(self):
-        pts = frozenset(tuple(int(c) for c in p) for p in self.points)
+        pts = frozenset(_strict_ints("coordinate", p) for p in self.points)
         object.__setattr__(self, "points", pts)
-        if self.dim < 1:
+        if _strict_int("dimension", self.dim) < 1:
             raise ValueError("dimension must be at least 1")
         for p in pts:
             if len(p) != self.dim:
@@ -170,6 +176,7 @@ def sublattice_box(spec: GroupSpec, lo: int, hi: int) -> LatticeSet:
     """Points (q_1 m_1, ..., q_d m_d) with lo <= q_i < hi; (hi-lo)^d of them."""
     if lo > hi:
         raise ValueError("need lo <= hi")
+    _check_points((hi - lo) ** spec.dim)
     pts = frozenset(
         tuple(q * m for q, m in zip(qs, spec.moduli))
         for qs in itertools.product(range(lo, hi), repeat=spec.dim)
@@ -188,73 +195,54 @@ def minkowski_sum(a: LatticeSet, b: LatticeSet) -> LatticeSet:
     )
 
 
-# -- dense fold kernel -----------------------------------------------------------
+def _check_points(count: int) -> None:
+    if count > MAX_LATTICE_POINTS:
+        raise ValueError(
+            f"{count} lattice points exceed the budget of {MAX_LATTICE_POINTS}"
+        )
 
 
-def _fold_mask(s: LatticeSet, h: int, k: int):
-    """Dense mixed-radix mask of hS - kS plus the decode geometry.
-
-    Returns (mask, base, weights, radixes) where a set bit at index
-    ``sum_i offs_i * weights_i`` encodes the point ``base + offs``.
-    """
-    pts = [tuple(p) for p in s.points]
-    dim = s.dim
-    los = [min(p[i] for p in pts) for i in range(dim)]
-    his = [max(p[i] for p in pts) for i in range(dim)]
-    spans = [hi - lo for lo, hi in zip(los, his)]
-    total = h + k
-    radixes = [total * sp + 1 for sp in spans]
-    _check_span(math.prod(radixes))
-    weights = [1] * dim
-    for i in range(1, dim):
-        weights[i] = weights[i - 1] * radixes[i - 1]
-
-    def code(offs):
-        return sum(o * w for o, w in zip(offs, weights))
-
-    add_shifts = [code([p[i] - los[i] for i in range(dim)]) for p in pts]
-    sub_shifts = [code([his[i] - p[i] for i in range(dim)]) for p in pts]
-
-    acc = 1  # the single all-zero offset: empty sum
-    base = [0] * dim
-    for _ in range(h):
-        acc = _shift_or(acc, add_shifts)
-        base = [b + lo for b, lo in zip(base, los)]
-    for _ in range(k):
-        acc = _shift_or(acc, sub_shifts)
-        base = [b - hi for b, hi in zip(base, his)]
-    for b, sp in zip(base, spans):
-        _check_i64(b)
-        _check_i64(b + total * sp)
-    return acc, base, weights, radixes
+# -- folds on the linearized image ------------------------------------------------
 
 
-def _decode_mask(mask, base, weights, radixes, dim) -> frozenset:
-    pos = _bit_positions(mask)
-    cols = []
-    for i in range(dim):
-        cols.append((pos // weights[i]) % radixes[i] + base[i])
-    return frozenset(map(tuple, np.stack(cols, axis=1).tolist()))
-
-
-def lattice_sum_diff(s: LatticeSet, h: int, k: int) -> LatticeSet:
-    """hS - kS by exact vector arithmetic (dense mixed-radix kernel)."""
+def _check_fold(s: LatticeSet, h: int, k: int) -> None:
     if not s.points:
         raise ValueError("lattice set must be nonempty")
     if h < 0 or k < 0 or h + k < 1:
         raise ValueError("fold counts must be nonnegative with h + k >= 1")
-    mask, base, weights, radixes = _fold_mask(s, h, k)
-    return LatticeSet(s.dim, _decode_mask(mask, base, weights, radixes, s.dim))
+
+
+def _corner_image(s: LatticeSet, budget: int) -> tuple[tuple[int, ...], LinearImage]:
+    """The minimum corner c of S and the image of S - c under ``linearize``."""
+    corner = tuple(map(min, zip(*s.points)))
+    if any(corner):
+        s = LatticeSet(
+            s.dim, frozenset(tuple(x - c for x, c in zip(p, corner)) for p in s.points)
+        )
+    return corner, linearize(s, budget)
+
+
+def lattice_sum_diff(s: LatticeSet, h: int, k: int) -> LatticeSet:
+    """hS - kS by exact vector arithmetic, folded on the linearized image."""
+    _check_fold(s, h, k)
+    corner, lin = _corner_image(s, h + k)
+    radix, half = lin.radix, lin.radix // 2
+    offset = [(h - k) * c for c in corner]
+    points = set()
+    for v in sum_diff(lin.image, h, k):
+        p = []
+        for o in offset:
+            digit = (v + half) % radix - half  # balanced: in [-half, half]
+            p.append(o + digit)
+            v = (v - digit) // radix
+        points.add(tuple(p))
+    return LatticeSet(s.dim, frozenset(points))
 
 
 def lattice_sum_diff_card(s: LatticeSet, h: int, k: int) -> int:
     """|hS - kS| without materializing the points."""
-    if not s.points:
-        raise ValueError("lattice set must be nonempty")
-    if h < 0 or k < 0 or h + k < 1:
-        raise ValueError("fold counts must be nonnegative with h + k >= 1")
-    mask, *_ = _fold_mask(s, h, k)
-    return mask.bit_count()
+    _check_fold(s, h, k)
+    return len(sum_diff(_corner_image(s, h + k)[1].image, h, k))
 
 
 # -- thickening and transfer ------------------------------------------------------
@@ -266,6 +254,7 @@ def thicken(a: GroupSubset, t: int) -> LatticeSet:
         raise ValueError("subset must be nonempty")
     if t < 1:
         raise ValueError("thickness must be at least 1")
+    _check_points(len(a) * t**a.spec.dim)
     return minkowski_sum(to_lattice(a), sublattice_box(a.spec, 0, t))
 
 
@@ -330,8 +319,9 @@ def find_thickness(
             f"group inequality fails: |{h1}A-{k1}A| = {c1} <= |{h2}A-{k2}A| = {c2}"
         )
     for t in range(1, t_max + 1):
-        bt = thicken(a, t)
-        if lattice_sum_diff_card(bt, h1, k1) > lattice_sum_diff_card(bt, h2, k2):
+        # One image serves both pairs: their fold budgets h + k are equal.
+        image = _corner_image(thicken(a, t), h1 + k1)[1].image
+        if len(sum_diff(image, h1, k1)) > len(sum_diff(image, h2, k2)):
             return t
     raise RuntimeError(f"no thickness up to {t_max} transfers the inequality")
 
@@ -388,17 +378,9 @@ def linearize(s: LatticeSet, cap_l: int) -> LinearImage:
         raise ValueError("fold budget must be at least 1")
     maxnorm = max((abs(c) for p in s.points for c in p), default=0)
     radix = _check_i64(2 * cap_l * maxnorm + 1)
-    images = []
-    for p in s.points:
-        val = 0
-        power = 1
-        for i, c in enumerate(p):
-            if c:
-                val += _check_i64(c * power)
-                _check_i64(val)
-            if i + 1 < len(p):
-                power *= radix
-        images.append(val)
+    powers = [radix**i for i in range(s.dim)]
+    # IntSet raises OverflowError for an image outside the signed 64-bit range
+    images = [sum(c * w for c, w in zip(p, powers)) for p in s.points]
     return LinearImage(radix=radix, image=IntSet(images))
 
 
@@ -419,7 +401,7 @@ class EmbedResult:
     delta: int
 
 
-def embed_report(a: GroupSubset, t_max: int = 32, cap_l: int = 2) -> EmbedResult:
+def embed_report(a: GroupSubset, t_max: int = 32) -> EmbedResult:
     """Run group -> thickened lattice set -> integers, verifying MSTD at the end."""
     if len(group_sum_diff(a, 2, 0)) <= len(group_sum_diff(a, 1, 1)):
         raise ValueError("input is not an MSTD subset of its group")
@@ -429,7 +411,7 @@ def embed_report(a: GroupSubset, t_max: int = 32, cap_l: int = 2) -> EmbedResult
         raise EmbedError(f"thickness search: {e}") from e
     try:
         bt = thicken(a, t)
-        lin = linearize(bt, cap_l)
+        lin = linearize(bt, 2)  # comparing |2B| with |B - B| needs fold budget 2
     except (ValueError, OverflowError) as e:
         raise EmbedError(f"linearization: {e}") from e
     d: MstdDelta = mstd_delta(lin.image)

@@ -18,7 +18,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -45,10 +45,20 @@ def _check_span(span: int) -> int:
 
 
 def _strict_int(name: str, value) -> int:
-    """``value`` itself if it is an int; a float, a bool or any other type raises."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
-    return value
+    """``value`` as an int if it is a Python or numpy integer; anything else raises."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    try:
+        shown = json.dumps(value)
+    except (TypeError, ValueError):
+        shown = repr(value)
+    raise ValueError(f"{name} must be an integer, got {shown}")
+
+
+def _strict_ints(name: str, values: Iterable) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, each checked by ``_strict_int``."""
+    # The type test skips the call for plain ints, the common case.
+    return tuple(v if type(v) is int else _strict_int(name, v) for v in values)
 
 
 def _bit_positions(mask: int) -> np.ndarray:
@@ -66,7 +76,7 @@ class IntSet:
     __slots__ = ("_elements", "_mask_cache")
 
     def __init__(self, elements: Iterable[int] = ()):
-        elems = sorted({int(e) for e in elements})
+        elems = sorted(set(_strict_ints("element", elements)))
         if elems:
             _check_i64(elems[0])
             _check_i64(elems[-1])
@@ -74,11 +84,11 @@ class IntSet:
         self._mask_cache: Optional[int] = None
 
     @classmethod
-    def _from_sorted(cls, elems: Iterable[int]) -> "IntSet":
-        """Trusted constructor: ``elems`` already strictly increasing and in range."""
+    def _from_sorted(cls, elems: Iterable[int], mask: Optional[int] = None) -> "IntSet":
+        """Trusted constructor: ``elems`` strictly increasing and in range; ``mask`` theirs."""
         out = cls.__new__(cls)
         out._elements = tuple(elems)
-        out._mask_cache = None
+        out._mask_cache = mask
         return out
 
     # -- basic accessors ----------------------------------------------------
@@ -106,15 +116,11 @@ class IntSet:
     @property
     def mask(self) -> int:
         """Dense bitmask relative to ``self.min`` (bit ``e - min`` per element)."""
-        m = self._mask_cache
-        if m is None:
+        if self._mask_cache is None:
             _check_span(self.span)
             base = self._elements[0]
-            m = 0
-            for e in self._elements:
-                m |= 1 << (e - base)
-            self._mask_cache = m
-        return m
+            self._mask_cache = _shift_or(1, (e - base for e in self._elements))
+        return self._mask_cache
 
     def __len__(self) -> int:
         return len(self._elements)
@@ -148,7 +154,7 @@ class IntSet:
     # -- serialization ------------------------------------------------------
 
     @classmethod
-    def _validated(cls, elems: list[int], where: str) -> "IntSet":
+    def _validated(cls, elems: Sequence[int], where: str) -> "IntSet":
         for prev, cur in zip(elems, elems[1:]):
             if cur <= prev:
                 raise ValueError(
@@ -175,7 +181,7 @@ class IntSet:
         raw = data["elements"]
         if not isinstance(raw, list):
             raise ValueError('"elements" must be a list of integers')
-        return cls._validated([_strict_int("element", e) for e in raw], "JSON input")
+        return cls._validated(_strict_ints("element", raw), "JSON input")
 
     def to_text(self) -> str:
         return " ".join(map(str, self._elements))
@@ -237,20 +243,26 @@ def sumset(a: IntSet, b: IntSet) -> IntSet:
     small, big = (a, b) if len(a) <= len(b) else (b, a)
     smin = small.min
     acc = _shift_or(big.mask, (y - smin for y in small))
-    return IntSet._from_sorted((_bit_positions(acc) + base).tolist())
-
-
-def _negated(a: IntSet) -> IntSet:
-    if not a:
-        return a
-    _check_i64(-a.max)
-    _check_i64(-a.min)
-    return IntSet._from_sorted(-e for e in reversed(a.elements))
+    return IntSet._from_sorted((_bit_positions(acc) + base).tolist(), acc)
 
 
 def diffset(a: IntSet, b: IntSet) -> IntSet:
-    """A-B = {x - y : x in A, y in B}."""
-    return sumset(a, _negated(b))
+    """A-B = {x - y : x in A, y in B}; empty if either operand is empty.
+
+    Bit ``(x - min A) + (max B - y)`` marks ``x - y``: A's mask is shifted by
+    ``max B - y``, or, when A is smaller, the mask of -B by ``x - min A``."""
+    if not a or not b:
+        return IntSet()
+    base = _check_i64(a.min - b.max)
+    _check_i64(a.max - b.min)
+    _check_span(a.span + b.span)
+    bmax = b.max
+    if len(b) <= len(a):
+        acc = _shift_or(a.mask, (bmax - y for y in b))
+    else:
+        amin = a.min
+        acc = _shift_or(_shift_or(1, (bmax - y for y in b)), (x - amin for x in a))
+    return IntSet._from_sorted((_bit_positions(acc) + base).tolist(), acc)
 
 
 def h_fold(a: IntSet, h: int) -> IntSet:
@@ -269,6 +281,8 @@ def sum_diff(a: IntSet, h: int, k: int) -> IntSet:
     """Generalized sum-difference set hA - kA (sums of h elements minus sums of k)."""
     if h < 0 or k < 0:
         raise ValueError("fold counts must be nonnegative")
+    if k == 0:
+        return h_fold(a, h)
     return diffset(h_fold(a, h), h_fold(a, k))
 
 

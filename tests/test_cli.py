@@ -165,6 +165,25 @@ class TestGroupSearchAndEmbed:
         code, _, err = run_cli(capsys, "embed", "--input", str(path))
         assert code == 2 and "not an MSTD subset" in err
 
+    def test_embed_over_point_budget(self, capsys, tmp_path):
+        # the n = 7 covering witness times {0} in (Z/2)^22 is still group MSTD;
+        # thickness 2 would build 7 * 2^24 lattice points
+        eps = (1, 1, 0, 1, 0, 0, 0)
+        path = tmp_path / "lifted.json"
+        path.write_text(json.dumps({
+            "moduli": [7, 2] + [2] * 22,
+            "elements": [[i, e] + [0] * 22 for i, e in enumerate(eps)],
+        }))
+        code, out, err = run_cli(capsys, "embed", "--input", str(path))
+        assert code == 2 and out == ""
+        assert "error: thickness search: 117440512 lattice points exceed the budget" in err
+
+    def test_embed_has_no_fold_budget_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", "--input", "-", "--cap-l", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cap-l 2" in capsys.readouterr().err
+
     def test_embed_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "embed", "--input", "/nonexistent.json")
         assert code == 2

@@ -1,6 +1,8 @@
 import itertools
 import random
+import re
 
+import numpy as np
 import pytest
 
 from mstdkit import (
@@ -79,6 +81,14 @@ class TestParityGraph:
             ParityGraph(3, (0, 1))
         with pytest.raises(ValueError):
             ParityGraph(3, (0, 1, 2))
+
+    @pytest.mark.parametrize("bad, shown", [(1.0, "1.0"), (True, "true"), ("1", '"1"')])
+    def test_non_integers_rejected(self, bad, shown):
+        with pytest.raises(ValueError, match=re.escape(f"eps must be an integer, got {shown}")):
+            ParityGraph(3, (0, bad, 1))
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ParityGraph(3.0, (0, 1, 1))
+        assert ParityGraph(np.int64(3), (0, np.uint8(1), 1)) == ParityGraph(3, (0, 1, 1))
 
 
 class TestCovers:

@@ -2,13 +2,13 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 
 from mstdkit import (
     EmbedError,
     GroupSpec,
     GroupSubset,
-    IntSet,
     LatticeSet,
     embed_report,
     embedding_consistency,
@@ -25,7 +25,8 @@ from mstdkit import (
     thickening_bounds,
     to_lattice,
 )
-from oracles import brute_group_fold, brute_lattice_fold
+from mstdkit.grouplattice import MAX_LATTICE_POINTS
+from oracles import brute_group_fold, brute_lattice_fold, brute_sum_diff
 
 
 def random_subset(rng, max_dim=3, max_mod=6, max_size=5):
@@ -86,6 +87,30 @@ class TestGroupTypes:
             LatticeSet(2, frozenset({(1,)}))
         with pytest.raises(ValueError):
             LatticeSet(0, frozenset())
+
+    @pytest.mark.parametrize("bad, shown", [(7.9, "7.9"), (True, "true"), ("7", '"7"')])
+    def test_spec_rejects_non_integers(self, bad, shown):
+        message = f"modulus must be an integer, got {shown}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GroupSpec((bad, 2))
+        assert GroupSpec((np.int64(7), 2)).moduli == (7, 2)
+
+    @pytest.mark.parametrize("bad, shown", [(1.7, "1.7"), (True, "true"), (None, "null")])
+    def test_subset_rejects_non_integers(self, bad, shown):
+        spec = GroupSpec((5, 2))
+        message = f"residue must be an integer, got {shown}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GroupSubset(spec, frozenset({(1, bad)}))
+        assert GroupSubset(spec, frozenset({(np.int32(1), 1)})).elements == {(1, 1)}
+
+    @pytest.mark.parametrize("bad, shown", [(0.5, "0.5"), (False, "false"), ("0", '"0"')])
+    def test_lattice_set_rejects_non_integers(self, bad, shown):
+        message = f"coordinate must be an integer, got {shown}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LatticeSet(2, frozenset({(3, bad)}))
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            LatticeSet(2.0, frozenset({(3, 0)}))
+        assert LatticeSet(2, frozenset({(3, np.int64(-1))})).points == {(3, -1)}
 
 
 class TestGroupFold:
@@ -150,6 +175,13 @@ class TestBoxes:
         box = sublattice_box(GroupSpec((3, 2)), 0, 2)
         assert box.points == {(0, 0), (0, 2), (3, 0), (3, 2)}
 
+    def test_size_budget_checked_before_building(self):
+        # 2^40 points: building them would exhaust memory long before finishing
+        with pytest.raises(ValueError, match="budget"):
+            sublattice_box(GroupSpec((2,) * 40), 0, 2)
+        with pytest.raises(ValueError, match="budget"):
+            sublattice_box(GroupSpec((2,)), 0, MAX_LATTICE_POINTS + 1)
+
     def test_cardinality_law(self):
         for d in (1, 2, 3):
             spec = GroupSpec((3,) * d)
@@ -194,10 +226,19 @@ class TestLatticeFold:
         for _ in range(30):
             elems = sorted({rng.randint(-10, 10) for _ in range(rng.randint(1, 6))})
             s = LatticeSet(1, frozenset((e,) for e in elems))
-            a = IntSet(elems)
             h, k = rng.randint(0, 2), rng.randint(1, 2)
             got = {p[0] for p in lattice_sum_diff(s, h, k).points}
-            assert got == set(sum_diff(a, h, k))
+            assert got == brute_sum_diff(elems, h, k)
+
+    def test_far_from_origin(self):
+        # untranslated, these coordinates times radix^2 leave the 64-bit range
+        far = 1 << 40
+        pts = frozenset({(far, far, far), (far, far, far + 1)})
+        s = LatticeSet(3, pts)
+        for h, k in ((2, 0), (1, 1)):
+            want = brute_lattice_fold(pts, h, k)
+            assert lattice_sum_diff(s, h, k).points == want
+            assert lattice_sum_diff_card(s, h, k) == len(want)
 
     def test_matches_brute(self):
         rng = random.Random(9)
@@ -241,6 +282,17 @@ class TestThicken:
         spec = GroupSpec((3, 2))
         a = GroupSubset(spec, frozenset({(0, 0)}))
         assert thicken(a, 2).points == sublattice_box(spec, 0, 2).points
+
+    def test_size_budget_checked_before_building(self):
+        # the covering subset times {0} in (Z/2)^22: thickness 2 would build
+        # 7 * 2^24 points, about 117 million tuples
+        a = GroupSubset(
+            GroupSpec((7, 2) + (2,) * 22),
+            frozenset(e + (0,) * 22 for e in covering_pair_subset().elements),
+        )
+        assert len(thicken(a, 1)) == 7
+        with pytest.raises(ValueError, match="budget"):
+            thicken(a, 2)
 
 
 class TestConsistency:
@@ -318,9 +370,9 @@ class TestLinearize:
             lin = linearize(s, 2)
             assert len(lin.image) == len(pts)
             for h, k in ((2, 0), (1, 1)):
-                assert lattice_sum_diff_card(s, h, k) == len(
-                    sum_diff(lin.image, h, k)
-                )
+                want = len(brute_lattice_fold(pts, h, k))
+                assert len(sum_diff(lin.image, h, k)) == want
+                assert lattice_sum_diff_card(s, h, k) == want
 
     def test_minimal_radix(self):
         s = LatticeSet(2, frozenset({(3, -8)}))

@@ -57,6 +57,13 @@ class TestExhaustive:
             assert w == normalize(w)
             assert mstd_delta(w).delta == d
 
+    def test_smallest_mstd_set_has_eight_elements(self):
+        # Hegarty (2007): no MSTD set has fewer than 8 elements, and up to
+        # affine maps {0,2,3,4,7,11,12,14} is the only one with 8
+        assert max(exhaustive_spectrum(14, 1, 7).spectrum) == 0
+        assert exhaustive_spectrum(14, 8, 8).spectrum[1] == 2  # the set and its reflection
+        assert mstd_delta(IntSet([0, 2, 3, 4, 7, 11, 12, 14])).delta == 1
+
     def test_spectrum_totals(self):
         rep = exhaustive_spectrum(10, 2, 4)
         assert sum(rep.spectrum.values()) == rep.enumerated

@@ -1,5 +1,7 @@
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -83,6 +85,27 @@ class TestDiffset:
         a = IntSet([0, 1, 4, 9])
         b = IntSet([-2, 3])
         assert set(diffset(a, b)) == brute_diffset(a, b)
+        assert set(diffset(b, a)) == brute_diffset(b, a)
+
+    def test_extreme_operands_without_negation(self):
+        # -min(I64) is outside the range, but every difference here is inside it
+        low = IntSet([-(1 << 63)])
+        assert diffset(low, low) == IntSet([0])
+        assert diffset(IntSet([-1]), low) == IntSet([(1 << 63) - 1])
+
+
+class TestMaskCache:
+    @pytest.mark.parametrize(
+        "op, a, b",
+        [
+            (sumset, [0, 3, 4], [-2, 5]),
+            (diffset, [0, 3, 4, 9], [-2, 5]),  # shifts A's mask
+            (diffset, [-2, 5], [0, 3, 4, 9]),  # shifts the mask of -B
+        ],
+    )
+    def test_result_keeps_its_mask(self, op, a, b):
+        got = op(IntSet(a), IntSet(b))
+        assert got._mask_cache == IntSet(got.elements).mask
 
 
 class TestHFold:
@@ -226,6 +249,20 @@ class TestParsing:
             IntSet.from_json('{"elements": [true, 2]}')
         with pytest.raises(ValueError):
             IntSet.from_json('{"elements": "nope"}')
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [(1.9, "1.9"), (True, "true"), ("3", '"3"'), (np.float32(2.5), "np.float32(2.5)")],
+    )
+    def test_constructor_rejects_non_integers(self, bad, shown):
+        message = f"element must be an integer, got {shown}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            IntSet([1, bad])
+
+    def test_constructor_accepts_numpy_integers(self):
+        got = IntSet([np.int64(3), np.uint8(1), 2])
+        assert got == IntSet([1, 2, 3])
+        assert all(type(e) is int for e in got)
 
     def test_empty_inputs(self):
         assert IntSet.from_text("") == IntSet()
