@@ -20,6 +20,28 @@ values within signed 64 bits and a folded span of at most
 ``MAX_SPAN_BITS``; inputs outside it raise instead of answering wrongly.
 ``thicken`` and ``sublattice_box`` check their size against
 ``MAX_LATTICE_POINTS`` first.
+
+The thickness search never builds B_t = phi(A) + box(0, t), where
+box(s, t) = {(q_1 m_1, ..., q_d m_d) : s <= q_i < t}.  It rests on two facts:
+
+* h box(0, t) - k box(0, t) = box(-k(t-1), h(t-1) + 1).  Per axis, a sum of
+  h multipliers in [0, t) minus k of them takes every integer value in
+  [-k(t-1), h(t-1)] (raise the terms one at a time from the lowest value)
+  and no other; the axes are independent.
+* psi(X + Y) = psi(X) + psi(Y) for psi(p) = sum_i p_i radix^i, because psi
+  is additive on points.  With psi(-p) = -psi(p) this carries every
+  Minkowski fold: psi(hS - kS) = h psi(S) - k psi(S).
+
+So psi(hB_t - kB_t) = h psi(phi(A)) - k psi(phi(A)) + sum_i P_i, where P_i
+is the progression {q m_i radix^i : -k(t-1) <= q <= h(t-1)}: d sumsets with
+(h + k)(t - 1) + 1 shifts each instead of |A| t^d points.  Every coordinate
+of B_t lies in [0, maxnorm], so with fold budget h + k the argument above
+makes psi injective on hB_t - kB_t and the image has |hB_t - kB_t| elements,
+without a corner translation.  The envelope is the ``setops`` one: every
+step goes through its range-checked kernel, so an image outside signed 64
+bits or ``MAX_SPAN_BITS`` raises and never answers wrongly.  Each P_i
+contains 0, so each progression step's result lies inside the final set's
+range and cannot raise when the final set fits.
 """
 
 from __future__ import annotations
@@ -31,7 +53,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .setops import IntSet, MstdDelta, _check_i64, _strict_int, _strict_ints, mstd_delta
-from .setops import sum_diff
+from .setops import sum_diff, sumset
 
 # Most points ``thicken`` or ``sublattice_box`` may build.  A 2-d point costs
 # about 230 bytes (tuple, ints, set entry), so one set stays near 240 MB.
@@ -258,6 +280,28 @@ def thicken(a: GroupSubset, t: int) -> LatticeSet:
     return minkowski_sum(to_lattice(a), sublattice_box(a.spec, 0, t))
 
 
+def _thickened_fold(a: GroupSubset, t: int, h: int, k: int, budget: int) -> LinearImage:
+    """The image of hB_t - kB_t under ``linearize(thicken(a, t), budget)``.
+
+    Built as h psi(A) - k psi(A) plus one progression per axis, without a
+    lattice point; with h + k <= budget its size is |hB_t - kB_t|.
+    """
+    moduli = a.spec.moduli
+    _check_points(len(a) * t ** len(moduli))
+    tops = map(max, zip(*a.elements))
+    maxnorm = max(top + m * (t - 1) for top, m in zip(tops, moduli))
+    radix = _check_i64(2 * budget * maxnorm + 1)
+    powers = [radix**i for i in range(len(moduli))]
+    image = sum_diff(
+        IntSet(sum(c * w for c, w in zip(p, powers)) for p in a.elements), h, k
+    )
+    for m, w in zip(moduli, powers):
+        step = m * w
+        steps = IntSet(range(-k * (t - 1) * step, h * (t - 1) * step + 1, step))
+        image = sumset(image, steps)
+    return LinearImage(radix=radix, image=image)
+
+
 @dataclass(frozen=True)
 class EmbeddingConsistency:
     """Outcome of the three compatibility checks between group and lattice folds."""
@@ -318,10 +362,10 @@ def find_thickness(
         raise ValueError(
             f"group inequality fails: |{h1}A-{k1}A| = {c1} <= |{h2}A-{k2}A| = {c2}"
         )
+    budget = h1 + k1
     for t in range(1, t_max + 1):
-        # One image serves both pairs: their fold budgets h + k are equal.
-        image = _corner_image(thicken(a, t), h1 + k1)[1].image
-        if len(sum_diff(image, h1, k1)) > len(sum_diff(image, h2, k2)):
+        fold1 = _thickened_fold(a, t, h1, k1, budget).image
+        if len(fold1) > len(_thickened_fold(a, t, h2, k2, budget).image):
             return t
     raise RuntimeError(f"no thickness up to {t_max} transfers the inequality")
 
@@ -347,7 +391,7 @@ def thickening_bounds(a: GroupSubset, h: int, k: int, t: int) -> ThickeningBound
         raise ValueError("need h >= 1, k >= 0, t >= 1")
     d = a.spec.dim
     group_card = len(group_sum_diff(a, h, k))
-    lat_card = lattice_sum_diff_card(thicken(a, t), h, k)
+    lat_card = len(_thickened_fold(a, t, h, k, h + k).image)
     upper_ok = lat_card <= group_card * ((h + k) * t) ** d
     base = (h + k) * t - 2 * (h + k - 1)
     lower_ok = True if base < 0 else lat_card >= group_card * base**d
@@ -410,8 +454,8 @@ def embed_report(a: GroupSubset, t_max: int = 32) -> EmbedResult:
     except (ValueError, RuntimeError) as e:
         raise EmbedError(f"thickness search: {e}") from e
     try:
-        bt = thicken(a, t)
-        lin = linearize(bt, 2)  # comparing |2B| with |B - B| needs fold budget 2
+        # B_t itself, linearized with the fold budget 2 that |2B| vs |B - B| needs
+        lin = _thickened_fold(a, t, 1, 0, 2)
     except (ValueError, OverflowError) as e:
         raise EmbedError(f"linearization: {e}") from e
     d: MstdDelta = mstd_delta(lin.image)

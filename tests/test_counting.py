@@ -16,7 +16,7 @@ from mstdkit import (
     group_sum_diff,
     miss_count,
 )
-from mstdkit.counting import MAX_COUNT_N
+from mstdkit.counting import MAX_COUNT_N, MAX_SEARCH_N
 from oracles import brute_group_fold, enumerate_covering
 
 # Exact covering counts, frozen from an exhaustive enumeration: pairwise
@@ -238,3 +238,11 @@ class TestFindGroupMstd:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             find_group_mstd(7, strategy="exhaustive")
+
+    def test_search_cap(self):
+        # find_group_mstd re-verifies its witness's group folds itself
+        assert len(find_group_mstd(MAX_SEARCH_N)) == MAX_SEARCH_N
+        for n in (1, MAX_SEARCH_N + 1):
+            for strategy in ("first", "random"):
+                with pytest.raises(ValueError, match=rf"n must be in \[2, {MAX_SEARCH_N}\]"):
+                    find_group_mstd(n, strategy=strategy)

@@ -12,6 +12,7 @@ from mstdkit import (
     LatticeSet,
     embed_report,
     embedding_consistency,
+    find_group_mstd,
     find_thickness,
     group_sum_diff,
     lattice_sum_diff,
@@ -25,7 +26,7 @@ from mstdkit import (
     thickening_bounds,
     to_lattice,
 )
-from mstdkit.grouplattice import MAX_LATTICE_POINTS
+from mstdkit.grouplattice import MAX_LATTICE_POINTS, _thickened_fold
 from oracles import brute_group_fold, brute_lattice_fold, brute_sum_diff
 
 
@@ -392,7 +393,56 @@ def covering_pair_subset():
     )
 
 
+class TestThickenedFold:
+    PAIRS = [(h, k) for h in range(4) for k in range(4) if 1 <= h + k <= 3]
+
+    @staticmethod
+    def odd_parity_subsets():
+        # every element has last coordinate 1, so the minimum corner is nonzero
+        yield GroupSubset(GroupSpec((5, 2)), frozenset({(0, 1), (2, 1), (3, 1)}))
+        yield GroupSubset(GroupSpec((3, 4, 2)), frozenset({(1, 2, 1), (2, 3, 1)}))
+        yield GroupSubset(GroupSpec((4,)), frozenset({(1,), (3,)}))
+
+    def test_matches_point_fold(self):
+        rng = random.Random(16)
+        subsets = [random_subset(rng, max_mod=5, max_size=2) for _ in range(8)]
+        for a in subsets + list(self.odd_parity_subsets()):
+            for t in range(1, 5):
+                points = thicken(a, t).points
+                for h, k in self.PAIRS:
+                    got = _thickened_fold(a, t, h, k, h + k).image
+                    assert len(got) == len(brute_lattice_fold(points, h, k))
+
+    def test_is_linearized_thickening(self):
+        rng = random.Random(17)
+        subsets = [random_subset(rng, max_mod=5) for _ in range(20)]
+        for a in subsets + list(self.odd_parity_subsets()):
+            for t in range(1, 5):
+                assert _thickened_fold(a, t, 1, 0, 2) == linearize(thicken(a, t), 2)
+
+    def test_point_budget_checked_first(self):
+        a = GroupSubset(GroupSpec((2,) * 21), frozenset({(0,) * 21}))
+        with pytest.raises(ValueError, match="budget"):
+            _thickened_fold(a, 2, 1, 0, 2)
+
+
 class TestThicknessSearch:
+    def test_same_thickness_as_point_path(self):
+        # reference: thicken, linearize with fold budget 2, fold by brute force
+        for n in range(7, 13):
+            a = find_group_mstd(n, strategy="first")
+            for t in itertools.count(1):
+                lin = linearize(thicken(a, t), 2)
+                sums = len(brute_sum_diff(lin.image, 2, 0))
+                diffs = len(brute_sum_diff(lin.image, 1, 1))
+                if sums > diffs:
+                    break
+            assert find_thickness(a, (2, 0), (1, 1), 32) == t
+            res = embed_report(a)
+            assert (res.t, res.radix, res.image, res.delta) == (
+                t, lin.radix, lin.image, sums - diffs
+            )
+
     def test_finds_small_thickness(self):
         a = covering_pair_subset()
         t = find_thickness(a, (2, 0), (1, 1), 16)
