@@ -13,17 +13,17 @@ from .constructions import (
     Gap,
     OneTrackParams,
     TwoTrackParams,
+    _gap,
+    _hegarty_roesler,
+    _one_track,
+    _two_dim,
+    _two_track,
     gap_base_recipe,
-    gap_family,
-    hegarty_roesler_family,
-    one_track_family,
-    two_dim_family,
-    two_track_family,
 )
 from .counting import count_covering, find_group_mstd
 from .grouplattice import GroupSubset, embed_report
 from .search import DEFAULT_BUDGET, exhaustive_spectrum
-from .setops import IntSet, _strict_int, _strict_ints, mstd_delta, symmetry_witness
+from .setops import IntSet, MstdDelta, _strict_int, _strict_ints, symmetry_witness
 
 
 def _parse_gap(raw) -> Gap:
@@ -53,25 +53,25 @@ def _parse_params(text: str) -> dict:
 def _build_gap(variant: str, m: int, k: int, r: int, s: int, p=None):
     # _parse_params rejects "p": null, so None here means "p" was left out
     base = gap_base_recipe(_parse_gap({} if p is None else p), r, s, m)
-    return gap_family(base, k, variant), m
+    return _gap(base, k, variant), m
 
 
-# family code -> (required parameters, optional parameters,
-#                 builder from the parameters to (set, adjoined element))
+# family code -> (required parameters, optional parameters, builder from
+#                 the parameters to ((set, its verified delta), adjoined element))
 FAMILIES = {
     "t1": (("m", "d", "k"), (), lambda m, d, k: (
-        one_track_family(OneTrackParams(m, d, k)), m)),
-    "t2": (("k",), (), lambda k: (two_dim_family(k), 4)),
+        _one_track(OneTrackParams(m, d, k)), m)),
+    "t2": (("k",), (), lambda k: (_two_dim(k), 4)),
     "t3": (("m", "d", "k"), (), lambda m, d, k: (
-        two_track_family(TwoTrackParams(m, d, k)), m)),
+        _two_track(TwoTrackParams(m, d, k)), m)),
     "gap": (("m", "k", "r", "s"), ("p",), partial(_build_gap, "one_to_k")),
     "gap2": (("m", "k", "r", "s"), ("p",), partial(_build_gap, "zero_to_k")),
-    "hr": (("k",), (), lambda k: (hegarty_roesler_family(k), 4)),
+    "hr": (("k",), (), lambda k: (_hegarty_roesler(k), 4)),
 }
 
 
-def _build_family(family: str, params: dict) -> tuple[IntSet, int]:
-    """Return (set, adjoined element) for a family code and its parameters."""
+def _build_family(family: str, params: dict) -> tuple[tuple[IntSet, MstdDelta], int]:
+    """Return ((set, delta), adjoined element) for a family code and its parameters."""
     required, optional, build = FAMILIES[family]
     missing = [k for k in required if k not in params]
     if missing:
@@ -88,7 +88,7 @@ def _build_family(family: str, params: dict) -> tuple[IntSet, int]:
 
 def _cmd_construct(args) -> dict:
     params = _parse_params(args.params)
-    built, adjoined = _build_family(args.family, params)
+    (built, delta), adjoined = _build_family(args.family, params)
     core = IntSet(e for e in built if e != adjoined)
     witness = symmetry_witness(core)
     if witness is None:  # pragma: no cover - families always build symmetric cores
@@ -97,7 +97,7 @@ def _cmd_construct(args) -> dict:
         "family": args.family,
         "params": params,
         "set": list(built.elements),
-        "delta": mstd_delta(built).delta,
+        "delta": delta.delta,
         "a_star": witness.center,
     }
 

@@ -6,7 +6,9 @@ general form, a generalized arithmetic progression).  Constructors
 validate their parameters, build the set, and re-verify the MSTD
 inequality by exact computation before returning: constructions are
 cheap, so the belt-and-braces check costs nothing and catches
-transcription slips.
+transcription slips.  Each public family function returns the set alone;
+its private builder returns the set with the verified ``MstdDelta``, so
+``mstd construct`` reports the delta without computing it a second time.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .setops import IntSet, interval, mstd_delta, diffset, sumset
+from .setops import IntSet, MstdDelta, interval, mstd_delta, diffset, sumset
 
 
 class ConstructionError(ValueError):
@@ -61,13 +63,14 @@ def _require(cond: bool, message: str):
         raise ConstructionError(message)
 
 
-def _verify_mstd(a: IntSet, family: str) -> IntSet:
+def _verify_mstd(a: IntSet, family: str) -> tuple[IntSet, MstdDelta]:
+    """``(a, mstd_delta(a))``; raises unless ``a`` is MSTD."""
     d = mstd_delta(a)
     if d.delta < 1:
         raise ConstructionError(
             f"internal error: {family} output is not MSTD (delta={d.delta})"
         )
-    return a
+    return a, d
 
 
 # -- one-track family ---------------------------------------------------------
@@ -97,6 +100,10 @@ def one_track_family(p: OneTrackParams) -> IntSet:
     The core B + track + mirrored B is symmetric about (k+1)m - 2d; adjoining
     m creates the extra sum 2m while leaving the difference set unchanged.
     """
+    return _one_track(p)[0]
+
+
+def _one_track(p: OneTrackParams) -> tuple[IntSet, MstdDelta]:
     p.validate()
     m, d, k = p.m, p.d, p.k
     b = [e for e in range(m) if e != d]
@@ -138,6 +145,10 @@ class TwoTrackParams:
 
 def two_track_family(p: TwoTrackParams) -> IntSet:
     """MSTD set whose core carries two parallel tracks offset by -d and +d."""
+    return _two_track(p)[0]
+
+
+def _two_track(p: TwoTrackParams) -> tuple[IntSet, MstdDelta]:
     p.validate()
     m, d, k = p.m, p.d, p.k
     b = [e for e in range(m) if e != d]
@@ -152,6 +163,10 @@ def two_track_family(p: TwoTrackParams) -> IntSet:
 
 def hegarty_roesler_family(k: int) -> IntSet:
     """MSTD sets {0,2} + {3,7,...,4k-1} + {4k,4k+2} with 4 adjoined, k >= 3."""
+    return _hegarty_roesler(k)[0]
+
+
+def _hegarty_roesler(k: int) -> tuple[IntSet, MstdDelta]:
     _require(k >= 3, "k must be at least 3")
     core = IntSet([0, 2] + [3 + 4 * j for j in range(k)] + [4 * k, 4 * k + 2])
     return _verify_mstd(core | IntSet((4,)), "hegarty-roesler family")
@@ -162,6 +177,10 @@ def two_dim_family(k: int) -> IntSet:
 
     Core: {0,2} + {3,7,...,4k-1} + {9,13,...,4k+5} + {4k+6,4k+8}; adjoin 4.
     """
+    return _two_dim(k)[0]
+
+
+def _two_dim(k: int) -> tuple[IntSet, MstdDelta]:
     _require(k >= 2, "k must be at least 2")
     core = IntSet(
         [0, 2]
@@ -226,6 +245,10 @@ def gap_family(base: GapBase, k: int, variant: str = "one_to_k") -> IntSet:
     requires m not in lstar + lstar.  The core B + L + (center - B) is
     symmetric about center = min(L) + max(L).
     """
+    return _gap(base, k, variant)[0]
+
+
+def _gap(base: GapBase, k: int, variant: str) -> tuple[IntSet, MstdDelta]:
     base.validate()
     _require(k >= 2, "k must be at least 2")
     if variant == "one_to_k":

@@ -4,9 +4,29 @@ An :class:`IntSet` is an immutable, strictly increasing tuple of signed
 64-bit integers.  Sumsets and difference sets run on a dense bitmask
 kernel: a set with minimum ``m`` becomes a big integer whose bit
 ``e - m`` is set for every element ``e``, and ``A+B`` is the union of
-shifted copies of A's mask, one shift per element of B.  Spans in this
-problem domain stay in the thousands of bits, where the dense kernel
+copies of A's mask shifted by the elements of B.  Spans in this problem
+domain run from tens to about a million bits, where the dense kernel
 beats pairwise enumeration by a wide margin.
+
+The shift-OR (``_shift_or``) folds arithmetic runs rather than shifting
+once per element.  With at least ``_FOLD_MIN`` shifts it sorts them and
+splits them into maximal runs of equally spaced values.  A run
+``s, s + q, ..., s + (L-1) q`` with ``L >= _RUN_MIN`` costs O(log L)
+shifts.  Start with ``run = mask``, covering the offsets ``{0}`` (in
+units of ``q``), and ``have = 1``.  While ``2 have <= L``, the step
+``run |= run << (have q)`` turns the offsets ``{0, ..., have-1}`` into
+``{0, ..., 2 have - 1}``.  When it stops, ``have <= L < 2 have``.  If
+``have < L``, one more shift by ``(L - have) q`` adds
+``{L - have, ..., L - 1}``.  That block starts at ``L - have < have``,
+so the union is ``{0, ..., L - 1}``: no gap, and nothing past ``L - 1``.
+A final shift by ``s`` places the run.  The shifts outside such runs
+are ORed one at a time, as are all shifts of a shorter list.  The
+cutoffs were measured (CHANGES.md).  Repeated shifts need no
+deduplication: OR is idempotent, so equal shifts, ORed one at a time
+or folded as a run of step 0, set each bit once.
+
+``mstd_delta`` only counts: it takes ``int.bit_count`` of the A+A and
+A-A masks and never expands them into sets.
 
 All element arithmetic is range-checked against signed 64-bit bounds;
 a result outside them raises ``OverflowError`` instead of wrapping.
@@ -18,6 +38,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import eq, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -28,6 +49,13 @@ I64_MAX = (1 << 63) - 1
 # Hard cap on the bit length of any dense mask (16 MiB of bits).  Spans
 # beyond this are out of scope for the dense kernel.
 MAX_SPAN_BITS = 1 << 27
+
+# Shift-OR cutoffs, both measured (CHANGES.md): below _FOLD_MIN shifts the
+# plain loop is cheaper than sorting and finding runs, and a run shorter
+# than _RUN_MIN saves no shift by doubling.
+_FOLD_MIN = 32
+_RUN_MIN = 4
+_RUN_BYTES = b"\x01" * (_RUN_MIN - 2)
 
 
 def _check_i64(value: int) -> int:
@@ -226,10 +254,39 @@ class MstdDelta:
 
 
 def _shift_or(mask: int, shifts: Iterable[int]) -> int:
-    """OR together ``mask << s`` over nonnegative shifts ``s``."""
+    """OR together ``mask << s`` over nonnegative shifts ``s``.
+
+    With at least ``_FOLD_MIN`` shifts, each maximal run of at least
+    ``_RUN_MIN`` equally spaced sorted shifts is folded in O(log L) big-int
+    shifts (module docstring); every other shift is ORed on its own.
+    """
+    s = sorted(shifts)
     acc = 0
-    for s in shifts:
-        acc |= mask << s
+    done = 0  # s[:done] is ORed in
+    if len(s) >= _FOLD_MIN:
+        gaps = list(map(sub, s[1:], s))
+        # byte i is 1 when s[i], s[i+1], s[i+2] are equally spaced
+        even = bytes(map(eq, gaps[1:], gaps))
+        i = even.find(_RUN_BYTES)
+        while i >= 0:
+            j = even.find(0, i)
+            if j < 0:
+                j = len(even)
+            for x in s[done:i]:
+                acc |= mask << x
+            # s[i : j + 2] is a maximal run of at least _RUN_MIN shifts
+            length, step = j + 2 - i, gaps[i]
+            run, have = mask, 1
+            while 2 * have <= length:
+                run |= run << (have * step)
+                have *= 2
+            if have < length:
+                run |= run << ((length - have) * step)
+            acc |= run << s[i]
+            done = j + 2
+            i = even.find(_RUN_BYTES, j)
+    for x in s[done:]:
+        acc |= mask << x
     return acc
 
 
@@ -317,8 +374,23 @@ def symmetry_witness(a: IntSet) -> Optional[SymmetryWitness]:
 
 
 def mstd_delta(a: IntSet) -> MstdDelta:
-    """|A+A|, |A-A| and their difference; positive delta means A is MSTD."""
-    return MstdDelta(len(sumset(a, a)), len(diffset(a, a)))
+    """|A+A|, |A-A| and their difference; positive delta means A is MSTD.
+
+    Counts the set bits of the two shift-OR masks, with the range and span
+    checks of ``sumset(a, a)`` and ``diffset(a, a)``, without building
+    either set."""
+    if not a:
+        return MstdDelta(0, 0)
+    lo, hi = a.min, a.max
+    _check_i64(2 * lo)
+    _check_i64(2 * hi)
+    _check_span(2 * a.span)
+    _check_i64(lo - hi)
+    _check_i64(hi - lo)
+    mask = a.mask
+    sums = _shift_or(mask, [e - lo for e in a.elements])
+    diffs = _shift_or(mask, [hi - e for e in a.elements])
+    return MstdDelta(sums.bit_count(), diffs.bit_count())
 
 
 def normalize(a: IntSet) -> IntSet:

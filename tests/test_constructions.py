@@ -20,6 +20,7 @@ from mstdkit import (
     two_dim_family,
     two_track_family,
 )
+from oracles import brute_diffset, brute_sumset
 
 A1 = IntSet([0, 2, 3, 4, 7, 11, 12, 14])
 A2 = IntSet([0, 2, 3, 4, 7, 9, 13, 14, 16])
@@ -173,6 +174,35 @@ class TestSmallFamilies:
         for a in (hegarty_roesler_family(3), two_dim_family(2)):
             core = core_of(a, 4)
             assert 8 in sumset(a, a) and 8 not in sumset(core, core)
+
+
+def _delta_one_grid():
+    """(label, set) for the grid on which every family's delta is exactly 1."""
+    for k in range(3, 12):
+        yield f"hr k={k}", hegarty_roesler_family(k)
+    for k in range(2, 12):
+        yield f"t2 k={k}", two_dim_family(k)
+    for m in range(4, 12):
+        for d in range(1, m):
+            if 2 * d == m:
+                continue
+            for k in range(4, 9):
+                yield f"t1 m={m} d={d} k={k}", one_track_family(OneTrackParams(m, d, k))
+        for d in range(1, m - 1):
+            if 2 * d == m or (2 * d < m and 3 * d == m) or (2 * d > m and 3 * d == 2 * m):
+                continue
+            for k in range(3, 9):
+                yield f"t3 m={m} d={d} k={k}", two_track_family(TwoTrackParams(m, d, k))
+
+
+def test_every_family_has_delta_one():
+    # each family adjoins one element to a symmetric core, which gains
+    # exactly one sum and no difference
+    grid = list(_delta_one_grid())
+    assert len(grid) == 475
+    for label, a in grid:
+        assert mstd_delta(a).delta == 1, label
+        assert len(brute_sumset(a, a)) - len(brute_diffset(a, a)) == 1, label
 
 
 class TestIntervalWithGap:

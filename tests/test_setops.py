@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from mstdkit import (
     IntSet,
+    MstdDelta,
     affine,
     diffset,
     h_fold,
@@ -17,6 +18,7 @@ from mstdkit import (
     sumset,
     symmetry_witness,
 )
+from mstdkit.setops import MAX_SPAN_BITS, _FOLD_MIN, _RUN_MIN, _shift_or
 from oracles import brute_diffset, brute_sum_diff, brute_sumset
 
 A1 = IntSet([0, 2, 3, 4, 7, 11, 12, 14])
@@ -24,6 +26,20 @@ A2 = IntSet([0, 2, 3, 4, 7, 9, 13, 14, 16])
 
 int_sets = st.builds(
     IntSet, st.lists(st.integers(-60, 60), min_size=1, max_size=9)
+)
+
+# (start, step, length) of one arithmetic progression
+progressions = st.tuples(st.integers(-60, 60), st.integers(1, 7), st.integers(1, 40))
+
+
+def _union(aps) -> list[int]:
+    return [start + i * step for start, step, length in aps for i in range(length)]
+
+
+# unions of 1-4 possibly overlapping progressions: long enough to reach
+# the run folding in _shift_or, which int_sets never does
+ap_sets = st.lists(progressions, min_size=1, max_size=4).map(
+    lambda aps: IntSet(_union(aps))
 )
 
 
@@ -217,6 +233,22 @@ class TestOverflow:
         with pytest.raises(ValueError):
             sumset(wide, wide)
 
+    def test_mstd_delta_overflow(self):
+        with pytest.raises(OverflowError):
+            mstd_delta(IntSet([(1 << 62), (1 << 62) + 2]))
+
+    def test_mstd_delta_span_too_large(self):
+        with pytest.raises(ValueError):
+            mstd_delta(IntSet([0, 1 << 60]))
+        # A's own mask fits; the span of A+A and A-A does not
+        half = IntSet([0, MAX_SPAN_BITS // 2 + 1])
+        for op in (lambda a: sumset(a, a), lambda a: diffset(a, a), mstd_delta):
+            with pytest.raises(ValueError):
+                op(half)
+
+    def test_mstd_delta_empty(self):
+        assert mstd_delta(IntSet()) == MstdDelta(0, 0)
+
 
 class TestParsing:
     def test_text_round_trip(self):
@@ -333,3 +365,68 @@ def test_sumset_commutative_and_matches_brute(a, b):
 )
 def test_sum_diff_matches_brute(a, h, k):
     assert set(sum_diff(a, h, k)) == brute_sum_diff(a, h, k)
+
+
+@given(ap_sets, ap_sets)
+def test_progression_unions_match_brute(a, b):
+    assert set(sumset(a, b)) == brute_sumset(a, b)
+    assert set(diffset(a, b)) == brute_diffset(a, b)
+    assert set(diffset(b, a)) == brute_diffset(b, a)
+    assert mstd_delta(a) == MstdDelta(len(brute_sumset(a, a)), len(brute_diffset(a, a)))
+
+
+def _iterated_fold(a, h, k) -> set:
+    """hA - kA by h brute-force sums and k brute-force differences."""
+    acc = {0}
+    for _ in range(h):
+        acc = brute_sumset(acc, a)
+    for _ in range(k):
+        acc = brute_diffset(acc, a)
+    return acc
+
+
+@given(ap_sets, st.integers(0, 2), st.integers(0, 2))
+def test_progression_unions_sum_diff(a, h, k):
+    assert set(sum_diff(a, h, k)) == _iterated_fold(a, h, k)
+
+
+def _plain_shift_or(mask, shifts):
+    acc = 0
+    for s in shifts:
+        acc |= mask << s
+    return acc
+
+
+@given(
+    st.integers(0, 1 << 70),
+    st.lists(progressions, min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+)
+def test_shift_or_matches_plain_loop(mask, aps, rnd):
+    shifts = [s + 60 for s in _union(aps)]  # nonnegative
+    want = _plain_shift_or(mask, shifts)
+    assert _shift_or(mask, shifts) == want
+    assert _shift_or(mask, reversed(shifts)) == want
+    mixed = shifts + shifts[: len(shifts) // 2]
+    rnd.shuffle(mixed)
+    assert _shift_or(mask, mixed) == want
+    assert _shift_or(mask, (s for s in mixed)) == want
+
+
+@pytest.mark.parametrize(
+    "shifts",
+    [
+        [],
+        list(range(_FOLD_MIN - 1)),
+        list(range(_FOLD_MIN)),
+        # runs of _RUN_MIN - 1 and _RUN_MIN shifts between isolated shifts
+        [0, 1, 2, 40, 45, 50, 55, 100] + list(range(200, 200 + 3 * _FOLD_MIN, 3)),
+        # two runs sharing an endpoint, then one run ending the list
+        list(range(0, 10)) + list(range(11, 40, 2)) + list(range(100, 400, 7)),
+        [5] * (2 * _FOLD_MIN),
+        list(range(_RUN_MIN * _FOLD_MIN, 0, -_RUN_MIN)),
+    ],
+)
+def test_shift_or_edge_cases(shifts):
+    assert _shift_or(0b1011, shifts) == _plain_shift_or(0b1011, shifts)
+    assert _shift_or(0b1011, iter(shifts)) == _plain_shift_or(0b1011, shifts)
