@@ -23,13 +23,16 @@ from .constructions import (
 from .counting import count_covering, find_group_mstd
 from .grouplattice import GroupSubset, embed_report
 from .search import DEFAULT_BUDGET, exhaustive_spectrum
-from .setops import IntSet, MstdDelta, _strict_int, _strict_ints, symmetry_witness
+from .setops import IntSet, MstdDelta, _load_json, _strict_int, _strict_ints
+from .setops import symmetry_witness
 
 
 def _parse_gap(raw) -> Gap:
     dims = raw.get("dims", []) if isinstance(raw, dict) else None
-    if not isinstance(dims, list) or any(
-        not isinstance(d, list) or len(d) != 3 for d in dims
+    if (
+        not isinstance(dims, list)
+        or any(not isinstance(d, list) or len(d) != 3 for d in dims)
+        or not raw.keys() <= {"base", "dims"}
     ):
         raise ValueError('p must be {"base": b, "dims": [[step, offset, length], ...]}')
     return Gap(
@@ -40,7 +43,7 @@ def _parse_gap(raw) -> Gap:
 
 def _parse_params(text: str) -> dict:
     """The --params JSON object: integer values, and a progression under "p"."""
-    params = json.loads(text)
+    params = _load_json(text)
     if not isinstance(params, dict):
         raise ValueError("--params must be a JSON object")
     for key, value in params.items():

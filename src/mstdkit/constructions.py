@@ -14,9 +14,14 @@ its private builder returns the set with the verified ``MstdDelta``, so
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .setops import IntSet, MstdDelta, interval, mstd_delta, diffset, sumset
+from .setops import IntSet, MstdDelta, _check_span, diffset, interval, mstd_delta
+from .setops import sumset
+
+# Most points ``Gap.expand`` may enumerate, collisions included.
+MAX_GAP_POINTS = 1 << 20
 
 
 class ConstructionError(ValueError):
@@ -50,6 +55,11 @@ class Gap:
         return Gap(self.base + offset, self.dims)
 
     def expand(self) -> IntSet:
+        points = math.prod(length for _step, _off, length in self.dims)
+        if points > MAX_GAP_POINTS:
+            raise ConstructionError(
+                f"{points} progression points exceed the budget of {MAX_GAP_POINTS}"
+            )
         ranges = [range(off, off + length) for _step, off, length in self.dims]
         steps = [step for step, _off, _length in self.dims]
         return IntSet(
@@ -61,6 +71,11 @@ class Gap:
 def _require(cond: bool, message: str):
     if not cond:
         raise ConstructionError(message)
+
+
+def _check_output_span(span: int) -> None:
+    """The span check ``mstd_delta`` makes on a finished set, before it is built."""
+    _check_span(2 * span)
 
 
 def _verify_mstd(a: IntSet, family: str) -> tuple[IntSet, MstdDelta]:
@@ -106,9 +121,10 @@ def one_track_family(p: OneTrackParams) -> IntSet:
 def _one_track(p: OneTrackParams) -> tuple[IntSet, MstdDelta]:
     p.validate()
     m, d, k = p.m, p.d, p.k
+    center = (k + 1) * m - 2 * d
+    _check_output_span(center)  # the set runs from 0 to center
     b = [e for e in range(m) if e != d]
     track = [j * m - d for j in range(1, k + 1)]
-    center = (k + 1) * m - 2 * d
     core = IntSet(b + track + [center - e for e in b])
     return _verify_mstd(core | IntSet((m,)), "one-track family")
 
@@ -151,9 +167,10 @@ def two_track_family(p: TwoTrackParams) -> IntSet:
 def _two_track(p: TwoTrackParams) -> tuple[IntSet, MstdDelta]:
     p.validate()
     m, d, k = p.m, p.d, p.k
+    center = (k + 2) * m
+    _check_output_span(center)  # the set runs from 0 to center
     b = [e for e in range(m) if e != d]
     tracks = [j * m - d for j in range(2, k + 1)] + [j * m + d for j in range(2, k + 1)]
-    center = (k + 2) * m
     core = IntSet(b + tracks + [center - e for e in b])
     return _verify_mstd(core | IntSet((m,)), "two-track family")
 
@@ -168,6 +185,7 @@ def hegarty_roesler_family(k: int) -> IntSet:
 
 def _hegarty_roesler(k: int) -> tuple[IntSet, MstdDelta]:
     _require(k >= 3, "k must be at least 3")
+    _check_output_span(4 * k + 2)
     core = IntSet([0, 2] + [3 + 4 * j for j in range(k)] + [4 * k, 4 * k + 2])
     return _verify_mstd(core | IntSet((4,)), "hegarty-roesler family")
 
@@ -182,6 +200,7 @@ def two_dim_family(k: int) -> IntSet:
 
 def _two_dim(k: int) -> tuple[IntSet, MstdDelta]:
     _require(k >= 2, "k must be at least 2")
+    _check_output_span(4 * k + 8)
     core = IntSet(
         [0, 2]
         + [3 + 4 * j for j in range(k)]
@@ -264,11 +283,13 @@ def _gap(base: GapBase, k: int, variant: str) -> tuple[IntSet, MstdDelta]:
             m not in sumset(ls, ls),
             "variant zero_to_k requires m not in lstar + lstar",
         )
+    b = base.b
+    block_lo, block_hi = m - ls.max + j_range[0] * m, m - ls.min + k * m
+    center = block_lo + block_hi
+    lo = min(b.min, block_lo, center - b.max, m)
+    _check_output_span(max(b.max, block_hi, center - b.min, m) - lo)
     block = IntSet(m - e + j * m for e in ls for j in j_range)
-    center = block.min + block.max
-    core = IntSet(
-        list(base.b) + list(block) + [center - e for e in base.b]
-    )
+    core = IntSet(list(b) + list(block) + [center - e for e in b])
     return _verify_mstd(core | IntSet((m,)), f"gap family ({variant})")
 
 
@@ -289,6 +310,7 @@ def gap_base_recipe(p: Gap, r: int, s: int, m: int) -> GapBase:
         "s must satisfy r + max(P) + 1 <= s <= 2r - 1",
     )
     _require(2 * s <= m + r - 1, "m must satisfy 2s <= m + r - 1")
+    _check_span(2 * (m - 1))  # the check GapBase.validate's B+B makes; B spans m - 1
     b = interval(0, r - 1) | interval(s, m - 1)
     base = GapBase(m=m, b=b, lstar=p.translate(r))
     base.validate()

@@ -33,14 +33,16 @@ box(s, t) = {(q_1 m_1, ..., q_d m_d) : s <= q_i < t}.  It rests on two facts:
   Minkowski fold: psi(hS - kS) = h psi(S) - k psi(S).
 
 So psi(hB_t - kB_t) = h psi(phi(A)) - k psi(phi(A)) + sum_i P_i, where P_i
-is the progression {q m_i radix^i : -k(t-1) <= q <= h(t-1)}: d sumsets with
-(h + k)(t - 1) + 1 shifts each instead of |A| t^d points.  Every coordinate
-of B_t lies in [0, maxnorm], so with fold budget h + k the argument above
-makes psi injective on hB_t - kB_t and the image has |hB_t - kB_t| elements,
-without a corner translation.  The envelope is the ``setops`` one: every
-step goes through its range-checked kernel, so an image outside signed 64
-bits or ``MAX_SPAN_BITS`` raises and never answers wrongly.  Each P_i
-contains 0, so each progression step's result lies inside the final set's
+is the progression {q m_i radix^i : -k(t-1) <= q <= h(t-1)}: d shift-ORs
+of the image's mask with (h + k)(t - 1) + 1 shifts each instead of
+|A| t^d points.  Every coordinate of B_t lies in [0, maxnorm], so with
+fold budget h + k the argument above makes psi injective on hB_t - kB_t
+and the image has |hB_t - kB_t| elements, without a corner translation.
+The thickness search compares the bit counts of the final masks and
+builds no set.  The envelope is the ``setops`` one: each progression step
+makes the range and span checks ``sumset`` makes, so an image outside
+signed 64 bits or ``MAX_SPAN_BITS`` raises and never answers wrongly.
+Each P_i contains 0, so each step's result lies inside the final set's
 range and cannot raise when the final set fits.
 """
 
@@ -52,8 +54,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .setops import IntSet, MstdDelta, _check_i64, _strict_int, _strict_ints, mstd_delta
-from .setops import sum_diff, sumset
+from .setops import I64_MAX, IntSet, MstdDelta, _bit_positions, _check_i64, _check_span
+from .setops import _load_json, _shift_or, _strict_int, _strict_ints
+from .setops import mstd_delta, sum_diff
 
 # Most points ``thicken`` or ``sublattice_box`` may build.  A 2-d point costs
 # about 230 bytes (tuple, ints, set entry), so one set stays near 240 MB.
@@ -72,9 +75,8 @@ class GroupSpec:
             raise ValueError("a group needs at least one modulus")
         if any(m < 2 for m in self.moduli):
             raise ValueError("all moduli must be at least 2")
-        order = 1
-        for m in self.moduli:
-            order = _check_i64(order * m)
+        if math.prod(self.moduli) > I64_MAX:
+            raise ValueError("group order exceeds the signed 64-bit range")
 
     @property
     def dim(self) -> int:
@@ -111,7 +113,7 @@ class GroupSubset:
     @classmethod
     def from_json(cls, text: str) -> "GroupSubset":
         """Parse ``{"moduli": [...], "elements": [[...], ...]}``."""
-        data = json.loads(text)
+        data = _load_json(text)
         if not isinstance(data, dict) or "moduli" not in data or "elements" not in data:
             raise ValueError('JSON input must carry "moduli" and "elements"')
         moduli = data["moduli"]
@@ -280,11 +282,16 @@ def thicken(a: GroupSubset, t: int) -> LatticeSet:
     return minkowski_sum(to_lattice(a), sublattice_box(a.spec, 0, t))
 
 
-def _thickened_fold(a: GroupSubset, t: int, h: int, k: int, budget: int) -> LinearImage:
-    """The image of hB_t - kB_t under ``linearize(thicken(a, t), budget)``.
+def _thickened_mask(
+    a: GroupSubset, t: int, h: int, k: int, budget: int
+) -> tuple[int, int, int]:
+    """(radix, min, mask) of the image of hB_t - kB_t under
+    ``linearize(thicken(a, t), budget)``.
 
     Built as h psi(A) - k psi(A) plus one progression per axis, without a
-    lattice point; with h + k <= budget its size is |hB_t - kB_t|.
+    lattice point; with h + k <= budget the mask has |hB_t - kB_t| set bits.
+    Each axis is range-checked as ``sumset`` checks it, then ORs in the
+    progression, shifted to start at 0, on the mask alone.
     """
     moduli = a.spec.moduli
     _check_points(len(a) * t ** len(moduli))
@@ -292,13 +299,23 @@ def _thickened_fold(a: GroupSubset, t: int, h: int, k: int, budget: int) -> Line
     maxnorm = max(top + m * (t - 1) for top, m in zip(tops, moduli))
     radix = _check_i64(2 * budget * maxnorm + 1)
     powers = [radix**i for i in range(len(moduli))]
-    image = sum_diff(
+    core = sum_diff(
         IntSet(sum(c * w for c, w in zip(p, powers)) for p in a.elements), h, k
     )
+    lo, hi, mask = core.min, core.max, core.mask
     for m, w in zip(moduli, powers):
         step = m * w
-        steps = IntSet(range(-k * (t - 1) * step, h * (t - 1) * step + 1, step))
-        image = sumset(image, steps)
+        lo = _check_i64(lo - k * (t - 1) * step)
+        hi = _check_i64(hi + h * (t - 1) * step)
+        _check_span(hi - lo)
+        mask = _shift_or(mask, range(0, (h + k) * (t - 1) * step + 1, step))
+    return radix, lo, mask
+
+
+def _thickened_fold(a: GroupSubset, t: int, h: int, k: int, budget: int) -> LinearImage:
+    """The image of hB_t - kB_t under ``linearize(thicken(a, t), budget)`` as a set."""
+    radix, lo, mask = _thickened_mask(a, t, h, k, budget)
+    image = IntSet._from_sorted((_bit_positions(mask) + lo).tolist(), mask)
     return LinearImage(radix=radix, image=image)
 
 
@@ -364,8 +381,8 @@ def find_thickness(
         )
     budget = h1 + k1
     for t in range(1, t_max + 1):
-        fold1 = _thickened_fold(a, t, h1, k1, budget).image
-        if len(fold1) > len(_thickened_fold(a, t, h2, k2, budget).image):
+        card1 = _thickened_mask(a, t, h1, k1, budget)[2].bit_count()
+        if card1 > _thickened_mask(a, t, h2, k2, budget)[2].bit_count():
             return t
     raise RuntimeError(f"no thickness up to {t_max} transfers the inequality")
 
@@ -391,7 +408,7 @@ def thickening_bounds(a: GroupSubset, h: int, k: int, t: int) -> ThickeningBound
         raise ValueError("need h >= 1, k >= 0, t >= 1")
     d = a.spec.dim
     group_card = len(group_sum_diff(a, h, k))
-    lat_card = len(_thickened_fold(a, t, h, k, h + k).image)
+    lat_card = _thickened_mask(a, t, h, k, h + k)[2].bit_count()
     upper_ok = lat_card <= group_card * ((h + k) * t) ** d
     base = (h + k) * t - 2 * (h + k - 1)
     lower_ok = True if base < 0 else lat_card >= group_card * base**d

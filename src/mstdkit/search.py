@@ -2,10 +2,9 @@
 
 For subsets A of [0, range_max], the quantity of interest is
 delta(A) = |A+A| - |A-A|.  The exhaustive scan evaluates every subset in
-a size band with a vectorized bitmask kernel: a subset is a mask, its
-sumset is the OR of the mask shifted by each of its own elements, and its
-difference set is the same with mirrored shifts, so one pass over the bit
-positions evaluates a whole chunk of subsets at once.
+a size band on uint64 bitmasks: bit x of a sum mask marks x in A+A, and
+bit x of a difference mask marks x >= 0 in A-A.  A-A = -(A-A) and
+contains 0, so |A-A| = 2 |difference mask| - 1.
 
 The scan enumerates only the masks containing bit 0, half of all masks,
 and weights each by range_max - t + 1, where t is its highest bit.  This
@@ -14,15 +13,51 @@ one to one onto those with minimum s, which lie in [0, range_max]
 exactly for 0 <= s <= range_max - t, and it preserves the size, |A+A|
 and |A-A|.  The empty set adds {0: 1} to a band that contains size 0.
 
+Low/high split.  The masks run in chunks of 2^(w-1), where the width w
+is _CHUNK_BITS + 1, or range_max + 1 when that is smaller.  The masks of
+a chunk share their high bits H (positions w..range_max), and their low
+bits L run over every mask below 2^w with bit 0.  Sums and nonnegative
+differences split over the two parts:
+
+    A+A          = (L+L) | (H+H) | OR_{h in H} (L + h)
+    (A-A) ∩ N    = ((L-L) ∩ N) | ((H-H) ∩ N) | OR_{h in H} (h - L)
+
+since every h exceeds every element of L.  L + h is L << h, and h - L is
+the bit-reversed L (bit w-1-x for each x in L) shifted by h - w + 1.  The
+tables over L (L, L+L, L-L, reversed L, |L| and L's part of the witness
+key) are built on first use for each width, cached and read-only; H+H
+and H-H are scalars.  A chunk costs 2 popcount(H) shifts of the tables.
+The chunk with H = 0 also splits by the top bit of L, at bounds found by
+``searchsorted`` on the ascending table.  Chunks whose |H| leaves no
+size of L in the band are skipped, and the others keep the entries of L
+with a size in the band.
+
+Witness key.  On masks with bit 0, element tuples are ordered as strings
+of digits over positions 0..range_max, position 0 first, where the digit
+is 1 for an element, 2 for a gap below the top and 0 past the top.  Take
+two masks and the first position p where they differ, p in A only.  If B
+has an element past p, its next element exceeds p, so A's tuple is
+smaller, and B's digit at p is 2 against A's 1.  Otherwise B's tuple is a
+proper prefix of A's, so B is smaller, and at the first position past
+B's top B has 0 where A has 1 or 2; every earlier digit agrees.  At two
+bits per digit the key takes 2 range_max + 2 <= 50 bits of a uint64.
+The key is 2 at every digit up to the top, less 1 at each element's
+digit.  With H not empty, every position of L lies below the top, so the
+key of L | H is the key of H less L's table part (1 at each element's
+digit) shifted into place.  With H = 0 and top t, it is the key of {t},
+with the digit at t raised to 2, less the same.  One ``np.minimum.at``
+per chunk keeps the smallest key for each delta, and the witness mask is
+decoded from it.
+
 Witness selection per delta is restricted to masks containing 0: every
 subset's normalized form (translate to 0, divide by the gcd) lies in the
 same size band and has the same delta, so the lexicographically minimal
 normalized witness is exactly the minimal mask-with-bit-0 — if that
 minimum had a gcd above 1, dividing it out would yield a strictly smaller
 enumerated candidate.  The quotient enumerates exactly these masks, so
-it leaves the witnesses unchanged.  Chunk results merge additively
-(counts) and by lexicographic minimum (witnesses), so the report does
-not depend on the chunk size.
+it leaves the witnesses unchanged.  Chunks merge by adding counts and by
+the integer minimum of keys, so the report does not depend on the chunk
+size.  The arithmetic is integer throughout.
 """
 
 from __future__ import annotations
@@ -30,6 +65,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,7 +74,10 @@ from .setops import IntSet, _bit_positions, mstd_delta, normalize
 MAX_RANGE = 24
 DEFAULT_BUDGET = 1 << 25
 
-_CHUNK_BITS = 18
+# log2 of the masks per chunk; the tables then have 2^14 entries each
+_CHUNK_BITS = 14
+
+_ONE = np.uint64(1)
 
 
 @dataclass(frozen=True)
@@ -70,60 +109,107 @@ class SearchReport:
         return "\n".join(lines) + "\n"
 
 
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr).astype(np.int32)
+def _lex_key(mask: int, range_max: int) -> int:
+    """Witness key of a mask over positions 0..range_max (module docstring)."""
+    key = 0
+    for p in range(range_max + 1):
+        rest = mask >> p
+        key = 4 * key + (2 if rest else 0) - (rest & 1)
+    return key
 
 
-def _lex_min_mask(cands: np.ndarray, width: int) -> int:
-    """Lexicographically minimal subset (as element tuples) among masks with bit 0.
-
-    Greedy descent: if the current prefix is itself a candidate it wins
-    (a proper prefix precedes every extension); otherwise candidates
-    containing the next value dominate those that skip it.
-    """
-    prefix = 1
-    for v in range(1, width + 1):
-        if (cands == np.uint64(prefix)).any():
-            return prefix
-        has = (cands >> np.uint64(v)) & np.uint64(1) == 1
-        if has.any():
-            cands = cands[has]
-            prefix |= 1 << v
-    return int(cands[0])
+def _key_mask(key: int, range_max: int) -> int:
+    """The mask that ``_lex_key`` maps to ``key``: digit 1 marks an element."""
+    mask = 0
+    for p in range(range_max + 1):
+        if (key >> 2 * (range_max - p)) & 3 == 1:
+            mask |= 1 << p
+    return mask
 
 
-def _mask_lex_less(a: int, b: int) -> bool:
-    """Order of element tuples, on masks that both contain 0."""
-    if a == b:
-        return False
-    d = (a ^ b) & -(a ^ b)
-    if a & d:
-        return b > d  # b continues past the shared prefix, so a is smaller
-    return a < d  # a IS the shared prefix iff it has no bits beyond d
+@dataclass(frozen=True)
+class _LowTables:
+    """Read-only tables over L, the masks below 2^width with bit 0, ascending."""
+
+    low: np.ndarray  # L
+    sums: np.ndarray  # L+L: bit x + y
+    diffs: np.ndarray  # L-L: bit x - y for x >= y
+    rev: np.ndarray  # bit width - 1 - x for each x in L
+    size: np.ndarray  # |L|
+    key: np.ndarray  # 1 at the key digit of each x in L: bits 2 (width - 1 - x)
 
 
-def _scan_chunk(lo: int, hi: int, range_max: int, min_size: int, max_size: int):
-    """Weighted delta counts and lex-min witnesses of masks 2i + 1, lo <= i < hi."""
-    masks = (np.arange(lo, hi, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
-    sizes = _popcount(masks)
-    masks = masks[(sizes >= min_size) & (sizes <= max_size)]
-    sum_mask = np.zeros(len(masks), dtype=np.uint64)
-    diff_mask = np.zeros(len(masks), dtype=np.uint64)
-    for b in range(range_max + 1):
-        sel = -((masks >> np.uint64(b)) & np.uint64(1))  # all ones where bit b is set
-        sum_mask |= (masks << np.uint64(b)) & sel
-        diff_mask |= (masks << np.uint64(range_max - b)) & sel
-    delta = _popcount(sum_mask) - _popcount(diff_mask)
-    # masks ascend, so those with highest bit t are masks[bounds[t] : bounds[t + 1]]
-    powers = np.uint64(1) << np.arange(range_max + 2, dtype=np.uint64)
-    bounds = np.searchsorted(masks, powers)
-    spectrum: dict = {}
-    for t in range(range_max + 1):
-        values, counts = np.unique(delta[bounds[t] : bounds[t + 1]], return_counts=True)
-        for v, c in zip(values.tolist(), counts.tolist()):
-            spectrum[v] = spectrum.get(v, 0) + c * (range_max - t + 1)
-    best = {v: _lex_min_mask(masks[delta == v], range_max) for v in spectrum}
-    return spectrum, best
+@lru_cache(maxsize=None)
+def _low_tables(width: int) -> _LowTables:
+    low = (np.arange(1 << (width - 1), dtype=np.uint64) << _ONE) | _ONE
+    sums = np.zeros_like(low)
+    diffs = np.zeros_like(low)
+    rev = np.zeros_like(low)
+    key = np.zeros_like(low)
+    for b in range(width):
+        bit = (low >> np.uint64(b)) & _ONE
+        sel = -bit  # all ones where bit b is set
+        sums |= (low << np.uint64(b)) & sel
+        diffs |= (low >> np.uint64(b)) & sel
+        rev |= bit << np.uint64(width - 1 - b)
+        key |= bit << np.uint64(2 * (width - 1 - b))
+    tables = _LowTables(low, sums, diffs, rev, np.bitwise_count(low), key)
+    for arr in vars(tables).values():
+        arr.flags.writeable = False
+    return tables
+
+
+def _scan_chunk(
+    high: int,
+    width: int,
+    range_max: int,
+    min_size: int,
+    max_size: int,
+    counts: np.ndarray,
+    best: np.ndarray,
+) -> None:
+    """Add the masks high | L in the size band to the weighted delta counts
+    and the least witness keys, both indexed by delta + 2 range_max."""
+    hs = [h for h in range(width, range_max + 1) if high >> h & 1]
+    lo_size, hi_size = min_size - len(hs), max_size - len(hs)
+    if hi_size < 1 or lo_size > width:
+        return
+    tables = _low_tables(width)
+    hh = hd = 0
+    for a in hs:
+        for b in hs:
+            hh |= 1 << (a + b)
+            hd |= 1 << abs(a - b)
+    sums = tables.sums | np.uint64(hh)
+    diffs = tables.diffs | np.uint64(hd)
+    for h in hs:
+        sums |= tables.low << np.uint64(h)
+        diffs |= tables.rev << np.uint64(h - width + 1)  # h - x for x in L
+    # |A-A| = 2 |diffs| - 1, so delta + 2 range_max fits uint8 at every step
+    delta = np.bitwise_count(sums)
+    delta += 2 * range_max + 1
+    delta -= np.bitwise_count(diffs)
+    delta -= np.bitwise_count(diffs)
+    # L's key digits are positions 0..width-1, above H's in significance
+    low_digits = tables.key << np.uint64(2 * (range_max - width + 1))
+    low = tables.low
+    if lo_size > 1 or hi_size < width:
+        keep = (tables.size >= lo_size) & (tables.size <= hi_size)
+        delta, low_digits, low = delta[keep], low_digits[keep], low[keep]
+    if hs:
+        # every position of L lies below H's top, where H's key has digit 2
+        np.minimum.at(best, delta, np.uint64(_lex_key(high, range_max)) - low_digits)
+        counts += np.bincount(delta, minlength=len(counts)) * (range_max - hs[-1] + 1)
+        return
+    # low ascends: the masks with highest bit top are low[bounds[top] : bounds[top + 1]]
+    bounds = np.searchsorted(low, _ONE << np.arange(width + 1, dtype=np.uint64))
+    for top in range(width):
+        part = slice(bounds[top], bounds[top + 1])
+        # the key of {top} with the digit at top raised to 2, as for a gap
+        top_key = _lex_key(1 << top, range_max) + (1 << 2 * (range_max - top))
+        np.minimum.at(best, delta[part], np.uint64(top_key) - low_digits[part])
+        weight = range_max - top + 1
+        counts += np.bincount(delta[part], minlength=len(counts)) * weight
 
 
 def _band_size(range_max: int, min_size: int, max_size: int) -> int:
@@ -152,21 +238,18 @@ def exhaustive_spectrum(
         raise ValueError(
             f"budget exceeded: {enumerated} subsets in band, budget {budget}"
         )
+    width = min(_CHUNK_BITS, range_max) + 1
+    # indexed by delta + 2 range_max, for delta in [-2 range_max, 2 range_max]
+    counts = np.zeros(4 * range_max + 1, dtype=np.int64)
+    best = np.full(len(counts), np.iinfo(np.uint64).max, dtype=np.uint64)
+    for high in range(0, 2 << range_max, 1 << width):
+        _scan_chunk(high, width, range_max, min_size, max_size, counts, best)
     spectrum: dict = {0: 1} if min_size == 0 else {}
-    best: dict = {}
-    half = 1 << range_max  # the masks with bit 0 are 2i + 1 for i < half
-    chunk = 1 << _CHUNK_BITS
-    for lo in range(0, half, chunk):
-        part_spectrum, part_best = _scan_chunk(
-            lo, min(lo + chunk, half), range_max, min_size, max_size
-        )
-        for v, c in part_spectrum.items():
-            spectrum[v] = spectrum.get(v, 0) + c
-        for v, mask in part_best.items():
-            if v not in best or _mask_lex_less(mask, best[v]):
-                best[v] = mask
     witnesses = {}
-    for v, mask in best.items():
+    for i in np.flatnonzero(counts).tolist():
+        v = i - 2 * range_max
+        spectrum[v] = spectrum.get(v, 0) + int(counts[i])
+        mask = _key_mask(int(best[i]), range_max)
         w = IntSet._from_sorted(_bit_positions(mask).tolist())
         if mstd_delta(w).delta != v:  # pragma: no cover - internal consistency
             raise RuntimeError(f"witness {w} does not verify to delta {v}")

@@ -89,6 +89,14 @@ def _strict_ints(name: str, values: Iterable) -> tuple[int, ...]:
     return tuple(v if type(v) is int else _strict_int(name, v) for v in values)
 
 
+def _load_json(text: str):
+    """``json.loads``; input nested too deeply for the parser raises ``ValueError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 def _bit_positions(mask: int) -> np.ndarray:
     """Ascending positions of the set bits of a nonnegative int."""
     if mask == 0:
@@ -189,9 +197,11 @@ class IntSet:
                     f"{where}: elements must be strictly increasing "
                     f"(saw {prev} then {cur})"
                 )
-        if elems:
-            _check_i64(elems[0])
-            _check_i64(elems[-1])
+        for e in elems[:1] + elems[-1:]:
+            if not I64_MIN <= e <= I64_MAX:
+                raise ValueError(
+                    f"{where}: element {e} is outside the signed 64-bit range"
+                )
         return cls._from_sorted(elems)
 
     @classmethod
@@ -203,7 +213,7 @@ class IntSet:
     @classmethod
     def from_json(cls, text: str) -> "IntSet":
         """Parse ``{"elements": [...]}`` with strictly ascending integers."""
-        data = json.loads(text)
+        data = _load_json(text)
         if not isinstance(data, dict) or "elements" not in data:
             raise ValueError('JSON input must be an object with an "elements" key')
         raw = data["elements"]

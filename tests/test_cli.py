@@ -91,6 +91,18 @@ class TestConstruct:
              'p must be {"base"'),
             ("gap", '{"m": 6, "k": 2, "r": 2, "s": 3, "p": [0]}', 'p must be {"base"'),
             ("t2", '{"k": 2, "m": 9}', "family 't2' does not take parameter(s): m"),
+            ("gap", '{"m": 6, "k": 2, "r": 2, "s": 3, "p": {"dims": [], "x": 0}}',
+             'p must be {"base"'),
+            ("t1", "[" * 100_000, "nested too deeply"),
+            # over-large families are refused before anything is built
+            ("t2", '{"k": 1099511627776}', "dense-kernel limit"),
+            ("hr", '{"k": 1099511627776}', "dense-kernel limit"),
+            ("t1", '{"m": 1099511627776, "d": 1, "k": 3}', "dense-kernel limit"),
+            ("t3", '{"m": 5, "d": 1, "k": 1099511627776}', "dense-kernel limit"),
+            ("gap", '{"m": 1099511627776, "k": 2, "r": 2, "s": 3}', "dense-kernel limit"),
+            ("gap2", '{"m": 9, "k": 1099511627776, "r": 2, "s": 3}', "dense-kernel limit"),
+            ("gap", '{"m": 40, "k": 2, "r": 5, "s": 9, "p": {"dims": [[1, 0, 1099511627776]]}}',
+             "progression points exceed the budget"),
         ],
     )
     def test_bad_params_rejected(self, capsys, family, params, message):

@@ -425,6 +425,12 @@ class TestThickenedFold:
         with pytest.raises(ValueError, match="budget"):
             _thickened_fold(a, 2, 1, 0, 2)
 
+    def test_span_checked_per_axis(self):
+        # the fold of A spans 2 bits; the second axis's progression about 6.7e9
+        a = GroupSubset(GroupSpec((2, 1000)), frozenset({(0, 0), (1, 0)}))
+        with pytest.raises(ValueError, match="dense-kernel limit"):
+            _thickened_fold(a, 30, 1, 1, 2)
+
 
 class TestThicknessSearch:
     def test_same_thickness_as_point_path(self):

@@ -1,9 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mstdkit import IntSet, exhaustive_spectrum, mstd_delta, normalize, random_search
 from mstdkit import search
+from mstdkit.search import MAX_RANGE, _key_mask, _lex_key
 
 
 def brute_spectrum(range_max, min_size, max_size):
@@ -91,6 +94,21 @@ class TestExhaustive:
         empty = default[-1]
         assert empty.spectrum == {0: 1} and empty.witnesses == {}
 
+    @pytest.mark.parametrize("band", [(16, 1, 17), (17, 4, 9), (16, 15, 17)])
+    def test_chunk_split_invariant(self, monkeypatch, band):
+        # ranges wider than the default chunk, so chunks with high bits run
+        assert band[0] > search._CHUNK_BITS
+        default = exhaustive_spectrum(*band)
+        for chunk_bits in (3, 17):  # many chunks, then one chunk
+            monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
+            assert exhaustive_spectrum(*band) == default
+
+    def test_matches_brute_at_the_cap(self):
+        want_spec, want_wit = brute_spectrum(MAX_RANGE, 1, 3)
+        rep = exhaustive_spectrum(MAX_RANGE, 1, 3)
+        assert rep.spectrum == want_spec
+        assert rep.witnesses == want_wit
+
     def test_budget_enforced(self):
         with pytest.raises(ValueError, match="budget"):
             exhaustive_spectrum(14, 0, 15, budget=1000)
@@ -111,6 +129,39 @@ class TestExhaustive:
         csv = rep.to_csv()
         assert csv.splitlines()[0] == "delta,count,witness"
         assert len(csv.splitlines()) == len(rep.spectrum) + 1
+
+
+def _masks_with_zero(range_max):
+    return st.integers(0, (1 << range_max) - 1).map(lambda i: 2 * i + 1)
+
+
+@st.composite
+def _mask_pairs(draw):
+    range_max = draw(st.integers(0, MAX_RANGE))
+    masks = _masks_with_zero(range_max)
+    return range_max, draw(masks), draw(masks)
+
+
+def _elements(mask):
+    return tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
+
+
+@given(_mask_pairs())
+def test_witness_key_orders_as_tuples(pair):
+    range_max, a, b = pair
+    ka, kb = _lex_key(a, range_max), _lex_key(b, range_max)
+    assert ka < 1 << 2 * range_max + 2
+    assert (ka < kb) == (_elements(a) < _elements(b))
+    assert (ka == kb) == (a == b)
+    assert _key_mask(ka, range_max) == a
+    assert _key_mask(kb, range_max) == b
+
+
+def test_low_tables_read_only():
+    tables = search._low_tables(4)
+    assert list(tables.low) == [1, 3, 5, 7, 9, 11, 13, 15]
+    with pytest.raises(ValueError):
+        tables.key[0] = np.uint64(0)
 
 
 class TestRandom:
