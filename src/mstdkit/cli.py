@@ -6,7 +6,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .constructions import (
     ConstructionError,
@@ -179,8 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of main, not at import; parse_args leaves it unchanged
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         result = args.handler(args)
     except (ValueError, RuntimeError, OverflowError, OSError, KeyError) as e:

@@ -58,6 +58,19 @@ enumerated candidate.  The quotient enumerates exactly these masks, so
 it leaves the witnesses unchanged.  Chunks merge by adding counts and by
 the integer minimum of keys, so the report does not depend on the chunk
 size.  The arithmetic is integer throughout.
+
+Random samples.  ``random_search`` draws ``sorted(rng.sample(...))`` and
+scores each draw on plain ints, with no ``IntSet`` per sample.  With
+s = A - min A and t = max s, the mask is the shift-OR of 1 by s, |A+A| is
+the bit count of that mask shifted by s, and |A-A| that of the mask
+shifted by t - s.  This is ``mstd_delta``'s computation, with its range
+and span checks, on the ``setops`` kernel.  The normalized candidate is s
+divided by its gcd, compared as a list, and the least candidate per
+delta becomes an ``IntSet`` once, at the end, re-verified by
+``mstd_delta``.  The exhaustive tables keep A+A in uint64 lanes, which
+caps them at MAX_RANGE, while a sample may span any range the kernel
+takes (range_max = 40 already gives 81-bit sums) and costs |A| big-int
+shifts, so the two scorers stay separate.
 """
 
 from __future__ import annotations
@@ -69,7 +82,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .setops import IntSet, _bit_positions, mstd_delta, normalize
+from .setops import IntSet, _bit_positions, _check_i64, _check_span, _shift_or
+from .setops import _strict_int, mstd_delta
 
 MAX_RANGE = 24
 DEFAULT_BUDGET = 1 << 25
@@ -267,7 +281,12 @@ def random_search(range_max: int, size: int, trials: int, seed: int) -> SearchRe
 
     The same seed reproduces the identical report.  Witnesses are the
     lexicographically minimal normalized forms among the sampled sets.
+    Each sample is scored on its shifted mask (module docstring).
     """
+    range_max = _strict_int("range_max", range_max)
+    size = _strict_int("size", size)
+    trials = _strict_int("trials", trials)
+    seed = _strict_int("seed", seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 1 <= size <= range_max + 1:
@@ -275,14 +294,31 @@ def random_search(range_max: int, size: int, trials: int, seed: int) -> SearchRe
     rng = random.Random(seed)
     population = range(range_max + 1)
     spectrum: dict = {}
-    witnesses: dict = {}
+    best: dict = {}  # delta -> least normalized sample, as a list
     for _ in range(trials):
-        a = IntSet(rng.sample(population, size))
-        d = mstd_delta(a).delta
+        elems = sorted(rng.sample(population, size))
+        lo, hi = elems[0], elems[-1]
+        # mstd_delta's checks; elements are nonnegative, so these imply the rest
+        _check_i64(2 * hi)
+        _check_span(2 * (hi - lo))
+        s = [e - lo for e in elems]
+        top = hi - lo
+        mask = _shift_or(1, s)
+        sums = _shift_or(mask, s)
+        diffs = _shift_or(mask, [top - e for e in s])
+        d = sums.bit_count() - diffs.bit_count()
         spectrum[d] = spectrum.get(d, 0) + 1
-        w = normalize(a)
-        if d not in witnesses or w.elements < witnesses[d].elements:
-            witnesses[d] = w
+        g = math.gcd(*s)
+        if g > 1:
+            s = [e // g for e in s]
+        if d not in best or s < best[d]:
+            best[d] = s
+    witnesses = {}
+    for d, s in best.items():
+        w = IntSet._from_sorted(s)
+        if mstd_delta(w).delta != d:  # pragma: no cover - internal consistency
+            raise RuntimeError(f"witness {w} does not verify to delta {d}")
+        witnesses[d] = w
     return SearchReport(
         range_max=range_max,
         spectrum=spectrum,

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import eq, sub
@@ -56,6 +57,9 @@ MAX_SPAN_BITS = 1 << 27
 _FOLD_MIN = 32
 _RUN_MIN = 4
 _RUN_BYTES = b"\x01" * (_RUN_MIN - 2)
+
+# a token of the text wire format (compiled on first use, by re's cache)
+_INT_TOKEN = r"[+-]?[0-9]+"
 
 
 def _check_i64(value: int) -> int:
@@ -206,9 +210,15 @@ class IntSet:
 
     @classmethod
     def from_text(cls, text: str) -> "IntSet":
-        """Parse space-separated, strictly ascending integers."""
-        elems = [int(tok) for tok in text.split()]
-        return cls._validated(elems, "text input")
+        """Parse space-separated, strictly ascending integers.
+
+        A token is an optional sign and ASCII digits; ``int`` alone would
+        also take digit-group underscores and non-ASCII digits."""
+        tokens = text.split()
+        for tok in tokens:
+            if not re.fullmatch(_INT_TOKEN, tok):
+                raise ValueError(f"text input: {tok!r} is not a decimal integer")
+        return cls._validated([int(tok) for tok in tokens], "text input")
 
     @classmethod
     def from_json(cls, text: str) -> "IntSet":
@@ -270,10 +280,11 @@ def _shift_or(mask: int, shifts: Iterable[int]) -> int:
     ``_RUN_MIN`` equally spaced sorted shifts is folded in O(log L) big-int
     shifts (module docstring); every other shift is ORed on its own.
     """
-    s = sorted(shifts)
+    s = list(shifts)
     acc = 0
     done = 0  # s[:done] is ORed in
     if len(s) >= _FOLD_MIN:
+        s.sort()  # the plain loop below does not depend on the order
         gaps = list(map(sub, s[1:], s))
         # byte i is 1 when s[i], s[i+1], s[i+2] are equally spaced
         even = bytes(map(eq, gaps[1:], gaps))

@@ -5,6 +5,8 @@ or all 2^n parity graphs) and never touches the code paths under test.
 """
 
 import itertools
+import math
+import random
 
 import numpy as np
 
@@ -78,6 +80,34 @@ def enumerate_covering(n):
             covered &= ~(eq_odd | eq_even)
         covering += int(covered.sum())
     return covering, misses
+
+
+def random_draws(range_max, size, seed):
+    """The sorted samples ``random_search`` scores, in order (endless)."""
+    rng = random.Random(seed)
+    population = range(range_max + 1)
+    while True:
+        yield sorted(rng.sample(population, size))
+
+
+def replay_random_search(range_max, size, trials, seed) -> dict:
+    """``random_search(...).to_dict()``, scoring each draw with Python sets."""
+    spectrum = {}
+    witnesses = {}
+    for elems, _ in zip(random_draws(range_max, size, seed), range(trials)):
+        d = len(brute_sumset(elems, elems)) - len(brute_diffset(elems, elems))
+        spectrum[d] = spectrum.get(d, 0) + 1
+        shifted = [e - elems[0] for e in elems]
+        g = math.gcd(*shifted) or 1  # a singleton shifts to [0], whose gcd is 0
+        w = [e // g for e in shifted]
+        if d not in witnesses or w < witnesses[d]:
+            witnesses[d] = w
+    return {
+        "range_max": range_max,
+        "enumerated": trials,
+        "spectrum": {str(d): spectrum[d] for d in sorted(spectrum)},
+        "witnesses": {str(d): witnesses[d] for d in sorted(witnesses)},
+    }
 
 
 def as_intset(elems) -> IntSet:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from mstdkit import IntSet, mstd_delta
+from mstdkit import cli
 from mstdkit.cli import main
 
 A1 = [0, 2, 3, 4, 7, 11, 12, 14]
@@ -220,6 +221,15 @@ class TestGroupSearchAndEmbed:
         path.write_text(text)
         code, out, err = run_cli(capsys, "embed", "--input", str(path))
         assert code == 2 and out == "" and message in err
+
+
+def test_parser_is_shared_and_keeps_no_state(capsys):
+    assert cli._parser() is cli._parser()
+    code, _, _ = run_cli(capsys, "spectrum", "--range-max", "4", "--max-size", "5", "--budget", "1")
+    assert code == 2
+    # the earlier call's --budget does not stick to the shared parser
+    code, out, _ = run_cli(capsys, "spectrum", "--range-max", "4", "--max-size", "5")
+    assert code == 0 and json.loads(out)["enumerated"] == 32
 
 
 class TestSpectrum:

@@ -72,14 +72,32 @@ def test_intset_from_json(text):
     assert IntSet.from_json(a.to_json()) == a
 
 
-@given(st.lists(ints).map(lambda xs: " ".join(map(str, xs))) | st.text(max_size=40))
+# zeros of decimal digit blocks that int() reads but the text format does not
+NON_ASCII_ZEROS = "\u0660\u0966\u07c0\uff10"
+int_texts = st.lists(ints).map(lambda xs: " ".join(map(str, xs)))
+
+
+def _non_ascii(text, zero):
+    return text.translate({ord("0") + i: ord(zero) + i for i in range(10)})
+
+
+@given(
+    int_texts
+    | st.lists(ints).map(lambda xs: " ".join(f"{x:_}" for x in xs))  # digit groups
+    | st.builds(_non_ascii, int_texts, st.sampled_from(NON_ASCII_ZEROS))
+    | st.text(max_size=40)
+)
 @example("-9223372036854775809 0")
+@example("1_000")
+@example("\u0663 4")
 def test_intset_from_text(text):
     try:
         a = IntSet.from_text(text)
     except ValueError:
         return
-    assert list(a.elements) == [int(tok) for tok in text.split()]
+    tokens = text.split()
+    assert all(tok.isascii() and "_" not in tok for tok in tokens)
+    assert list(a.elements) == [int(tok) for tok in tokens]
     assert IntSet.from_text(a.to_text()) == a
 
 

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from mstdkit import IntSet, exhaustive_spectrum, mstd_delta, normalize, random_search
 from mstdkit import search
 from mstdkit.search import MAX_RANGE, _key_mask, _lex_key
+from mstdkit.setops import I64_MAX, MAX_SPAN_BITS
+from oracles import random_draws, replay_random_search
 
 
 def brute_spectrum(range_max, min_size, max_size):
@@ -195,3 +197,59 @@ class TestRandom:
             random_search(10, 4, 0, seed=1)
         with pytest.raises(ValueError):
             random_search(10, 12, 5, seed=1)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(10, 2.0, 5, 1), (True, 1, 5, 1), (10, 2, 5.0, 1), (10, 2, False, 1),
+         (10, 2, 5, 1.5), (10, 2, 5, None), ("10", 2, 5, 1)],
+    )
+    def test_non_integer_arguments_rejected(self, args):
+        with pytest.raises(ValueError, match="must be an integer"):
+            random_search(*args)
+
+    def test_numpy_integer_arguments_accepted(self):
+        got = random_search(np.int64(14), np.uint8(8), np.int32(300), np.int64(9))
+        assert got == random_search(14, 8, 300, 9)
+        assert type(got.range_max) is int
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0, 1, 5, 1),  # the only subset of [0, 0]
+            (5, 1, 50, 2),  # singletons
+            (5, 6, 20, 3),  # size = range_max + 1: the whole range every time
+            (12, 4, 40, 1),  # least witnesses include dilations by 2
+            (20, 5, 100, 2),
+            (14, 8, 300, 9),
+            (40, 12, 500, 5),  # the benchmark's shape
+            (80, 40, 200, 4),  # 40 shifts reach the run-folding path
+            (600, 64, 20, 6),  # sparse samples at the folding size
+            (200, 2, 300, 7),  # pairs: gcd = span, witnesses [0, 1]
+        ],
+    )
+    def test_matches_python_set_replay(self, args):
+        assert random_search(*args).to_dict() == replay_random_search(*args)
+
+    @pytest.mark.parametrize(
+        "range_max, size, seed, fails, error",
+        [
+            # mstd_delta's range check on 2 max A
+            (I64_MAX - 1, 1, 5, lambda a: 2 * a[-1] > I64_MAX, OverflowError),
+            # its span check on 2 (max A - min A)
+            (MAX_SPAN_BITS, 2, 2, lambda a: 2 * (a[-1] - a[0]) > MAX_SPAN_BITS, ValueError),
+        ],
+    )
+    def test_limits_raise_at_the_first_failing_trial(self, range_max, size, seed, fails, error):
+        draws = enumerate(random_draws(range_max, size, seed), 1)
+        trial = next(t for t, elems in draws if fails(elems))
+        assert trial > 1  # the seed lets at least one draw pass first
+        rep = random_search(range_max, size, trial - 1, seed)
+        assert sum(rep.spectrum.values()) == trial - 1
+        with pytest.raises(error):
+            random_search(range_max, size, trial, seed)
+
+    def test_range_check_comes_before_span_check(self):
+        first = next(random_draws(I64_MAX - 1, 2, 1))
+        assert 2 * first[-1] > I64_MAX and 2 * (first[-1] - first[0]) > MAX_SPAN_BITS
+        with pytest.raises(OverflowError):
+            random_search(I64_MAX - 1, 2, 1, 1)

@@ -266,6 +266,15 @@ class TestParsing:
         with pytest.raises(ValueError):
             IntSet.from_text("1 2 2")
 
+    @pytest.mark.parametrize("text", ["1_000", "\u0663 4", "1 \uff12", "0x10", "1.0", "+-2", "5+"])
+    def test_text_rejects_non_decimal_tokens(self, text):
+        # int() alone reads "1_000" as 1000 and the Arabic-Indic "\u0663" as 3
+        with pytest.raises(ValueError, match="is not a decimal integer"):
+            IntSet.from_text(text)
+
+    def test_text_accepts_signs_and_leading_zeros(self):
+        assert IntSet.from_text("-3 +5 007\n9") == IntSet([-3, 5, 7, 9])
+
     def test_json_rejects_non_monotone(self):
         with pytest.raises(ValueError):
             IntSet.from_json('{"elements": [1, 3, 2]}')
