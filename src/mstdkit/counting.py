@@ -29,6 +29,15 @@ sums to t over t | e | n, and e is a twisted period for at most one u, so
 Translating by one conjugates R(b, c) to R(b + 2, c) and commutes with
 S(e, u), so T depends on b only through b mod gcd(2, n): the inner sum
 has at most two distinct terms.
+
+Witnesses are re-checked by a different mechanism: cyclic folds on
+n-bit masks.  The graph splits Z/n into the lanes E0 (eps = 0, the
+complement of the mask) and E1 (the mask).  E_p + E_q lies at parity
+p ^ q, so A+A is E0+E0 | E1+E1 at parity 0 and E0+E1 at parity 1.  One
+lane sum is the ``setops`` shift-OR of E_p by the positions of E_q,
+below 2n - 1, folded once mod n (acc | acc >> n, cut to n bits).  Since
+-(i, e) = (-i, e), A-A = A + (-A) is the same sum with -E_p, the bit
+reversal of E_p rotated by one bit, in place of E_p.
 """
 
 from __future__ import annotations
@@ -37,16 +46,17 @@ import math
 import random
 from dataclasses import dataclass
 
-from .grouplattice import GroupSpec, GroupSubset, group_sum_diff
-from .setops import _strict_int, _strict_ints
+from .grouplattice import GroupSpec, GroupSubset
+from .setops import _bit_positions, _shift_or, _strict_int, _strict_ints
 
 # 2^4096 has 1,234 decimal digits: far below the 4,300-digit int-to-str
 # limit that JSON output hits, and a full --table takes milliseconds.
 MAX_COUNT_N = 4096
 
-# find_group_mstd re-verifies its witness with O(n^2) group folds: about
-# 2 s at n = 1024 and 40 s at n = 4096 with strategy "first".
-MAX_SEARCH_N = 1024
+# Draws before find_group_mstd's "random" strategy gives up.  For n >= 7
+# at least a fifth of all parity graphs cover (28 of 128 at n = 7), so
+# only n < 7, where none does, runs them all.
+_RANDOM_TRIALS = 20000
 
 
 @dataclass(frozen=True)
@@ -86,11 +96,11 @@ class ParityGraph:
 def covers_group(g: ParityGraph) -> bool:
     """True iff the sumset of the graph covers all of Z/n x Z/2.
 
-    Computed by the exact group sumset; the tests check it against the mask
-    test behind find_group_mstd and against the closed-form counts.
+    By the reflection test behind the closed form (module docstring), the
+    same test find_group_mstd filters with; the tests check it against
+    brute-force group sumsets and against the closed-form counts.
     """
-    a = g.to_subset()
-    return len(group_sum_diff(a, 2, 0)) == 2 * g.n
+    return _mask_covers(g.mask, g.n)
 
 
 def coverage_bound(n: int) -> int:
@@ -98,17 +108,40 @@ def coverage_bound(n: int) -> int:
     return 2**n - n * 2 ** (n // 2 + 1)
 
 
+def _negate(mask: int, n: int) -> int:
+    """The mask of -E for the mask of E in Z/n: bit i is bit -i mod n."""
+    rev = int(format(mask, f"0{n}b")[::-1], 2)  # bit i is bit n - 1 - i
+    return ((rev << 1) | (rev >> (n - 1))) & ((1 << n) - 1)
+
+
 def _mask_covers(mask: int, n: int) -> bool:
     """True iff no b-reflection of the mask equals the mask or its complement."""
     full = (1 << n) - 1
-    r = mask & 1
-    for i in range(1, n):
-        r |= ((mask >> (n - i)) & 1) << i
+    r = _negate(mask, n)
     for b in range(n):
         w = ((r << b) | (r >> (n - b))) & full
         if mask == w or mask == w ^ full:
             return False
     return True
+
+
+def _parity_folds(mask: int, n: int) -> tuple[int, int]:
+    """(|A+A|, |A-A|) for the parity graph A with E1 = mask, by cyclic folds."""
+    full = (1 << n) - 1
+    neg = _negate(mask, n)
+    lanes, negs = (full ^ mask, mask), (full ^ neg, neg)
+    sums, diffs = [0, 0], [0, 0]
+    for q in (0, 1):
+        shifts = _bit_positions(lanes[q]).tolist()
+        for p in (0, 1):
+            s = _shift_or(lanes[p], shifts)  # E_p + E_q
+            d = _shift_or(negs[p], shifts)  # -E_p + E_q
+            sums[p ^ q] |= s | s >> n
+            diffs[p ^ q] |= d | d >> n
+    return (
+        sum((x & full).bit_count() for x in sums),
+        sum((x & full).bit_count() for x in diffs),
+    )
 
 
 @dataclass(frozen=True)
@@ -183,36 +216,39 @@ def miss_count(n: int, b: int, parity: int) -> int:
     return _twisted_fixed(n, b, 1 - parity, n, 0)
 
 
-def find_group_mstd(
-    n: int,
-    strategy: str = "first",
-    seed: int | None = None,
-    trials: int = 20000,
-) -> GroupSubset:
+def find_group_mstd(n: int, strategy: str = "first", seed: int | None = None) -> GroupSubset:
     """A parity graph whose sumset covers Z/n x Z/2, as a group subset.
 
     Such a subset has |A+A| = 2n and |A-A| <= 2n-1, so it is MSTD in the
-    group; both facts are re-verified before returning.  Strategy "first"
-    scans masks in increasing order (deterministic); "random" draws masks
-    from a seeded generator.  Raises RuntimeError when no witness is found
-    within the budget (for small n none exists at all), and ValueError for
-    n outside [2, MAX_SEARCH_N] before scanning anything.
+    group; both facts are re-verified by cyclic folds (module docstring)
+    before returning.  Strategy "first" scans masks in increasing order
+    (deterministic); "random" draws masks from a seeded generator.  Raises
+    RuntimeError when no witness is found within the budget (for small n
+    none exists at all), and ValueError for n outside [2, MAX_COUNT_N]
+    before scanning anything.
+
+    For n >= 7 "first" returns E1 = {0, 1, 3} (mask 0b1011).  Masks 0..10
+    are subsets of {0, 1, 2, 3} fixed by some reflection i -> b - i, so
+    each misses some (b, 1).  The cyclic gaps (1, 2, n - 3) of {0, 1, 3}
+    equal no rotation of their reversal once n >= 6, so no reflection
+    fixes it, and E1 equals the complement of a reflection only when
+    |E1| = n/2, that is n = 6.
     """
-    if not 2 <= n <= MAX_SEARCH_N:
-        raise ValueError(f"n must be in [2, {MAX_SEARCH_N}]")
+    if not 2 <= n <= MAX_COUNT_N:
+        raise ValueError(f"n must be in [2, {MAX_COUNT_N}]")
     if strategy == "first":
         candidates = range(1 << n)
     elif strategy == "random":
         rng = random.Random(seed)
-        candidates = (rng.getrandbits(n) for _ in range(trials))
+        candidates = (rng.getrandbits(n) for _ in range(_RANDOM_TRIALS))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     mask = next((m for m in candidates if _mask_covers(m, n)), None)
     if mask is None:
         raise RuntimeError(f"no covering parity graph found for n={n}")
-    sub = ParityGraph.from_mask(n, mask).to_subset()
-    if len(group_sum_diff(sub, 2, 0)) != 2 * n:
+    sums, diffs = _parity_folds(mask, n)
+    if sums != 2 * n:
         raise RuntimeError("internal error: witness sumset does not cover the group")
-    if len(group_sum_diff(sub, 1, 1)) > 2 * n - 1:
+    if diffs > 2 * n - 1:
         raise RuntimeError("internal error: witness difference set too large")
-    return sub
+    return ParityGraph.from_mask(n, mask).to_subset()

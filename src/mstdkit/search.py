@@ -82,7 +82,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .setops import IntSet, _bit_positions, _check_i64, _check_span, _shift_or
+from .setops import I64_MAX, IntSet, _bit_positions, _check_i64, _check_span, _shift_or
 from .setops import _strict_int, mstd_delta
 
 MAX_RANGE = 24
@@ -282,6 +282,8 @@ def random_search(range_max: int, size: int, trials: int, seed: int) -> SearchRe
     The same seed reproduces the identical report.  Witnesses are the
     lexicographically minimal normalized forms among the sampled sets.
     Each sample is scored on its shifted mask (module docstring).
+    ``range_max`` may be at most ``I64_MAX - 1``, the largest range the
+    sampler takes; a larger one raises ValueError before any draw.
     """
     range_max = _strict_int("range_max", range_max)
     size = _strict_int("size", size)
@@ -289,6 +291,8 @@ def random_search(range_max: int, size: int, trials: int, seed: int) -> SearchRe
     seed = _strict_int("seed", seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if range_max > I64_MAX - 1:
+        raise ValueError(f"range_max must be at most {I64_MAX - 1}")
     if not 1 <= size <= range_max + 1:
         raise ValueError("size must be in [1, range_max + 1]")
     rng = random.Random(seed)

@@ -169,9 +169,9 @@ class TestGroupSearchAndEmbed:
         assert code1 == code2 == 0 and out1 == out2
 
     def test_search_over_cap_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "group-search", "--n", "1025")
+        code, out, err = run_cli(capsys, "group-search", "--n", "4097")
         assert code == 2 and out == ""
-        assert "error: n must be in [2, 1024]" in err
+        assert "error: n must be in [2, 4096]" in err
 
     def test_no_witness_error(self, capsys):
         code, _, err = run_cli(capsys, "group-search", "--n", "4")

@@ -16,7 +16,7 @@ from mstdkit import (
     group_sum_diff,
     miss_count,
 )
-from mstdkit.counting import MAX_COUNT_N, MAX_SEARCH_N
+from mstdkit.counting import MAX_COUNT_N, _parity_folds
 from oracles import brute_group_fold, enumerate_covering
 
 # Exact covering counts, frozen from an exhaustive enumeration: pairwise
@@ -49,9 +49,13 @@ COVERING = {
 SMALLEST_COVERING_N = 7
 
 
-def brute_covers(n, eps):
+def brute_sumset_size(n, eps):
     elements = {(i, e) for i, e in enumerate(eps)}
-    return len(brute_group_fold(elements, (n, 2), 2, 0)) == 2 * n
+    return len(brute_group_fold(elements, (n, 2), 2, 0))
+
+
+def brute_covers(n, eps):
+    return brute_sumset_size(n, eps) == 2 * n
 
 
 def closed_form_miss(n, b, parity):
@@ -102,7 +106,9 @@ class TestCovers:
         for n in range(2, 10):
             for mask in range(1 << n):
                 g = ParityGraph.from_mask(n, mask)
-                assert covers_group(g) == brute_covers(n, g.eps)
+                size = brute_sumset_size(n, g.eps)
+                assert covers_group(g) == (size == 2 * n)
+                assert _parity_folds(mask, n)[0] == size
 
     def test_difference_always_misses_odd_zero_exhaustive(self):
         for n in range(2, 13):
@@ -111,15 +117,24 @@ class TestCovers:
                 diff = group_sum_diff(sub, 1, 1)
                 assert (0, 1) not in diff.elements
                 assert len(diff) <= 2 * n - 1
+                assert _parity_folds(mask, n)[1] == len(diff)
 
     def test_difference_always_misses_odd_zero_random_large(self):
         rng = random.Random(31)
         for n in range(13, 17):
             for _ in range(50):
-                sub = ParityGraph.from_mask(n, rng.getrandbits(n)).to_subset()
+                mask = rng.getrandbits(n)
+                sub = ParityGraph.from_mask(n, mask).to_subset()
                 diff = group_sum_diff(sub, 1, 1)
                 assert (0, 1) not in diff.elements
                 assert len(diff) <= 2 * n - 1
+                assert _parity_folds(mask, n)[1] == len(diff)
+        for n in (64, 257):
+            for _ in range(3):
+                mask = rng.getrandbits(n)
+                sub = ParityGraph.from_mask(n, mask).to_subset()
+                want = (len(group_sum_diff(sub, 2, 0)), len(group_sum_diff(sub, 1, 1)))
+                assert _parity_folds(mask, n) == want
 
 
 class TestCountCovering:
@@ -239,10 +254,15 @@ class TestFindGroupMstd:
         with pytest.raises(ValueError):
             find_group_mstd(7, strategy="exhaustive")
 
+    def test_first_witness_is_0b1011(self):
+        # find_group_mstd's docstring proves this for every n >= 7
+        for n in [*range(7, 65), MAX_COUNT_N]:
+            assert find_group_mstd(n) == ParityGraph.from_mask(n, 0b1011).to_subset()
+
     def test_search_cap(self):
         # find_group_mstd re-verifies its witness's group folds itself
-        assert len(find_group_mstd(MAX_SEARCH_N)) == MAX_SEARCH_N
-        for n in (1, MAX_SEARCH_N + 1):
+        assert len(find_group_mstd(MAX_COUNT_N)) == MAX_COUNT_N
+        for n in (1, MAX_COUNT_N + 1):
             for strategy in ("first", "random"):
-                with pytest.raises(ValueError, match=rf"n must be in \[2, {MAX_SEARCH_N}\]"):
+                with pytest.raises(ValueError, match=rf"n must be in \[2, {MAX_COUNT_N}\]"):
                     find_group_mstd(n, strategy=strategy)

@@ -1,4 +1,5 @@
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -58,3 +59,27 @@ def test_every_private_function_is_referenced():
         and not node.name.endswith("__")
     }
     assert private - used == set()
+
+
+def test_every_constant_is_read():
+    """Each module-level UPPER_CASE constant is loaded somewhere in src/."""
+    loaded, constants = set(), set()
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            constants.update(
+                t.id
+                for t in targets
+                if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)
+            )
+    assert constants and constants - loaded == set()

@@ -198,6 +198,11 @@ class TestRandom:
         with pytest.raises(ValueError):
             random_search(10, 12, 5, seed=1)
 
+    @pytest.mark.parametrize("range_max", [I64_MAX, 2**70])
+    def test_range_max_over_bound_rejected(self, range_max):
+        with pytest.raises(ValueError, match=f"range_max must be at most {I64_MAX - 1}"):
+            random_search(range_max, 1, 5, 1)
+
     @pytest.mark.parametrize(
         "args",
         [(10, 2.0, 5, 1), (True, 1, 5, 1), (10, 2, 5.0, 1), (10, 2, False, 1),
