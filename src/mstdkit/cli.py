@@ -22,9 +22,8 @@ from .constructions import (
 )
 from .counting import count_covering, find_group_mstd
 from .grouplattice import GroupSubset, embed_report
-from .search import DEFAULT_BUDGET, exhaustive_spectrum
+from .search import exhaustive_spectrum
 from .setops import IntSet, MstdDelta, _load_json, _strict_int, _strict_ints
-from .setops import symmetry_witness
 
 
 def _parse_gap(raw) -> Gap:
@@ -56,25 +55,23 @@ def _parse_params(text: str) -> dict:
 def _build_gap(variant: str, m: int, k: int, r: int, s: int, p=None):
     # _parse_params rejects "p": null, so None here means "p" was left out
     base = gap_base_recipe(_parse_gap({} if p is None else p), r, s, m)
-    return _gap(base, k, variant), m
+    return _gap(base, k, variant)
 
 
 # family code -> (required parameters, optional parameters, builder from
-#                 the parameters to ((set, its verified delta), adjoined element))
+#                 the parameters to (set, its verified delta, its center a*))
 FAMILIES = {
-    "t1": (("m", "d", "k"), (), lambda m, d, k: (
-        _one_track(OneTrackParams(m, d, k)), m)),
-    "t2": (("k",), (), lambda k: (_two_dim(k), 4)),
-    "t3": (("m", "d", "k"), (), lambda m, d, k: (
-        _two_track(TwoTrackParams(m, d, k)), m)),
+    "t1": (("m", "d", "k"), (), lambda m, d, k: _one_track(OneTrackParams(m, d, k))),
+    "t2": (("k",), (), _two_dim),
+    "t3": (("m", "d", "k"), (), lambda m, d, k: _two_track(TwoTrackParams(m, d, k))),
     "gap": (("m", "k", "r", "s"), ("p",), partial(_build_gap, "one_to_k")),
     "gap2": (("m", "k", "r", "s"), ("p",), partial(_build_gap, "zero_to_k")),
-    "hr": (("k",), (), lambda k: (_hegarty_roesler(k), 4)),
+    "hr": (("k",), (), _hegarty_roesler),
 }
 
 
-def _build_family(family: str, params: dict) -> tuple[tuple[IntSet, MstdDelta], int]:
-    """Return ((set, delta), adjoined element) for a family code and its parameters."""
+def _build_family(family: str, params: dict) -> tuple[IntSet, MstdDelta, int]:
+    """Return (set, delta, a*) for a family code and its parameters."""
     required, optional, build = FAMILIES[family]
     missing = [k for k in required if k not in params]
     if missing:
@@ -91,17 +88,13 @@ def _build_family(family: str, params: dict) -> tuple[tuple[IntSet, MstdDelta], 
 
 def _cmd_construct(args) -> dict:
     params = _parse_params(args.params)
-    (built, delta), adjoined = _build_family(args.family, params)
-    core = IntSet(e for e in built if e != adjoined)
-    witness = symmetry_witness(core)
-    if witness is None:  # pragma: no cover - families always build symmetric cores
-        raise ConstructionError("internal error: construction core is not symmetric")
+    built, delta, a_star = _build_family(args.family, params)
     return {
         "family": args.family,
         "params": params,
         "set": list(built.elements),
         "delta": delta.delta,
-        "a_star": witness.center,
+        "a_star": a_star,
     }
 
 
@@ -131,12 +124,7 @@ def _cmd_group_search(args) -> dict:
 
 
 def _cmd_spectrum(args):
-    report = exhaustive_spectrum(
-        args.range_max,
-        args.min_size,
-        args.max_size,
-        budget=args.budget,
-    )
+    report = exhaustive_spectrum(args.range_max, args.min_size, args.max_size)
     return report.to_csv() if args.format == "csv" else report.to_dict()
 
 
@@ -172,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range-max", type=int, required=True, dest="range_max")
     p.add_argument("--min-size", type=int, default=0, dest="min_size")
     p.add_argument("--max-size", type=int, required=True, dest="max_size")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=_cmd_spectrum)
 

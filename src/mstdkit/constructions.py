@@ -1,14 +1,15 @@
 """Generators for explicit families of MSTD integer sets.
 
-Every family here adjoins a single element to a symmetric core built from
-an interval-with-hole base plus one or more arithmetic tracks (or, in the
-general form, a generalized arithmetic progression).  Constructors
-validate their parameters, build the set, and re-verify the MSTD
-inequality by exact computation before returning: constructions are
-cheap, so the belt-and-braces check costs nothing and catches
-transcription slips.  Each public family function returns the set alone;
-its private builder returns the set with the verified ``MstdDelta``, so
-``mstd construct`` reports the delta without computing it a second time.
+Every family adjoins one element to a core ``B + L + (a* - B)``: a base B,
+a middle L of arithmetic tracks or a generalized arithmetic progression,
+and B reflected about the center a* its theorem names.  Each builder
+validates its parameters, checks the span of the set they describe, and
+hands B, L, a* and the element to one tail, ``_symmetric_mstd``.  The tail
+builds the core once, checks that it is symmetric about that a*, adds the
+element and re-verifies the MSTD inequality exactly: cheap checks that
+catch transcription slips.  It returns the set, its ``MstdDelta`` and a*,
+so ``mstd construct`` computes neither again; the public family functions
+return the set alone.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .setops import IntSet, MstdDelta, _check_span, diffset, interval, mstd_delta
-from .setops import sumset
+from .setops import sumset, symmetry_witness
 
 # Most points ``Gap.expand`` may enumerate, collisions included.
 MAX_GAP_POINTS = 1 << 20
@@ -78,14 +79,25 @@ def _check_output_span(span: int) -> None:
     _check_span(2 * span)
 
 
-def _verify_mstd(a: IntSet, family: str) -> tuple[IntSet, MstdDelta]:
-    """``(a, mstd_delta(a))``; raises unless ``a`` is MSTD."""
+def _symmetric_mstd(b: list, middle: list, center: int, adjoined: int, family: str):
+    """``(A, mstd_delta(A), center)`` for ``A = B + middle + (center - B) + {adjoined}``.
+
+    Raises unless the core ``B + middle + (center - B)`` is symmetric about
+    ``center`` and ``A`` is MSTD.
+    """
+    core = IntSet(b + middle + [center - e for e in b])
+    witness = symmetry_witness(core)
+    if witness is None or witness.center != center:
+        raise ConstructionError(
+            f"internal error: {family} core is not symmetric about {center}"
+        )
+    a = core | IntSet((adjoined,))
     d = mstd_delta(a)
     if d.delta < 1:
         raise ConstructionError(
             f"internal error: {family} output is not MSTD (delta={d.delta})"
         )
-    return a, d
+    return a, d, center
 
 
 # -- one-track family ---------------------------------------------------------
@@ -118,15 +130,14 @@ def one_track_family(p: OneTrackParams) -> IntSet:
     return _one_track(p)[0]
 
 
-def _one_track(p: OneTrackParams) -> tuple[IntSet, MstdDelta]:
+def _one_track(p: OneTrackParams) -> tuple[IntSet, MstdDelta, int]:
     p.validate()
     m, d, k = p.m, p.d, p.k
     center = (k + 1) * m - 2 * d
     _check_output_span(center)  # the set runs from 0 to center
     b = [e for e in range(m) if e != d]
     track = [j * m - d for j in range(1, k + 1)]
-    core = IntSet(b + track + [center - e for e in b])
-    return _verify_mstd(core | IntSet((m,)), "one-track family")
+    return _symmetric_mstd(b, track, center, m, "one-track family")
 
 
 # -- two-track family ---------------------------------------------------------
@@ -164,15 +175,14 @@ def two_track_family(p: TwoTrackParams) -> IntSet:
     return _two_track(p)[0]
 
 
-def _two_track(p: TwoTrackParams) -> tuple[IntSet, MstdDelta]:
+def _two_track(p: TwoTrackParams) -> tuple[IntSet, MstdDelta, int]:
     p.validate()
     m, d, k = p.m, p.d, p.k
     center = (k + 2) * m
     _check_output_span(center)  # the set runs from 0 to center
     b = [e for e in range(m) if e != d]
     tracks = [j * m - d for j in range(2, k + 1)] + [j * m + d for j in range(2, k + 1)]
-    core = IntSet(b + tracks + [center - e for e in b])
-    return _verify_mstd(core | IntSet((m,)), "two-track family")
+    return _symmetric_mstd(b, tracks, center, m, "two-track family")
 
 
 # -- small explicit families ---------------------------------------------------
@@ -183,11 +193,11 @@ def hegarty_roesler_family(k: int) -> IntSet:
     return _hegarty_roesler(k)[0]
 
 
-def _hegarty_roesler(k: int) -> tuple[IntSet, MstdDelta]:
+def _hegarty_roesler(k: int) -> tuple[IntSet, MstdDelta, int]:
     _require(k >= 3, "k must be at least 3")
     _check_output_span(4 * k + 2)
-    core = IntSet([0, 2] + [3 + 4 * j for j in range(k)] + [4 * k, 4 * k + 2])
-    return _verify_mstd(core | IntSet((4,)), "hegarty-roesler family")
+    track = [3 + 4 * j for j in range(k)]
+    return _symmetric_mstd([0, 2], track, 4 * k + 2, 4, "hegarty-roesler family")
 
 
 def two_dim_family(k: int) -> IntSet:
@@ -198,16 +208,11 @@ def two_dim_family(k: int) -> IntSet:
     return _two_dim(k)[0]
 
 
-def _two_dim(k: int) -> tuple[IntSet, MstdDelta]:
+def _two_dim(k: int) -> tuple[IntSet, MstdDelta, int]:
     _require(k >= 2, "k must be at least 2")
     _check_output_span(4 * k + 8)
-    core = IntSet(
-        [0, 2]
-        + [3 + 4 * j for j in range(k)]
-        + [9 + 4 * j for j in range(k)]
-        + [4 * k + 6, 4 * k + 8]
-    )
-    return _verify_mstd(core | IntSet((4,)), "two-dim family")
+    tracks = [3 + 4 * j for j in range(k)] + [9 + 4 * j for j in range(k)]
+    return _symmetric_mstd([0, 2], tracks, 4 * k + 8, 4, "two-dim family")
 
 
 # -- generalized-progression family --------------------------------------------
@@ -233,12 +238,12 @@ class GapBase:
             bool(self.b) and self.b.min >= 0 and self.b.max <= m - 1,
             "base set must be a nonempty subset of [0, m-1]",
         )
+        # B+B and B-B lie in intervals of 2m-1 integers, so each is full
+        # exactly when it has 2m-1 elements
+        d = mstd_delta(self.b)
+        _require(d.sum_card == 2 * m - 1, "base set must have full sumset [0, 2m-2]")
         _require(
-            sumset(self.b, self.b) == interval(0, 2 * m - 2),
-            "base set must have full sumset [0, 2m-2]",
-        )
-        _require(
-            diffset(self.b, self.b) == interval(1 - m, m - 1),
+            d.diff_card == 2 * m - 1,
             "base set must have full difference set [-m+1, m-1]",
         )
         ls = self.lstar.expand()
@@ -260,14 +265,25 @@ def gap_family(base: GapBase, k: int, variant: str = "one_to_k") -> IntSet:
     """MSTD set from a full-sumset base and a reflected progression block.
 
     The block is L = (m - lstar) + m*[1,k] for variant ``one_to_k`` and
-    (m - lstar) + m*[0,k] for variant ``zero_to_k``; the latter additionally
-    requires m not in lstar + lstar.  The core B + L + (center - B) is
-    symmetric about center = min(L) + max(L).
+    (m - lstar) + m*[0,k] for variant ``zero_to_k``.  The core
+    C = B + L + (c - B) is symmetric about c = min(L) + max(L); m is adjoined.
+
+    ``zero_to_k`` also requires m not in lstar + lstar and, as shown here,
+    sigma = min(lstar) + max(lstar) <= (k-1)m, i.e. c = (k+2)m - sigma >= 3m.
+    As 0 and m-1 lie in B, lstar lies in [1, m-2]: only k = 2 can break this,
+    and ``one_to_k``'s c = (k+3)m - sigma always exceeds 3m.  The sums
+    B+B = [0, 2m-2], B + (c-B) = c + (B-B) = [c-m+1, c+m-1] and
+    (c-B) + (c-B) = [2c-2m+2, 2c] cover [0, 2c] if c <= 3m-2; at c = 3m-1
+    they miss only 2m-1 = (l-1) + (2m-l) in B + L, l = min(lstar), and its
+    mirror 2c-2m+1.  So if c < 3m, A = C + {m} has A+A = C+C and
+    |A-A| >= |C-C| = |C+C|: A is not MSTD.  If c >= 3m, 2m is no sum of C:
+    B+B stops at 2m-2, b + (m-l+jm) = 2m needs b = l, two block elements
+    need j1 + j2 = 1 and l1 + l2 = m, and the other sums exceed c - m >= 2m.
     """
     return _gap(base, k, variant)[0]
 
 
-def _gap(base: GapBase, k: int, variant: str) -> tuple[IntSet, MstdDelta]:
+def _gap(base: GapBase, k: int, variant: str) -> tuple[IntSet, MstdDelta, int]:
     base.validate()
     _require(k >= 2, "k must be at least 2")
     if variant == "one_to_k":
@@ -283,14 +299,18 @@ def _gap(base: GapBase, k: int, variant: str) -> tuple[IntSet, MstdDelta]:
             m not in sumset(ls, ls),
             "variant zero_to_k requires m not in lstar + lstar",
         )
+        _require(
+            ls.min + ls.max <= (k - 1) * m,
+            "variant zero_to_k requires min(lstar) + max(lstar) <= (k-1)*m; "
+            "otherwise 2m is already a sum of the core and the set is not MSTD",
+        )
     b = base.b
     block_lo, block_hi = m - ls.max + j_range[0] * m, m - ls.min + k * m
     center = block_lo + block_hi
     lo = min(b.min, block_lo, center - b.max, m)
     _check_output_span(max(b.max, block_hi, center - b.min, m) - lo)
-    block = IntSet(m - e + j * m for e in ls for j in j_range)
-    core = IntSet(list(b) + list(block) + [center - e for e in b])
-    return _verify_mstd(core | IntSet((m,)), f"gap family ({variant})")
+    block = [m - e + j * m for e in ls for j in j_range]
+    return _symmetric_mstd(list(b), block, center, m, f"gap family ({variant})")
 
 
 def gap_base_recipe(p: Gap, r: int, s: int, m: int) -> GapBase:
@@ -310,7 +330,7 @@ def gap_base_recipe(p: Gap, r: int, s: int, m: int) -> GapBase:
         "s must satisfy r + max(P) + 1 <= s <= 2r - 1",
     )
     _require(2 * s <= m + r - 1, "m must satisfy 2s <= m + r - 1")
-    _check_span(2 * (m - 1))  # the check GapBase.validate's B+B makes; B spans m - 1
+    _check_span(2 * (m - 1))  # GapBase.validate's mstd_delta(B) check; B spans m - 1
     b = interval(0, r - 1) | interval(s, m - 1)
     base = GapBase(m=m, b=b, lstar=p.translate(r))
     base.validate()

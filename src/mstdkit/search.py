@@ -86,7 +86,6 @@ from .setops import I64_MAX, IntSet, _bit_positions, _check_i64, _check_span, _s
 from .setops import _strict_int, mstd_delta
 
 MAX_RANGE = 24
-DEFAULT_BUDGET = 1 << 25
 
 # log2 of the masks per chunk; the tables then have 2^14 entries each
 _CHUNK_BITS = 14
@@ -230,12 +229,7 @@ def _band_size(range_max: int, min_size: int, max_size: int) -> int:
     return sum(math.comb(range_max + 1, s) for s in range(min_size, max_size + 1))
 
 
-def exhaustive_spectrum(
-    range_max: int,
-    min_size: int,
-    max_size: int,
-    budget: int = DEFAULT_BUDGET,
-) -> SearchReport:
+def exhaustive_spectrum(range_max: int, min_size: int, max_size: int) -> SearchReport:
     """Evaluate delta for every subset of [0, range_max] in the size band.
 
     The spectrum maps each delta value to the number of subsets attaining
@@ -248,10 +242,6 @@ def exhaustive_spectrum(
     if not 0 <= min_size <= max_size <= range_max + 1:
         raise ValueError("need 0 <= min_size <= max_size <= range_max + 1")
     enumerated = _band_size(range_max, min_size, max_size)
-    if enumerated > budget:
-        raise ValueError(
-            f"budget exceeded: {enumerated} subsets in band, budget {budget}"
-        )
     width = min(_CHUNK_BITS, range_max) + 1
     # indexed by delta + 2 range_max, for delta in [-2 range_max, 2 range_max]
     counts = np.zeros(4 * range_max + 1, dtype=np.int64)

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +107,8 @@ class TestConstruct:
             ("gap2", '{"m": 9, "k": 1099511627776, "r": 2, "s": 3}', "dense-kernel limit"),
             ("gap", '{"m": 40, "k": 2, "r": 5, "s": 9, "p": {"dims": [[1, 0, 1099511627776]]}}',
              "progression points exceed the budget"),
+            # min(lstar) + max(lstar) = 12 > (k-1)m: the set would not be MSTD
+            ("gap2", '{"m": 9, "k": 2, "r": 6, "s": 7}', "min(lstar) + max(lstar) <= (k-1)*m"),
         ],
     )
     def test_bad_params_rejected(self, capsys, family, params, message):
@@ -225,11 +230,41 @@ class TestGroupSearchAndEmbed:
 
 def test_parser_is_shared_and_keeps_no_state(capsys):
     assert cli._parser() is cli._parser()
-    code, _, _ = run_cli(capsys, "spectrum", "--range-max", "4", "--max-size", "5", "--budget", "1")
-    assert code == 2
-    # the earlier call's --budget does not stick to the shared parser
+    code, out, _ = run_cli(capsys, "spectrum", "--range-max", "4", "--max-size", "5", "--format", "csv")
+    assert code == 0 and out.startswith("delta,count,witness\n")
+    # the earlier call's --format does not stick to the shared parser
     code, out, _ = run_cli(capsys, "spectrum", "--range-max", "4", "--max-size", "5")
     assert code == 0 and json.loads(out)["enumerated"] == 32
+
+
+def _readme_cli_examples() -> list[str]:
+    """The ``mstd ...`` lines of the ``sh`` block under README's "## CLI"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("mstd ")]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_examples()
+    commands = {line.split()[1] for line in lines}
+    assert commands == {"construct", "embed", "count", "group-search", "spectrum"}
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        target = None
+        if argv[-2:-1] == [">"]:  # `> file`, the one redirect the examples use
+            argv, target = argv[:-2], argv[-1]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (line, err)
+        if "csv" in argv:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[0] == ["delta", "count", "witness"], line
+            assert all(len(row) == 3 for row in rows), line
+        else:
+            json.loads(out)
+        if target is not None:
+            (tmp_path / target).write_text(out)
 
 
 class TestSpectrum:
@@ -251,13 +286,6 @@ class TestSpectrum:
         lines = out.strip().splitlines()
         assert lines[0] == "delta,count,witness"
         assert len(lines) > 1
-
-    def test_budget_flag(self, capsys):
-        code, _, err = run_cli(
-            capsys, "spectrum", "--range-max", "12", "--min-size", "0",
-            "--max-size", "13", "--budget", "100",
-        )
-        assert code == 2 and "budget" in err
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_closed_stdout_exits_quietly(self, fmt):

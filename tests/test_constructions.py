@@ -20,6 +20,7 @@ from mstdkit import (
     two_dim_family,
     two_track_family,
 )
+from mstdkit.constructions import _symmetric_mstd
 from oracles import brute_diffset, brute_sumset
 
 A1 = IntSet([0, 2, 3, 4, 7, 11, 12, 14])
@@ -350,3 +351,93 @@ class TestGapFamily:
             gap_family(base, 2, "zero_to_k")
         # same base and block range is fine at k = 3
         assert mstd_delta(gap_family(base, 3, "zero_to_k")).delta >= 1
+
+
+class TestSymmetricTail:
+    def test_returns_set_delta_and_center(self):
+        a, d, center = _symmetric_mstd([0, 2], [3, 7, 11], 14, 4, "test")
+        assert (a, d.delta, center) == (A1, 1, 14)
+
+    def test_asymmetric_core_refused(self):
+        # core {0, 2, 3, 8, 10}: 3 has no mirror 7
+        with pytest.raises(ConstructionError, match="core is not symmetric about 10"):
+            _symmetric_mstd([0, 2], [3], 10, 4, "test")
+
+    def test_core_symmetric_about_another_center_refused(self):
+        # core {0, 2, 4, 6} is symmetric about 6, not about the stated 4
+        with pytest.raises(ConstructionError, match="core is not symmetric about 4"):
+            _symmetric_mstd([0], [2, 6], 4, 1, "test")
+
+    def test_non_mstd_result_refused(self):
+        # core [0, 3]; adjoining 5 gives 10 sums (9 is missing) and 11 differences
+        with pytest.raises(ConstructionError, match=r"not MSTD \(delta=-1\)"):
+            _symmetric_mstd([0, 1], [], 3, 5, "test")
+
+
+def test_gap_base_fullness_counts_match_set_equality():
+    # GapBase.validate decides fullness from |B+B| and |B-B| alone
+    checked = 0
+    for m in range(4, 13):
+        for mask in range(1, 1 << m):
+            b = IntSet(i for i in range(m) if mask >> i & 1)
+            if sumset(b, b) != interval(0, 2 * m - 2):
+                want = "full sumset"
+            elif diffset(b, b) != interval(1 - m, m - 1):
+                want = "full difference set"
+            else:
+                want = None
+            try:
+                GapBase(m=m, b=b, lstar=Gap(0)).validate()
+                got = None
+            except ConstructionError as e:
+                got = next((w for w in ("full sumset", "full difference set") if w in str(e)), None)
+            assert got == want, (m, b)
+            checked += 1
+    assert checked == 8167
+
+
+ZERO_TO_K_CONDITION = "min(lstar) + max(lstar) <= (k-1)*m"
+
+
+def _zero_to_k_by_hand(base, k):
+    """The zero_to_k set built from its definition, with no check."""
+    m, ls = base.m, base.lstar.expand()
+    block = [m - e + j * m for e in ls for j in range(k + 1)]
+    center = min(block) + max(block)
+    return IntSet(list(base.b) + block + [center - e for e in base.b] + [m])
+
+
+def test_zero_to_k_condition_on_recipe_grid():
+    # every recipe-accepted zero_to_k input either builds an MSTD set or is
+    # refused by a stated condition; the min + max condition refuses only
+    # sets that really are not MSTD
+    progressions = [
+        Gap(0),
+        Gap(0, ((1, 0, 2),)),
+        Gap(0, ((2, 0, 2),)),
+        Gap(0, ((1, 0, 3),)),
+        Gap(0, ((3, 0, 2),)),
+        Gap(0, ((1, 0, 2), (3, 0, 2))),
+    ]
+    outcomes = {"built": 0, "lstar + lstar": 0, ZERO_TO_K_CONDITION: 0}
+    for p in progressions:
+        for m in range(4, 21):
+            for r in range(1, m):
+                for s in range(r + 1, m):
+                    try:
+                        base = gap_base_recipe(p, r, s, m)
+                    except ConstructionError:
+                        continue
+                    for k in (2, 3):
+                        try:
+                            gap_family(base, k, "zero_to_k")
+                            outcomes["built"] += 1
+                        except ConstructionError as e:
+                            assert "internal error" not in str(e), (p, m, r, s, k)
+                            reason = next(c for c in outcomes if c in str(e))
+                            outcomes[reason] += 1
+                            if reason == ZERO_TO_K_CONDITION:
+                                assert k == 2
+                                a = _zero_to_k_by_hand(base, k)
+                                assert mstd_delta(a).delta <= 0, (p, m, r, s, k)
+    assert all(outcomes.values()), outcomes

@@ -111,10 +111,6 @@ class TestExhaustive:
         assert rep.spectrum == want_spec
         assert rep.witnesses == want_wit
 
-    def test_budget_enforced(self):
-        with pytest.raises(ValueError, match="budget"):
-            exhaustive_spectrum(14, 0, 15, budget=1000)
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             exhaustive_spectrum(25, 0, 3)
