@@ -128,6 +128,23 @@ def _cmd_spectrum(args):
     return report.to_csv() if args.format == "csv" else report.to_dict()
 
 
+def _to_json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, at nesting ``indent``.
+
+    With ``indent`` set, ``json.dumps`` runs the pure-Python encoder on every
+    item; a list of ints is joined in one call here instead."""
+    if type(value) is int:
+        return str(value)
+    inner = indent + "  "
+    if type(value) is dict and value and {*map(type, value)} == {str}:
+        items = (f"{inner}{json.dumps(k)}: {_to_json(v, inner)}" for k, v in value.items())
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if type(value) is list and value and {*map(type, value)} == {int}:
+        return f"[\n{inner}" + f",\n{inner}".join(map(str, value)) + f"\n{indent}]"
+    # JSON text holds no raw newline outside its indentation
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mstd",
@@ -177,7 +194,7 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OverflowError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    text = result if isinstance(result, str) else json.dumps(result, indent=2) + "\n"
+    text = result if isinstance(result, str) else _to_json(result) + "\n"
     try:
         sys.stdout.write(text)
         sys.stdout.flush()

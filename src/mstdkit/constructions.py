@@ -10,16 +10,35 @@ element and re-verifies the MSTD inequality exactly: cheap checks that
 catch transcription slips.  It returns the set, its ``MstdDelta`` and a*,
 so ``mstd construct`` computes neither again; the public family functions
 return the set alone.
+
+The tail counts with one fold.  A core C symmetric about c has C = c - C,
+so C - C = C + (C - c) = (C + C) - c.  For A = C + {x},
+
+    A + A = (C + C) | (C + x) | {2x}
+    A - A = ((C + C) - c) | (C - x) | (C + (x - c)) | {0},
+
+using x - C = x - (c - C) = C + (x - c).  On masks with lo = min A and
+hi = max A, where CC is the mask of C + C from 2 lo and C that of C from
+lo, the A+A mask is CC | C << (x - lo) | bit 2(x - lo), and the A-A mask,
+from lo - hi, is CC shifted by lo + hi - c, C shifted by hi - x and by
+x - c + hi (a negative amount shifts right; the bits it drops are zero),
+plus bit hi - lo.  The only fold is C + C, run on the core in the order
+of its pieces, B, then L, then c - B: each piece is one or a few
+arithmetic progressions, so ``setops._shift_or`` folds each as a run,
+where in sorted order the tracks of ``t3`` and the block of ``gap``
+interleave and give no runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
-from .setops import IntSet, MstdDelta, _check_span, diffset, interval, mstd_delta
-from .setops import sumset, symmetry_witness
+from .setops import IntSet, MstdDelta, _check_span, _shift_or, diffset
+from .setops import interval, mstd_delta, sumset, symmetry_witness
 
 # Most points ``Gap.expand`` may enumerate, collisions included.
 MAX_GAP_POINTS = 1 << 20
@@ -75,24 +94,48 @@ def _require(cond: bool, message: str):
 
 
 def _check_output_span(span: int) -> None:
-    """The span check ``mstd_delta`` makes on a finished set, before it is built."""
+    """``mstd_delta``'s span check on a set that spans ``span``, before it is built."""
     _check_span(2 * span)
+
+
+def _shifted(mask: int, by: int) -> int:
+    """``mask << by``, or ``mask >> -by`` for a negative ``by``."""
+    return mask << by if by >= 0 else mask >> -by
 
 
 def _symmetric_mstd(b: list, middle: list, center: int, adjoined: int, family: str):
     """``(A, mstd_delta(A), center)`` for ``A = B + middle + (center - B) + {adjoined}``.
 
     Raises unless the core ``B + middle + (center - B)`` is symmetric about
-    ``center`` and ``A`` is MSTD.
+    ``center`` and ``A`` is MSTD.  The counts come from one fold of the
+    core, in the order of its pieces (module docstring).
     """
-    core = IntSet(b + middle + [center - e for e in b])
+    pieces = b + middle + [center - e for e in b]
+    core = IntSet(pieces)
     witness = symmetry_witness(core)
     if witness is None or witness.center != center:
         raise ConstructionError(
             f"internal error: {family} core is not symmetric about {center}"
         )
-    a = core | IntSet((adjoined,))
-    d = mstd_delta(a)
+    lo, hi = min(core.min, adjoined), max(core.max, adjoined)
+    shifts = [e - lo for e in pieces]
+    c_mask = _shift_or(1, shifts)
+    cc = _shift_or(c_mask, shifts)  # C + C, bit 0 at 2 lo
+    x = adjoined - lo
+    sums = cc | c_mask << x | 1 << 2 * x
+    # A - A, bit 0 at lo - hi: (C + C) - c, C - x, C + (x - c) and 0
+    diffs = (
+        _shifted(cc, lo + hi - center)
+        | c_mask << (hi - adjoined)
+        | _shifted(c_mask, adjoined - center + hi)
+        | 1 << (hi - lo)
+    )
+    elems = core.elements
+    i = bisect_left(elems, adjoined)
+    if elems[i : i + 1] != (adjoined,):
+        elems = elems[:i] + (adjoined,) + elems[i:]
+    a = IntSet._from_sorted(elems, c_mask | 1 << x)
+    d = MstdDelta(sums.bit_count(), diffs.bit_count())
     if d.delta < 1:
         raise ConstructionError(
             f"internal error: {family} output is not MSTD (delta={d.delta})"
@@ -231,6 +274,11 @@ class GapBase:
     b: IntSet
     lstar: Gap
 
+    @cached_property
+    def _lstar_points(self) -> IntSet:
+        """``lstar`` expanded, once per base."""
+        return self.lstar.expand()
+
     def validate(self):
         m = self.m
         _require(m >= 4, "m must be at least 4")
@@ -246,7 +294,7 @@ class GapBase:
             d.diff_card == 2 * m - 1,
             "base set must have full difference set [-m+1, m-1]",
         )
-        ls = self.lstar.expand()
+        ls = self._lstar_points
         _require(
             ls.min >= 0 and ls.max <= m - 1,
             "progression must expand inside [0, m-1]",
@@ -280,11 +328,12 @@ def gap_family(base: GapBase, k: int, variant: str = "one_to_k") -> IntSet:
     B+B stops at 2m-2, b + (m-l+jm) = 2m needs b = l, two block elements
     need j1 + j2 = 1 and l1 + l2 = m, and the other sums exceed c - m >= 2m.
     """
+    base.validate()
     return _gap(base, k, variant)[0]
 
 
 def _gap(base: GapBase, k: int, variant: str) -> tuple[IntSet, MstdDelta, int]:
-    base.validate()
+    """``gap_family`` on a base that has passed ``GapBase.validate``."""
     _require(k >= 2, "k must be at least 2")
     if variant == "one_to_k":
         j_range = range(1, k + 1)
@@ -293,7 +342,7 @@ def _gap(base: GapBase, k: int, variant: str) -> tuple[IntSet, MstdDelta, int]:
     else:
         raise ConstructionError(f"unknown variant {variant!r}")
     m = base.m
-    ls = base.lstar.expand()
+    ls = base._lstar_points
     if variant == "zero_to_k":
         _require(
             m not in sumset(ls, ls),

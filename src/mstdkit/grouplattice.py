@@ -379,6 +379,17 @@ def find_thickness(
         raise ValueError(
             f"group inequality fails: |{h1}A-{k1}A| = {c1} <= |{h2}A-{k2}A| = {c2}"
         )
+    return _thickness_scan(a, pair1, pair2, t_max)
+
+
+def _thickness_scan(
+    a: GroupSubset,
+    pair1: tuple[int, int],
+    pair2: tuple[int, int],
+    t_max: int,
+) -> int:
+    """``find_thickness`` for pairs and a group inequality it has checked."""
+    (h1, k1), (h2, k2) = pair1, pair2
     budget = h1 + k1
     for t in range(1, t_max + 1):
         card1 = _thickened_mask(a, t, h1, k1, budget)[2].bit_count()
@@ -467,7 +478,7 @@ def embed_report(a: GroupSubset, t_max: int = 32) -> EmbedResult:
     if len(group_sum_diff(a, 2, 0)) <= len(group_sum_diff(a, 1, 1)):
         raise ValueError("input is not an MSTD subset of its group")
     try:
-        t = find_thickness(a, (2, 0), (1, 1), t_max)
+        t = _thickness_scan(a, (2, 0), (1, 1), t_max)
     except (ValueError, RuntimeError) as e:
         raise EmbedError(f"thickness search: {e}") from e
     try:

@@ -61,13 +61,12 @@ size.  The arithmetic is integer throughout.
 
 Random samples.  ``random_search`` draws ``sorted(rng.sample(...))`` and
 scores each draw on plain ints, with no ``IntSet`` per sample.  With
-s = A - min A and t = max s, the mask is the shift-OR of 1 by s, |A+A| is
-the bit count of that mask shifted by s, and |A-A| that of the mask
-shifted by t - s.  This is ``mstd_delta``'s computation, with its range
-and span checks, on the ``setops`` kernel.  The normalized candidate is s
-divided by its gcd, compared as a list, and the least candidate per
-delta becomes an ``IntSet`` once, at the end, re-verified by
-``mstd_delta``.  The exhaustive tables keep A+A in uint64 lanes, which
+s = A - min A and t = max s, the mask is the shift-OR of 1 by s, and
+``setops._fold_delta(mask, s, t)``, the counting body ``mstd_delta``
+shares, gives |A+A| and |A-A| after ``mstd_delta``'s range and span
+checks.  The normalized candidate is s divided by its gcd, compared as a
+list, and the least candidate per delta becomes an ``IntSet`` once, at
+the end, re-verified by ``mstd_delta``.  The exhaustive tables keep A+A in uint64 lanes, which
 caps them at MAX_RANGE, while a sample may span any range the kernel
 takes (range_max = 40 already gives 81-bit sums) and costs |A| big-int
 shifts, so the two scorers stay separate.
@@ -83,7 +82,7 @@ from functools import lru_cache
 import numpy as np
 
 from .setops import I64_MAX, IntSet, _bit_positions, _check_i64, _check_span, _shift_or
-from .setops import _strict_int, mstd_delta
+from .setops import _fold_delta, _strict_int, mstd_delta
 
 MAX_RANGE = 24
 
@@ -296,11 +295,7 @@ def random_search(range_max: int, size: int, trials: int, seed: int) -> SearchRe
         _check_i64(2 * hi)
         _check_span(2 * (hi - lo))
         s = [e - lo for e in elems]
-        top = hi - lo
-        mask = _shift_or(1, s)
-        sums = _shift_or(mask, s)
-        diffs = _shift_or(mask, [top - e for e in s])
-        d = sums.bit_count() - diffs.bit_count()
+        d = _fold_delta(_shift_or(1, s), s, hi - lo).delta
         spectrum[d] = spectrum.get(d, 0) + 1
         g = math.gcd(*s)
         if g > 1:

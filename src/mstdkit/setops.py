@@ -9,24 +9,34 @@ domain run from tens to about a million bits, where the dense kernel
 beats pairwise enumeration by a wide margin.
 
 The shift-OR (``_shift_or``) folds arithmetic runs rather than shifting
-once per element.  With at least ``_FOLD_MIN`` shifts it sorts them and
-splits them into maximal runs of equally spaced values.  A run
-``s, s + q, ..., s + (L-1) q`` with ``L >= _RUN_MIN`` costs O(log L)
-shifts.  Start with ``run = mask``, covering the offsets ``{0}`` (in
-units of ``q``), and ``have = 1``.  While ``2 have <= L``, the step
-``run |= run << (have q)`` turns the offsets ``{0, ..., have-1}`` into
-``{0, ..., 2 have - 1}``.  When it stops, ``have <= L < 2 have``.  If
-``have < L``, one more shift by ``(L - have) q`` adds
-``{L - have, ..., L - 1}``.  That block starts at ``L - have < have``,
-so the union is ``{0, ..., L - 1}``: no gap, and nothing past ``L - 1``.
-A final shift by ``s`` places the run.  The shifts outside such runs
-are ORed one at a time, as are all shifts of a shorter list.  The
-cutoffs were measured (CHANGES.md).  Repeated shifts need no
-deduplication: OR is idempotent, so equal shifts, ORed one at a time
-or folded as a run of step 0, set each bit once.
+once per element.  With at least ``_FOLD_MIN`` shifts it splits them, in
+the order given and with no sort, into maximal runs of equally spaced
+consecutive values.  A run of ``L >= _RUN_MIN`` values costs O(log L)
+shifts.  A descending run is the same set as the ascending one read from
+its other end, so every run is folded as ``s, s + q, ..., s + (L-1) q``
+from its lowest value ``s``, with ``q >= 0``.  Start with ``run = mask``,
+covering the offsets ``{0}`` (in units of ``q``), and ``have = 1``.
+While ``2 have <= L``, the step ``run |= run << (have q)`` turns the
+offsets ``{0, ..., have-1}`` into ``{0, ..., 2 have - 1}``.  When it
+stops, ``have <= L < 2 have``.  If ``have < L``, one more shift by
+``(L - have) q`` adds ``{L - have, ..., L - 1}``.  That block starts at
+``L - have < have``, so the union is ``{0, ..., L - 1}``: no gap, and
+nothing past ``L - 1``.  A final shift by ``s`` places the run.  The
+shifts outside such runs are ORed one at a time, as are all shifts of a
+shorter list.  The cutoffs were measured (CHANGES.md).  Repeated shifts
+need no deduplication: OR is idempotent, so equal shifts, ORed one at a
+time or folded as a run of step 0, set each bit once.
+
+Since runs are found in the order given, a caller that lists a set as
+the progressions it was built from, one after another, gets each folded
+as a run even where they interleave in sorted order; ``constructions``
+folds its family cores this way.
 
 ``mstd_delta`` only counts: it takes ``int.bit_count`` of the A+A and
-A-A masks and never expands them into sets.
+A-A masks and never expands them into sets.  Its two folds are
+``_fold_delta``, which takes A's elements less ``min A`` in any order;
+``mstd_delta`` passes them ascending, and ``search.random_search`` each
+sorted sample, without building an ``IntSet``.
 
 All element arithmetic is range-checked against signed 64-bit bounds;
 a result outside them raises ``OverflowError`` instead of wrapping.
@@ -52,8 +62,8 @@ I64_MAX = (1 << 63) - 1
 MAX_SPAN_BITS = 1 << 27
 
 # Shift-OR cutoffs, both measured (CHANGES.md): below _FOLD_MIN shifts the
-# plain loop is cheaper than sorting and finding runs, and a run shorter
-# than _RUN_MIN saves no shift by doubling.
+# plain loop is cheaper than finding runs, and a run shorter than _RUN_MIN
+# saves no shift by doubling.
 _FOLD_MIN = 32
 _RUN_MIN = 4
 _RUN_BYTES = b"\x01" * (_RUN_MIN - 2)
@@ -277,14 +287,14 @@ def _shift_or(mask: int, shifts: Iterable[int]) -> int:
     """OR together ``mask << s`` over nonnegative shifts ``s``.
 
     With at least ``_FOLD_MIN`` shifts, each maximal run of at least
-    ``_RUN_MIN`` equally spaced sorted shifts is folded in O(log L) big-int
-    shifts (module docstring); every other shift is ORed on its own.
+    ``_RUN_MIN`` equally spaced consecutive shifts, in the order given, is
+    folded in O(log L) big-int shifts (module docstring); every other
+    shift is ORed on its own.
     """
     s = list(shifts)
     acc = 0
     done = 0  # s[:done] is ORed in
     if len(s) >= _FOLD_MIN:
-        s.sort()  # the plain loop below does not depend on the order
         gaps = list(map(sub, s[1:], s))
         # byte i is 1 when s[i], s[i+1], s[i+2] are equally spaced
         even = bytes(map(eq, gaps[1:], gaps))
@@ -295,15 +305,16 @@ def _shift_or(mask: int, shifts: Iterable[int]) -> int:
                 j = len(even)
             for x in s[done:i]:
                 acc |= mask << x
-            # s[i : j + 2] is a maximal run of at least _RUN_MIN shifts
-            length, step = j + 2 - i, gaps[i]
+            # s[i : j + 2] is a maximal run of at least _RUN_MIN shifts,
+            # folded from its low end: s[i] if it ascends, s[j + 1] if not
+            length, step = j + 2 - i, abs(gaps[i])
             run, have = mask, 1
             while 2 * have <= length:
                 run |= run << (have * step)
                 have *= 2
             if have < length:
                 run |= run << ((length - have) * step)
-            acc |= run << s[i]
+            acc |= run << min(s[i], s[j + 1])
             done = j + 2
             i = even.find(_RUN_BYTES, j)
     for x in s[done:]:
@@ -408,9 +419,17 @@ def mstd_delta(a: IntSet) -> MstdDelta:
     _check_span(2 * a.span)
     _check_i64(lo - hi)
     _check_i64(hi - lo)
-    mask = a.mask
-    sums = _shift_or(mask, [e - lo for e in a.elements])
-    diffs = _shift_or(mask, [hi - e for e in a.elements])
+    return _fold_delta(a.mask, [e - lo for e in a.elements], hi - lo)
+
+
+def _fold_delta(mask: int, shifts: list[int], top: int) -> MstdDelta:
+    """``MstdDelta`` of the set A with mask ``mask``: ``shifts`` are its
+    elements less ``min A``, in any order, and ``top`` is ``max A - min A``.
+
+    A+A is the mask shifted by each shift, and A-A, moved up by ``top``,
+    the mask shifted by ``top`` less each."""
+    sums = _shift_or(mask, shifts)
+    diffs = _shift_or(mask, [top - e for e in shifts])
     return MstdDelta(sums.bit_count(), diffs.bit_count())
 
 

@@ -262,9 +262,27 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
             assert rows[0] == ["delta", "count", "witness"], line
             assert all(len(row) == 3 for row in rows), line
         else:
-            json.loads(out)
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", line
         if target is not None:
             (tmp_path / target).write_text(out)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        # every subcommand's shape: int lists, nested dicts and lists of
+        # dicts, an empty list (gap "dims") and an empty dict (no witnesses)
+        {"family": "gap", "params": {"m": 6, "p": {"base": 0, "dims": []}}, "set": [0, 2]},
+        {"n": 2, "covering": 0, "meets_bound": True, "misses": [{"g": [0, 1], "count": 3}]},
+        {"moduli": [7, 2], "elements": [[0, 1], [1, 0]]},
+        {"range_max": 0, "spectrum": {"0": 1, "-1": 2}, "witnesses": {}},
+        {"t_used": 2, "set": [-(1 << 70), 3], "delta": 1},
+        # values that leave the fast paths
+        [], {}, [[]], [True, 1], [1, 2.5, None], {"\u00e9\"": "\u00fc\n"}, {1: [2]}, 7,
+    ],
+)
+def test_json_emitter_matches_indented_dumps(value):
+    assert cli._to_json(value) == json.dumps(value, indent=2)
 
 
 class TestSpectrum:

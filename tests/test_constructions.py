@@ -20,7 +20,8 @@ from mstdkit import (
     two_dim_family,
     two_track_family,
 )
-from mstdkit.constructions import _symmetric_mstd
+from mstdkit.constructions import _gap, _hegarty_roesler, _one_track, _symmetric_mstd
+from mstdkit.constructions import _two_dim, _two_track
 from oracles import brute_diffset, brute_sumset
 
 A1 = IntSet([0, 2, 3, 4, 7, 11, 12, 14])
@@ -178,22 +179,23 @@ class TestSmallFamilies:
 
 
 def _delta_one_grid():
-    """(label, set) for the grid on which every family's delta is exactly 1."""
+    """(label, (set, delta, center)) from the family builders, on the grid
+    where every family's delta is exactly 1."""
     for k in range(3, 12):
-        yield f"hr k={k}", hegarty_roesler_family(k)
+        yield f"hr k={k}", _hegarty_roesler(k)
     for k in range(2, 12):
-        yield f"t2 k={k}", two_dim_family(k)
+        yield f"t2 k={k}", _two_dim(k)
     for m in range(4, 12):
         for d in range(1, m):
             if 2 * d == m:
                 continue
             for k in range(4, 9):
-                yield f"t1 m={m} d={d} k={k}", one_track_family(OneTrackParams(m, d, k))
+                yield f"t1 m={m} d={d} k={k}", _one_track(OneTrackParams(m, d, k))
         for d in range(1, m - 1):
             if 2 * d == m or (2 * d < m and 3 * d == m) or (2 * d > m and 3 * d == 2 * m):
                 continue
             for k in range(3, 9):
-                yield f"t3 m={m} d={d} k={k}", two_track_family(TwoTrackParams(m, d, k))
+                yield f"t3 m={m} d={d} k={k}", _two_track(TwoTrackParams(m, d, k))
 
 
 def test_every_family_has_delta_one():
@@ -201,9 +203,89 @@ def test_every_family_has_delta_one():
     # exactly one sum and no difference
     grid = list(_delta_one_grid())
     assert len(grid) == 475
-    for label, a in grid:
+    for label, (a, _, _) in grid:
         assert mstd_delta(a).delta == 1, label
         assert len(brute_sumset(a, a)) - len(brute_diffset(a, a)) == 1, label
+
+
+RECIPE_PROGRESSIONS = [
+    Gap(0),
+    Gap(0, ((1, 0, 2),)),
+    Gap(0, ((2, 0, 2),)),
+    Gap(0, ((1, 0, 3),)),
+    Gap(0, ((3, 0, 2),)),
+    Gap(0, ((1, 0, 2), (3, 0, 2))),
+]
+
+
+def _recipe_grid(max_m):
+    """(label, (set, delta, center)) for every gap and gap2 input the recipe
+    takes with m <= max_m and k = 2, 3, and that the family builds."""
+    for p in RECIPE_PROGRESSIONS:
+        for m in range(4, max_m + 1):
+            for r in range(1, m):
+                for s in range(r + 1, m):
+                    try:
+                        base = gap_base_recipe(p, r, s, m)
+                    except ConstructionError:
+                        continue
+                    for k in (2, 3):
+                        for variant in ("one_to_k", "zero_to_k"):
+                            try:
+                                built = _gap(base, k, variant)
+                            except ConstructionError:
+                                continue
+                            yield f"{variant} {p} m={m} r={r} s={s} k={k}", built
+
+
+def _large_family_grid():
+    """(label, (set, delta, center)) for family sets long enough that the
+    tail's fold finds runs in the order of the pieces."""
+    yield "t1", _one_track(OneTrackParams(40, 3, 40))
+    yield "t1 high", _one_track(OneTrackParams(37, 30, 45))
+    yield "t3", _two_track(TwoTrackParams(30, 7, 30))
+    yield "t3 high", _two_track(TwoTrackParams(31, 20, 33))
+    yield "t2", _two_dim(300)
+    yield "hr", _hegarty_roesler(300)
+    p = Gap(0, ((2, 0, 5), (11, 0, 3)))
+    yield "gap", _gap(gap_base_recipe(p, 40, 72, 400), 30, "one_to_k")
+    yield "gap2", _gap(gap_base_recipe(Gap(0, ((3, 0, 4),)), 40, 60, 600), 40, "zero_to_k")
+
+
+@pytest.mark.parametrize(
+    "grid, size",
+    [(_delta_one_grid, 475), (lambda: _recipe_grid(20), 2490), (_large_family_grid, 8)],
+    ids=["delta_one", "recipe", "large"],
+)
+def test_tail_delta_matches_sorted_path(grid, size):
+    # _symmetric_mstd counts A+A and A-A from one fold of the core in the
+    # order of its pieces; mstd_delta folds A's sorted elements
+    checked = 0
+    for label, (a, d, _) in grid():
+        assert d == mstd_delta(a), label
+        checked += 1
+    assert checked == size
+
+
+def test_tail_delta_with_adjoined_anywhere():
+    # the tail's shifts go negative when the adjoined element lies below the
+    # core; check its counts, returned or in the refusal, on every position,
+    # for small cores and for two with runs long enough to be folded
+    cores = [[i for i in range(7) if mask >> i & 1] for mask in range(1, 1 << 7)]
+    cores += [list(range(40)) + list(range(45, 100, 5)), list(range(0, 120, 3)) + [121]]
+    checked = 0
+    for b in cores:
+        for center in (b[-1] + 3, 2 * b[-1] + 9):
+            for x in range(-4, center + 5):
+                want = mstd_delta(IntSet(b + [center - e for e in b] + [x]))
+                try:
+                    _, got, _ = _symmetric_mstd(b, [], center, x, "test")
+                except ConstructionError as e:
+                    assert f"not MSTD (delta={want.delta})" in str(e), (b, center, x)
+                else:
+                    assert got == want, (b, center, x)
+                checked += 1
+    assert checked == 6444
 
 
 class TestIntervalWithGap:
@@ -411,16 +493,8 @@ def test_zero_to_k_condition_on_recipe_grid():
     # every recipe-accepted zero_to_k input either builds an MSTD set or is
     # refused by a stated condition; the min + max condition refuses only
     # sets that really are not MSTD
-    progressions = [
-        Gap(0),
-        Gap(0, ((1, 0, 2),)),
-        Gap(0, ((2, 0, 2),)),
-        Gap(0, ((1, 0, 3),)),
-        Gap(0, ((3, 0, 2),)),
-        Gap(0, ((1, 0, 2), (3, 0, 2))),
-    ]
     outcomes = {"built": 0, "lstar + lstar": 0, ZERO_TO_K_CONDITION: 0}
-    for p in progressions:
+    for p in RECIPE_PROGRESSIONS:
         for m in range(4, 21):
             for r in range(1, m):
                 for s in range(r + 1, m):

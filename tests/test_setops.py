@@ -434,6 +434,18 @@ def test_shift_or_matches_plain_loop(mask, aps, rnd):
         list(range(0, 10)) + list(range(11, 40, 2)) + list(range(100, 400, 7)),
         [5] * (2 * _FOLD_MIN),
         list(range(_RUN_MIN * _FOLD_MIN, 0, -_RUN_MIN)),
+        # descending runs of exactly _RUN_MIN and _RUN_MIN - 1 shifts
+        [900] + list(range(100, 100 - 7 * _RUN_MIN, -7)) + [950]
+        + list(range(60, 60 - 5 * (_RUN_MIN - 1), -5)) + [3]
+        + list(range(400, 400 + 2 * _FOLD_MIN)),
+        # step-0 runs of _RUN_MIN and _RUN_MIN - 1 equal shifts
+        [5] * _RUN_MIN + [9] + [5] * (_RUN_MIN - 1) + [2] * (2 * _FOLD_MIN) + [70, 70, 71],
+        # a descending run ending the list, after an isolated shift
+        list(range(2 * _FOLD_MIN)) + [500] + list(range(300, 300 - 6 * _RUN_MIN, -6)),
+        # an ascending and a descending run sharing their top, and then
+        # a descending and an ascending run sharing their bottom
+        list(range(0, 90, 3)) + list(range(82, 0, -5)),
+        list(range(90, 17, -9)) + list(range(20, 100, 2)),
     ],
 )
 def test_shift_or_edge_cases(shifts):
