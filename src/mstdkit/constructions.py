@@ -5,25 +5,15 @@ a middle L of arithmetic tracks or a generalized arithmetic progression,
 and B reflected about the center a* its theorem names.  Each builder
 validates its parameters, checks the span of the set they describe, and
 hands B, L, a* and the element to one tail, ``_symmetric_mstd``.  The tail
-builds the core once, checks that it is symmetric about that a*, adds the
-element and re-verifies the MSTD inequality exactly: cheap checks that
-catch transcription slips.  It returns the set, its ``MstdDelta`` and a*,
-so ``mstd construct`` computes neither again; the public family functions
-return the set alone.
+checks that L, as listed, is its own mirror about a* (B + (a* - B) is
+symmetric by construction), sorts A's elements once and re-verifies the
+MSTD inequality exactly: cheap checks that catch transcription slips.  It
+returns the set, its ``MstdDelta`` and a*, so ``mstd construct`` computes
+neither again; the public family functions return the set alone.
 
-The tail counts with one fold.  A core C symmetric about c has C = c - C,
-so C - C = C + (C - c) = (C + C) - c.  For A = C + {x},
-
-    A + A = (C + C) | (C + x) | {2x}
-    A - A = ((C + C) - c) | (C - x) | (C + (x - c)) | {0},
-
-using x - C = x - (c - C) = C + (x - c).  On masks with lo = min A and
-hi = max A, where CC is the mask of C + C from 2 lo and C that of C from
-lo, the A+A mask is CC | C << (x - lo) | bit 2(x - lo), and the A-A mask,
-from lo - hi, is CC shifted by lo + hi - c, C shifted by hi - x and by
-x - c + hi (a negative amount shifts right; the bits it drops are zero),
-plus bit hi - lo.  The only fold is C + C, run on the core in the order
-of its pieces, B, then L, then c - B: each piece is one or a few
+The tail counts |A+A| and |A-A| with ``setops._fold_delta``, the fold
+``mstd_delta`` uses, on A's elements in the order of its pieces: B, then
+L, then a* - B, then the adjoined element.  Each piece is one or a few
 arithmetic progressions, so ``setops._shift_or`` folds each as a run,
 where in sorted order the tracks of ``t3`` and the block of ``gap``
 interleave and give no runs.
@@ -33,12 +23,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
-from .setops import IntSet, MstdDelta, _check_span, _shift_or, diffset
-from .setops import interval, mstd_delta, sumset, symmetry_witness
+from .setops import IntSet, MstdDelta, _check_span, _fold_delta, _shift_or
+from .setops import _strict_int, _strict_ints, diffset, interval, mstd_delta, sumset
 
 # Most points ``Gap.expand`` may enumerate, collisions included.
 MAX_GAP_POINTS = 1 << 20
@@ -46,6 +35,12 @@ MAX_GAP_POINTS = 1 << 20
 
 class ConstructionError(ValueError):
     """Raised when construction parameters violate a required condition."""
+
+
+def _strict_fields(params, *names: str) -> None:
+    """Replace each named field of a frozen dataclass by ``_strict_int`` of it."""
+    for name in names:
+        object.__setattr__(params, name, _strict_int(name, getattr(params, name)))
 
 
 @dataclass(frozen=True)
@@ -61,6 +56,8 @@ class Gap:
     dims: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
+        _strict_fields(self, "base")
+        object.__setattr__(self, "dims", tuple(_strict_ints("dims", d) for d in self.dims))
         for step, _offset, length in self.dims:
             if step < 1:
                 raise ConstructionError("progression steps must be positive")
@@ -98,49 +95,28 @@ def _check_output_span(span: int) -> None:
     _check_span(2 * span)
 
 
-def _shifted(mask: int, by: int) -> int:
-    """``mask << by``, or ``mask >> -by`` for a negative ``by``."""
-    return mask << by if by >= 0 else mask >> -by
-
-
 def _symmetric_mstd(b: list, middle: list, center: int, adjoined: int, family: str):
     """``(A, mstd_delta(A), center)`` for ``A = B + middle + (center - B) + {adjoined}``.
 
-    Raises unless the core ``B + middle + (center - B)`` is symmetric about
-    ``center`` and ``A`` is MSTD.  The counts come from one fold of the
-    core, in the order of its pieces (module docstring).
+    Raises unless ``middle`` is listed as its own mirror about ``center``,
+    which makes the core symmetric about it, and ``A`` is MSTD.  The counts
+    come from ``_fold_delta`` on A's pieces in build order (module docstring).
     """
-    pieces = b + middle + [center - e for e in b]
-    core = IntSet(pieces)
-    witness = symmetry_witness(core)
-    if witness is None or witness.center != center:
+    if middle != [center - e for e in reversed(middle)]:
         raise ConstructionError(
             f"internal error: {family} core is not symmetric about {center}"
         )
-    lo, hi = min(core.min, adjoined), max(core.max, adjoined)
+    pieces = b + middle + [center - e for e in b] + [adjoined]
+    elems = sorted({*pieces})
+    lo = elems[0]
     shifts = [e - lo for e in pieces]
-    c_mask = _shift_or(1, shifts)
-    cc = _shift_or(c_mask, shifts)  # C + C, bit 0 at 2 lo
-    x = adjoined - lo
-    sums = cc | c_mask << x | 1 << 2 * x
-    # A - A, bit 0 at lo - hi: (C + C) - c, C - x, C + (x - c) and 0
-    diffs = (
-        _shifted(cc, lo + hi - center)
-        | c_mask << (hi - adjoined)
-        | _shifted(c_mask, adjoined - center + hi)
-        | 1 << (hi - lo)
-    )
-    elems = core.elements
-    i = bisect_left(elems, adjoined)
-    if elems[i : i + 1] != (adjoined,):
-        elems = elems[:i] + (adjoined,) + elems[i:]
-    a = IntSet._from_sorted(elems, c_mask | 1 << x)
-    d = MstdDelta(sums.bit_count(), diffs.bit_count())
+    mask = _shift_or(1, shifts)
+    d = _fold_delta(mask, shifts, elems[-1] - lo)
     if d.delta < 1:
         raise ConstructionError(
             f"internal error: {family} output is not MSTD (delta={d.delta})"
         )
-    return a, d, center
+    return IntSet._from_sorted(elems, mask), d, center
 
 
 # -- one-track family ---------------------------------------------------------
@@ -153,6 +129,9 @@ class OneTrackParams:
     m: int
     d: int
     k: int
+
+    def __post_init__(self):
+        _strict_fields(self, "m", "d", "k")
 
     def validate(self):
         _require(self.m >= 4, "m must be at least 4")
@@ -193,6 +172,9 @@ class TwoTrackParams:
     m: int
     d: int
     k: int
+
+    def __post_init__(self):
+        _strict_fields(self, "m", "d", "k")
 
     def validate(self):
         _require(self.m >= 4, "condition (i) violated: m must be at least 4")
@@ -237,6 +219,7 @@ def hegarty_roesler_family(k: int) -> IntSet:
 
 
 def _hegarty_roesler(k: int) -> tuple[IntSet, MstdDelta, int]:
+    k = _strict_int("k", k)
     _require(k >= 3, "k must be at least 3")
     _check_output_span(4 * k + 2)
     track = [3 + 4 * j for j in range(k)]
@@ -252,6 +235,7 @@ def two_dim_family(k: int) -> IntSet:
 
 
 def _two_dim(k: int) -> tuple[IntSet, MstdDelta, int]:
+    k = _strict_int("k", k)
     _require(k >= 2, "k must be at least 2")
     _check_output_span(4 * k + 8)
     tracks = [3 + 4 * j for j in range(k)] + [9 + 4 * j for j in range(k)]
@@ -273,6 +257,9 @@ class GapBase:
     m: int
     b: IntSet
     lstar: Gap
+
+    def __post_init__(self):
+        _strict_fields(self, "m")
 
     @cached_property
     def _lstar_points(self) -> IntSet:
@@ -334,6 +321,7 @@ def gap_family(base: GapBase, k: int, variant: str = "one_to_k") -> IntSet:
 
 def _gap(base: GapBase, k: int, variant: str) -> tuple[IntSet, MstdDelta, int]:
     """``gap_family`` on a base that has passed ``GapBase.validate``."""
+    k = _strict_int("k", k)
     _require(k >= 2, "k must be at least 2")
     if variant == "one_to_k":
         j_range = range(1, k + 1)
@@ -370,6 +358,7 @@ def gap_base_recipe(p: Gap, r: int, s: int, m: int) -> GapBase:
     B = [0,r-1] + [s,m-1] has full sumset and difference set and that
     {r} + P fits in the hole between the two intervals.
     """
+    r, s, m = _strict_int("r", r), _strict_int("s", s), _strict_int("m", m)
     exp = p.expand()
     _require(exp.min == 0, "progression must have minimum 0")
     big_m = exp.max

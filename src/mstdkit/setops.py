@@ -30,13 +30,14 @@ time or folded as a run of step 0, set each bit once.
 Since runs are found in the order given, a caller that lists a set as
 the progressions it was built from, one after another, gets each folded
 as a run even where they interleave in sorted order; ``constructions``
-folds its family cores this way.
+folds its family sets this way.
 
 ``mstd_delta`` only counts: it takes ``int.bit_count`` of the A+A and
 A-A masks and never expands them into sets.  Its two folds are
 ``_fold_delta``, which takes A's elements less ``min A`` in any order;
-``mstd_delta`` passes them ascending, and ``search.random_search`` each
-sorted sample, without building an ``IntSet``.
+``mstd_delta`` passes them ascending, ``search.random_search`` each
+sorted sample, without building an ``IntSet``, and
+``constructions._symmetric_mstd`` a family set in the order of its pieces.
 
 All element arithmetic is range-checked against signed 64-bit bounds;
 a result outside them raises ``OverflowError`` instead of wrapping.
@@ -48,7 +49,7 @@ import json
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import eq, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -270,10 +271,10 @@ class MstdDelta:
 
     sum_card: int
     diff_card: int
-    delta: int = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta", self.sum_card - self.diff_card)
+    @property
+    def delta(self) -> int:
+        return self.sum_card - self.diff_card
 
     @property
     def is_mstd(self) -> bool:

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import io
 import json
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -237,17 +239,19 @@ def test_parser_is_shared_and_keeps_no_state(capsys):
     assert code == 0 and json.loads(out)["enumerated"] == 32
 
 
-def _readme_cli_examples() -> list[str]:
-    """The ``mstd ...`` lines of the ``sh`` block under README's "## CLI"."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("\n## CLI\n", 1)[1]
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _readme_lines(heading: str, prefix: str) -> list[str]:
+    """The lines starting with ``prefix`` of the ``sh`` block under ``heading``."""
+    section = (REPO / "README.md").read_text().split(f"\n{heading}\n", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    return [line for line in block.splitlines() if line.startswith("mstd ")]
+    return [line for line in block.splitlines() if line.startswith(prefix)]
 
 
 def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    lines = _readme_cli_examples()
+    lines = _readme_lines("## CLI", "mstd ")
     commands = {line.split()[1] for line in lines}
     assert commands == {"construct", "embed", "count", "group-search", "spectrum"}
     for line in lines:
@@ -265,6 +269,32 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
             assert out == json.dumps(json.loads(out), indent=2) + "\n", line
         if target is not None:
             (tmp_path / target).write_text(out)
+
+
+def test_readme_scripts_run(capsys, monkeypatch):
+    # each ``python scripts/...`` line of the README, run in process, prints
+    # the sample facts the README states
+    lines = _readme_lines("## Scripts", "python scripts/")
+    outputs = {}
+    for line in lines:
+        script, *args = shlex.split(line)[1:]
+        monkeypatch.setattr(sys, "argv", [script, *args])
+        runpy.run_path(str(REPO / script), run_name="__main__")
+        outputs[Path(script).stem] = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and outputs.keys() == {"spectrum_scan", "coverage_scan", "embed_demo"}
+
+    rows = {line.split()[0]: line for line in outputs["spectrum_scan"]}
+    assert "no positive delta" in rows["[0,13]"]
+    assert "positive={1: 4}" in rows["[0,14]"]
+    assert rows["[0,14]"].endswith("witness delta=1: 0 1 2 4 5 9 12 13 14")
+
+    rows = {line.split()[0]: line.split() for line in outputs["coverage_scan"]}
+    assert rows["7"][1:3] == ["28", "16"]
+
+    demo = outputs["embed_demo"]
+    i = next(i for i, line in enumerate(demo) if line.startswith("n=7: "))
+    assert demo[i].startswith("n=7: t=2 radix=53 ") and demo[i].endswith(" delta=3")
+    assert demo[i + 1].startswith("  set: ") and len(demo[i + 1].split()) == 1 + 28
 
 
 @pytest.mark.parametrize(
@@ -322,3 +352,61 @@ class TestSpectrum:
         finally:
             os.close(write_end)
         assert proc.returncode == 1 and proc.stderr == ""
+
+
+# the six parameter sets of the benchmark's construct jobs
+BENCH_FAMILY_PARAMS = {
+    "t1": {"m": 800, "d": 3, "k": 800},
+    "t3": {"m": 500, "d": 7, "k": 500},
+    "t2": {"k": 20000},
+    "hr": {"k": 20000},
+    "gap": {"m": 400, "k": 300, "r": 40, "s": 72, "p": {"base": 0, "dims": [[2, 0, 5], [11, 0, 3]]}},
+    "gap2": {"m": 600, "k": 400, "r": 40, "s": 60, "p": {"base": 0, "dims": [[3, 0, 4]]}},
+}
+
+GRID_PROGRESSIONS = [
+    None,  # "p" left out: the one-point progression {0}
+    {"base": 0, "dims": [[1, 0, 2]]},
+    {"base": 0, "dims": [[2, 0, 2]]},
+    {"base": 0, "dims": [[1, 0, 2], [3, 0, 2]]},
+]
+
+
+def _construct_grid():
+    """``construct`` argument lists over every family, built and refused."""
+    for family in ("t1", "t3"):
+        for m in range(4, 10):
+            for d in range(m + 1):
+                for k in range(10):
+                    yield family, {"m": m, "d": d, "k": k}
+    for family in ("t2", "hr"):
+        for k in range(12):
+            yield family, {"k": k}
+    for family in ("gap", "gap2"):
+        for p in GRID_PROGRESSIONS:
+            for m in range(4, 16):
+                for r in range(1, m):
+                    for s in range(r + 1, m):
+                        for k in (1, 2, 3):
+                            params = {"m": m, "k": k, "r": r, "s": s}
+                            if p is not None:
+                                params["p"] = p
+                            yield family, params
+    yield from BENCH_FAMILY_PARAMS.items()
+
+
+# sha256 of the grid's (argv, exit code, stdout, stderr) records, recorded
+# before the family tail counted with setops._fold_delta
+CONSTRUCT_GRID_SHA256 = "f8cf0e976f1a1a159921617f6c15bacda95980fe7161b8bed574ea460527a1a9"
+
+
+def test_construct_grid_output_pinned(capsys):
+    digest = hashlib.sha256()
+    runs = 0
+    for family, params in _construct_grid():
+        argv = ["construct", "--family", family, "--params", json.dumps(params)]
+        record = [argv, *run_cli(capsys, *argv)]
+        digest.update(json.dumps(record).encode() + b"\n")
+        runs += 1
+    assert runs == 11826
+    assert digest.hexdigest() == CONSTRUCT_GRID_SHA256

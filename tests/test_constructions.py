@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mstdkit import (
@@ -258,8 +259,8 @@ def _large_family_grid():
     ids=["delta_one", "recipe", "large"],
 )
 def test_tail_delta_matches_sorted_path(grid, size):
-    # _symmetric_mstd counts A+A and A-A from one fold of the core in the
-    # order of its pieces; mstd_delta folds A's sorted elements
+    # _symmetric_mstd folds A's elements in the order of its pieces;
+    # mstd_delta folds them sorted
     checked = 0
     for label, (a, d, _) in grid():
         assert d == mstd_delta(a), label
@@ -268,9 +269,10 @@ def test_tail_delta_matches_sorted_path(grid, size):
 
 
 def test_tail_delta_with_adjoined_anywhere():
-    # the tail's shifts go negative when the adjoined element lies below the
-    # core; check its counts, returned or in the refusal, on every position,
-    # for small cores and for two with runs long enough to be folded
+    # the adjoined element comes last in the tail's piece order wherever it
+    # lies, below, inside or above the core; check its counts, returned or
+    # in the refusal, on every position, for small cores and for two with
+    # runs long enough to be folded
     cores = [[i for i in range(7) if mask >> i & 1] for mask in range(1, 1 << 7)]
     cores += [list(range(40)) + list(range(45, 100, 5)), list(range(0, 120, 3)) + [121]]
     checked = 0
@@ -450,6 +452,12 @@ class TestSymmetricTail:
         with pytest.raises(ConstructionError, match="core is not symmetric about 4"):
             _symmetric_mstd([0], [2, 6], 4, 1, "test")
 
+    def test_middle_not_listed_as_its_mirror_refused(self):
+        # core {0, 2, 3, 7, 11, 12, 14} is symmetric about 14 as a set, but
+        # the middle [3, 11, 7] is not listed as its own mirror [7, 3, 11]
+        with pytest.raises(ConstructionError, match="core is not symmetric about 14"):
+            _symmetric_mstd([0, 2], [3, 11, 7], 14, 4, "test")
+
     def test_non_mstd_result_refused(self):
         # core [0, 3]; adjoining 5 gives 10 sums (9 is missing) and 11 differences
         with pytest.raises(ConstructionError, match=r"not MSTD \(delta=-1\)"):
@@ -515,3 +523,50 @@ def test_zero_to_k_condition_on_recipe_grid():
                                 a = _zero_to_k_by_hand(base, k)
                                 assert mstd_delta(a).delta <= 0, (p, m, r, s, k)
     assert all(outcomes.values()), outcomes
+
+
+def _family_calls():
+    """{entry point: (parameter names, make)}: ``make(t)`` calls the entry
+    point with each integer parameter given as ``t(name, value)``."""
+    return {
+        "one_track_family": (("m", "d", "k"), lambda t: one_track_family(
+            OneTrackParams(t("m", 4), t("d", 1), t("k", 3)))),
+        "two_track_family": (("m", "d", "k"), lambda t: two_track_family(
+            TwoTrackParams(t("m", 6), t("d", 1), t("k", 3)))),
+        "hegarty_roesler_family": (("k",), lambda t: hegarty_roesler_family(t("k", 5))),
+        "two_dim_family": (("k",), lambda t: two_dim_family(t("k", 30))),
+        "gap_family": (("base", "dims", "r", "s", "m", "k"), lambda t: gap_family(
+            gap_base_recipe(
+                Gap(t("base", 0), ((t("dims", 2), t("dims", 0), t("dims", 2)),)),
+                t("r", 4), t("s", 7), t("m", 12),
+            ),
+            t("k", 2),
+        )),
+    }
+
+
+@pytest.mark.parametrize("to", [np.int64, np.int32, np.uint16])
+def test_family_entry_points_take_numpy_integers(to):
+    for label, (_names, make) in _family_calls().items():
+        a = make(lambda _name, v: to(v))
+        assert a == make(lambda _name, v: v), label
+        assert all(type(e) is int for e in a), label
+        assert mstd_delta(a).delta >= 1, label
+
+
+@pytest.mark.parametrize("bad, shown", [(2.0, "2.0"), (True, "true")])
+def test_family_entry_points_refuse_floats_and_bools(bad, shown):
+    checked = 0
+    for names, make in _family_calls().values():
+        for name in names:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {shown}$"):
+                make(lambda n, v: bad if n == name else v)
+            checked += 1
+    assert checked == 14
+
+
+def test_gap_base_refuses_float_m():
+    base = gap_base_recipe(Gap(0), 2, 3, 6)
+    with pytest.raises(ValueError, match="^m must be an integer, got 6.5$"):
+        GapBase(m=6.5, b=base.b, lstar=base.lstar)
+    assert GapBase(m=np.int64(6), b=base.b, lstar=base.lstar) == base
