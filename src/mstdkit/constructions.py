@@ -396,6 +396,7 @@ def interval_with_gap(m: int, r: int, s: int) -> IntervalGapFacts:
     2s <= m+r-1 forces the sumset full, and either inequality alone
     forces the difference set full.
     """
+    m, r, s = _strict_int("m", m), _strict_int("r", r), _strict_int("s", s)
     _require(m >= 4, "m must be at least 4")
     _require(r >= 1, "r must be at least 1")
     _require(r + 1 <= s <= m - 1, "s must be in [r+1, m-1]")

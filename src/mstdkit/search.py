@@ -24,13 +24,16 @@ differences split over the two parts:
 
 since every h exceeds every element of L.  L + h is L << h, and h - L is
 the bit-reversed L (bit w-1-x for each x in L) shifted by h - w + 1.  The
-tables over L (L, L+L, L-L, reversed L, |L| and L's part of the witness
-key) are built on first use for each width, cached and read-only; H+H
-and H-H are scalars.  A chunk costs 2 popcount(H) shifts of the tables.
-The chunk with H = 0 also splits by the top bit of L, at bounds found by
-``searchsorted`` on the ascending table.  Chunks whose |H| leaves no
-size of L in the band are skipped, and the others keep the entries of L
-with a size in the band.
+tables over L (L, L+L, L-L, reversed L, the top bit of L and L's part of
+the witness key) are built on first use for each width, cached and
+read-only; H+H and H-H are scalars.  Their rows run by size |L|, ascending
+within each size, and ``starts[s]`` is the first row of size s, so the
+sizes of L that the band leaves for a chunk are one contiguous slice of
+rows.  A chunk takes that slice before it shifts or counts anything (for
+a full band it is the whole table, as a view) and costs 2 popcount(H)
+shifts of it.  Chunks whose |H| leaves no size of L in the band are
+skipped.  In the chunk with H = 0, the weight and the key's top digit
+follow the top bit of L, which the ``top`` table gives per row.
 
 Witness key.  On masks with bit 0, element tuples are ordered as strings
 of digits over positions 0..range_max, position 0 first, where the digit
@@ -141,23 +144,32 @@ def _key_mask(key: int, range_max: int) -> int:
 
 @dataclass(frozen=True)
 class _LowTables:
-    """Read-only tables over L, the masks below 2^width with bit 0, ascending."""
+    """Read-only tables over L, the masks below 2^width with bit 0.
+
+    Rows run by size |L|, ascending within each size; the rows of size s
+    are ``starts[s]:starts[s + 1]`` for 1 <= s <= width.
+    """
 
     low: np.ndarray  # L
     sums: np.ndarray  # L+L: bit x + y
     diffs: np.ndarray  # L-L: bit x - y for x >= y
     rev: np.ndarray  # bit width - 1 - x for each x in L
-    size: np.ndarray  # |L|
+    top: np.ndarray  # max L, as uint8
     key: np.ndarray  # 1 at the key digit of each x in L: bits 2 (width - 1 - x)
+    starts: tuple  # first row of each size 0..width + 1; no row has size 0
 
 
 @lru_cache(maxsize=None)
 def _low_tables(width: int) -> _LowTables:
     low = (np.arange(1 << (width - 1), dtype=np.uint64) << _ONE) | _ONE
+    size = np.bitwise_count(low)
+    order = np.argsort(size, kind="stable")
+    low, size = low[order], size[order]
     sums = np.zeros_like(low)
     diffs = np.zeros_like(low)
     rev = np.zeros_like(low)
     key = np.zeros_like(low)
+    top = np.zeros(len(low), dtype=np.uint8)
     for b in range(width):
         bit = (low >> np.uint64(b)) & _ONE
         sel = -bit  # all ones where bit b is set
@@ -165,8 +177,10 @@ def _low_tables(width: int) -> _LowTables:
         diffs |= (low >> np.uint64(b)) & sel
         rev |= bit << np.uint64(width - 1 - b)
         key |= bit << np.uint64(2 * (width - 1 - b))
-    tables = _LowTables(low, sums, diffs, rev, np.bitwise_count(low), key)
-    for arr in vars(tables).values():
+        top[bit == _ONE] = b
+    starts = tuple(np.searchsorted(size, np.arange(width + 2)).tolist())
+    tables = _LowTables(low, sums, diffs, rev, top, key, starts)
+    for arr in (low, sums, diffs, rev, top, key):
         arr.flags.writeable = False
     return tables
 
@@ -187,41 +201,41 @@ def _scan_chunk(
     if hi_size < 1 or lo_size > width:
         return
     tables = _low_tables(width)
+    # the rows whose size |L| lies in [lo_size, hi_size]
+    rows = slice(tables.starts[max(lo_size, 1)], tables.starts[min(hi_size, width) + 1])
+    low, rev = tables.low[rows], tables.rev[rows]
     hh = hd = 0
     for a in hs:
         for b in hs:
             hh |= 1 << (a + b)
             hd |= 1 << abs(a - b)
-    sums = tables.sums | np.uint64(hh)
-    diffs = tables.diffs | np.uint64(hd)
+    sums = tables.sums[rows] | np.uint64(hh)
+    diffs = tables.diffs[rows] | np.uint64(hd)
     for h in hs:
-        sums |= tables.low << np.uint64(h)
-        diffs |= tables.rev << np.uint64(h - width + 1)  # h - x for x in L
+        sums |= low << np.uint64(h)
+        diffs |= rev << np.uint64(h - width + 1)  # h - x for x in L
     # |A-A| = 2 |diffs| - 1, so delta + 2 range_max fits uint8 at every step
     delta = np.bitwise_count(sums)
     delta += 2 * range_max + 1
     delta -= np.bitwise_count(diffs)
     delta -= np.bitwise_count(diffs)
     # L's key digits are positions 0..width-1, above H's in significance
-    low_digits = tables.key << np.uint64(2 * (range_max - width + 1))
-    low = tables.low
-    if lo_size > 1 or hi_size < width:
-        keep = (tables.size >= lo_size) & (tables.size <= hi_size)
-        delta, low_digits, low = delta[keep], low_digits[keep], low[keep]
+    low_digits = tables.key[rows] << np.uint64(2 * (range_max - width + 1))
     if hs:
         # every position of L lies below H's top, where H's key has digit 2
         np.minimum.at(best, delta, np.uint64(_lex_key(high, range_max)) - low_digits)
         counts += np.bincount(delta, minlength=len(counts)) * (range_max - hs[-1] + 1)
         return
-    # low ascends: the masks with highest bit top are low[bounds[top] : bounds[top + 1]]
-    bounds = np.searchsorted(low, _ONE << np.arange(width + 1, dtype=np.uint64))
-    for top in range(width):
-        part = slice(bounds[top], bounds[top + 1])
-        # the key of {top} with the digit at top raised to 2, as for a gap
-        top_key = _lex_key(1 << top, range_max) + (1 << 2 * (range_max - top))
-        np.minimum.at(best, delta[part], np.uint64(top_key) - low_digits[part])
-        weight = range_max - top + 1
-        counts += np.bincount(delta[part], minlength=len(counts)) * weight
+    top = tables.top[rows]
+    # per top t: the key of {t} with the digit at t raised to 2, as for a gap
+    top_keys = np.array(
+        [_lex_key(1 << t, range_max) + (1 << 2 * (range_max - t)) for t in range(width)],
+        dtype=np.uint64,
+    )
+    np.minimum.at(best, delta, top_keys[top] - low_digits)
+    # masks per (delta, top), each weighted by its range_max - top + 1 translates
+    per_top = np.bincount(delta.astype(np.intp) * width + top, minlength=len(counts) * width)
+    counts += per_top.reshape(len(counts), width) @ (range_max + 1 - np.arange(width))
 
 
 def _band_size(range_max: int, min_size: int, max_size: int) -> int:
@@ -236,6 +250,9 @@ def exhaustive_spectrum(range_max: int, min_size: int, max_size: int) -> SearchR
     normalized subset attaining it (absent only for the empty-set band).
     Deterministic, and independent of the chunk size.
     """
+    range_max = _strict_int("range_max", range_max)
+    min_size = _strict_int("min_size", min_size)
+    max_size = _strict_int("max_size", max_size)
     if not 0 <= range_max <= MAX_RANGE:
         raise ValueError(f"range_max must be in [0, {MAX_RANGE}]")
     if not 0 <= min_size <= max_size <= range_max + 1:

@@ -251,6 +251,7 @@ class IntSet:
 
 def interval(lo: int, hi: int) -> IntSet:
     """The integer interval ``{lo, lo+1, ..., hi}`` (empty when ``hi < lo``)."""
+    lo, hi = _strict_int("lo", lo), _strict_int("hi", hi)
     if hi < lo:
         return IntSet()
     _check_i64(lo)

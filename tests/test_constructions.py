@@ -339,6 +339,22 @@ class TestIntervalWithGap:
         with pytest.raises(ConstructionError):
             interval_with_gap(6, 2, 6)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [((6, True, 3), "r must be an integer, got true"),
+         ((6.0, 2, 3), "m must be an integer, got 6.0"),
+         ((6, 2, 3.5), "s must be an integer, got 3.5")],
+    )
+    def test_non_integer_arguments_rejected(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            interval_with_gap(*args)
+
+    def test_numpy_integer_arguments_accepted(self):
+        facts = interval_with_gap(np.int64(8), np.int32(2), np.uint8(5))
+        assert facts == interval_with_gap(8, 2, 5)
+        assert all(type(e) is int for e in facts.sumset)
+        assert all(type(e) is int for e in facts.diffset)
+
 
 class TestRecipe:
     def test_point_progression(self):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -35,9 +37,18 @@ class TestExhaustive:
         assert rep.witnesses == want_wit
         assert rep.enumerated == 1 << (range_max + 1)
 
-    def test_matches_brute_size_band(self):
-        want_spec, want_wit = brute_spectrum(9, 3, 5)
-        rep = exhaustive_spectrum(9, 3, 5)
+    # bands cut both ways, below only, above only, and one where the lower
+    # size bound left for L falls below 1 once |H| is large; small chunks
+    # run the sliced rows with many high-bit patterns, and the H = 0 chunk
+    @pytest.mark.parametrize(
+        "range_max, min_size, max_size", [(9, 3, 5), (10, 6, 11), (10, 1, 2), (11, 0, 4)]
+    )
+    @pytest.mark.parametrize("chunk_bits", [1, 3, None], ids=["chunk1", "chunk3", "default"])
+    def test_matches_brute_size_band(self, monkeypatch, range_max, min_size, max_size, chunk_bits):
+        if chunk_bits is not None:
+            monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
+        want_spec, want_wit = brute_spectrum(range_max, min_size, max_size)
+        rep = exhaustive_spectrum(range_max, min_size, max_size)
         assert rep.spectrum == want_spec
         assert rep.witnesses == want_wit
 
@@ -119,6 +130,21 @@ class TestExhaustive:
         with pytest.raises(ValueError):
             exhaustive_spectrum(10, 0, 12)
 
+    def test_numpy_integer_arguments_accepted(self):
+        got = exhaustive_spectrum(np.int64(10), np.uint8(1), np.int32(3))
+        assert got == exhaustive_spectrum(10, 1, 3)
+        assert type(got.range_max) is int
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((True, 0, 2), "range_max"), ((10.0, 1, 3), "range_max"),
+         ((10, 1.0, 3), "min_size"), ((10, False, 3), "min_size"),
+         ((10, 1, 3.5), "max_size"), ((10, 1, True), "max_size")],
+    )
+    def test_non_integer_arguments_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            exhaustive_spectrum(*args)
+
     def test_report_serialization(self):
         rep = exhaustive_spectrum(6, 1, 7)
         data = rep.to_dict()
@@ -157,9 +183,31 @@ def test_witness_key_orders_as_tuples(pair):
 
 def test_low_tables_read_only():
     tables = search._low_tables(4)
-    assert list(tables.low) == [1, 3, 5, 7, 9, 11, 13, 15]
-    with pytest.raises(ValueError):
-        tables.key[0] = np.uint64(0)
+    # rows by size, ascending within each size
+    assert list(tables.low) == [1, 3, 5, 9, 7, 11, 13, 15]
+    assert tables.starts == (0, 0, 1, 4, 7, 8)
+    assert list(tables.top) == [0, 1, 2, 3, 2, 3, 3, 3]
+    assert tables.top.dtype == np.uint8
+    for name, arr in vars(tables).items():
+        if name != "starts":
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+# sha256 of the spectrum reports of every band of [0, n] for n = 0..12 and of
+# five wider bands, cut and full, recorded before the tables were ordered by size
+SPECTRUM_SHA256 = "53257622ca2e878e732d85e086b80d2593dcb05970cb78803549be86251b3bc6"
+
+
+def test_spectrum_output_pinned():
+    bands = [(n, lo, hi) for n in range(13) for lo in range(n + 2) for hi in range(lo, n + 2)]
+    bands += [(22, 6, 10), (21, 1, 22), (20, 1, 21), (22, 0, 23), (18, 3, 5)]
+    digest = hashlib.sha256()
+    for band in bands:
+        record = [list(band), exhaustive_spectrum(*band).to_dict()]
+        digest.update(json.dumps(record).encode() + b"\n")
+    assert len(bands) == 564
+    assert digest.hexdigest() == SPECTRUM_SHA256
 
 
 class TestRandom:

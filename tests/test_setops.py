@@ -317,6 +317,22 @@ class TestIntervalHelper:
     def test_empty(self):
         assert interval(5, 2) == IntSet()
 
+    def test_numpy_integers_build_plain_ints(self):
+        got = interval(np.int64(1), np.uint8(3))
+        assert got == IntSet([1, 2, 3])
+        assert all(type(e) is int for e in got)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [((True, 3), "lo must be an integer, got true"),
+         ((0.5, 3), "lo must be an integer, got 0.5"),
+         ((0, 3.0), "hi must be an integer, got 3.0"),
+         ((5, False), "hi must be an integer, got false")],
+    )
+    def test_non_integer_bounds_rejected(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            interval(*args)
+
 
 @given(int_sets)
 def test_diff_pairing(a):
