@@ -333,7 +333,7 @@ def _gap(base: GapBase, k: int, variant: str) -> tuple[IntSet, MstdDelta, int]:
     ls = base._lstar_points
     if variant == "zero_to_k":
         _require(
-            m not in sumset(ls, ls),
+            not any(m - x in ls for x in ls),
             "variant zero_to_k requires m not in lstar + lstar",
         )
         _require(
@@ -400,6 +400,7 @@ def interval_with_gap(m: int, r: int, s: int) -> IntervalGapFacts:
     _require(m >= 4, "m must be at least 4")
     _require(r >= 1, "r must be at least 1")
     _require(r + 1 <= s <= m - 1, "s must be in [r+1, m-1]")
+    _check_span(2 * (m - 1))  # B+B and B-B span 2(m-1)
     b = interval(0, r - 1) | interval(s, m - 1)
     ss = sumset(b, b)
     ds = diffset(b, b)

@@ -81,18 +81,18 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .setops import I64_MAX, IntSet, _bit_positions, _check_i64, _check_span, _shift_or
 from .setops import _fold_delta, _strict_int, mstd_delta
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_RANGE = 24
 
 # log2 of the masks per chunk; the tables then have 2^14 entries each
 _CHUNK_BITS = 14
-
-_ONE = np.uint64(1)
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,10 @@ class _LowTables:
 
 @lru_cache(maxsize=None)
 def _low_tables(width: int) -> _LowTables:
-    low = (np.arange(1 << (width - 1), dtype=np.uint64) << _ONE) | _ONE
+    import numpy as np
+
+    one = np.uint64(1)
+    low = (np.arange(1 << (width - 1), dtype=np.uint64) << one) | one
     size = np.bitwise_count(low)
     order = np.argsort(size, kind="stable")
     low, size = low[order], size[order]
@@ -171,13 +174,13 @@ def _low_tables(width: int) -> _LowTables:
     key = np.zeros_like(low)
     top = np.zeros(len(low), dtype=np.uint8)
     for b in range(width):
-        bit = (low >> np.uint64(b)) & _ONE
+        bit = (low >> np.uint64(b)) & one
         sel = -bit  # all ones where bit b is set
         sums |= (low << np.uint64(b)) & sel
         diffs |= (low >> np.uint64(b)) & sel
         rev |= bit << np.uint64(width - 1 - b)
         key |= bit << np.uint64(2 * (width - 1 - b))
-        top[bit == _ONE] = b
+        top[bit == one] = b
     starts = tuple(np.searchsorted(size, np.arange(width + 2)).tolist())
     tables = _LowTables(low, sums, diffs, rev, top, key, starts)
     for arr in (low, sums, diffs, rev, top, key):
@@ -196,6 +199,8 @@ def _scan_chunk(
 ) -> None:
     """Add the masks high | L in the size band to the weighted delta counts
     and the least witness keys, both indexed by delta + 2 range_max."""
+    import numpy as np
+
     hs = [h for h in range(width, range_max + 1) if high >> h & 1]
     lo_size, hi_size = min_size - len(hs), max_size - len(hs)
     if hi_size < 1 or lo_size > width:
@@ -250,6 +255,8 @@ def exhaustive_spectrum(range_max: int, min_size: int, max_size: int) -> SearchR
     normalized subset attaining it (absent only for the empty-set band).
     Deterministic, and independent of the chunk size.
     """
+    import numpy as np
+
     range_max = _strict_int("range_max", range_max)
     min_size = _strict_int("min_size", min_size)
     max_size = _strict_int("max_size", max_size)

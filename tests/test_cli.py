@@ -25,6 +25,13 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 class TestConstruct:
     def test_t1(self, capsys):
         code, out, _ = run_cli(
@@ -338,9 +345,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_closed_stdout_exits_quietly(self, fmt):
         """A reader that closes the pipe (``mstd ... | head``) gets no traceback."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
+        env = _src_env()
         read_end, write_end = os.pipe()
         os.close(read_end)  # no reader at all, so the first write fails with EPIPE
         try:
@@ -410,3 +415,65 @@ def test_construct_grid_output_pinned(capsys):
         runs += 1
     assert runs == 11826
     assert digest.hexdigest() == CONSTRUCT_GRID_SHA256
+
+
+# Imports the CLI, runs ``main`` on each argv of the JSON list in argv[1] with
+# stdout captured, then checks _strict_int, and reports whether numpy was
+# loaded after each step.
+_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+from mstdkit.cli import main
+from mstdkit.setops import _strict_int
+
+out = {"imported": "numpy" in sys.modules, "codes": []}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        out["codes"].append(main(argv))
+out["after_main"] = "numpy" in sys.modules
+out["rejected"] = []
+for value in (2.0, True):
+    try:
+        _strict_int("x", value)
+    except ValueError as e:
+        out["rejected"].append(str(e))
+out["accepted"] = _strict_int("x", 7)
+out["after_strict_int"] = "numpy" in sys.modules
+print(json.dumps(out))
+"""
+
+
+def _modules_after(*argvs) -> dict:
+    """``_MODULES_SCRIPT``'s report from a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_SCRIPT, json.dumps(argvs)],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestNumpyImport:
+    """numpy is imported by the spectrum scan and bit decodes, not at startup."""
+
+    def test_construct_and_count_never_import_numpy(self):
+        argvs = [
+            ["construct", "--family", family, "--params", json.dumps(params)]
+            for family, params in BENCH_FAMILY_PARAMS.items()
+        ]
+        argvs += [["count", "--n", "22"], ["count", "--n", "8", "--table"]]
+        report = _modules_after(*argvs)
+        assert report["codes"] == [0] * 8
+        assert not report["imported"] and not report["after_main"]
+        # _strict_int without numpy loaded: the same values pass and fail
+        assert report["rejected"] == [
+            "x must be an integer, got 2.0", "x must be an integer, got true",
+        ]
+        assert report["accepted"] == 7
+        assert not report["after_strict_int"]
+
+    def test_spectrum_imports_numpy(self):
+        report = _modules_after(
+            ["spectrum", "--range-max", "5", "--min-size", "1", "--max-size", "6"]
+        )
+        assert report["codes"] == [0]
+        assert not report["imported"] and report["after_main"]

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from mstdkit import (
 )
 from mstdkit.constructions import _gap, _hegarty_roesler, _one_track, _symmetric_mstd
 from mstdkit.constructions import _two_dim, _two_track
+from mstdkit.setops import MAX_SPAN_BITS
 from oracles import brute_diffset, brute_sumset
 
 A1 = IntSet([0, 2, 3, 4, 7, 11, 12, 14])
@@ -348,6 +351,15 @@ class TestIntervalWithGap:
     def test_non_integer_arguments_rejected(self, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             interval_with_gap(*args)
+
+    @pytest.mark.parametrize("m", [MAX_SPAN_BITS // 2 + 2, 2**40])
+    def test_span_checked_before_building(self, m):
+        # B+B and B-B span 2(m-1): the least m past the limit raises, and so
+        # does one whose sets could not be allocated at all
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the dense-kernel limit"):
+            interval_with_gap(m, 1, 2)
+        assert time.perf_counter() - start < 0.5
 
     def test_numpy_integer_arguments_accepted(self):
         facts = interval_with_gap(np.int64(8), np.int32(2), np.uint8(5))
