@@ -81,10 +81,7 @@ class ParityGraph:
 
     @property
     def mask(self) -> int:
-        m = 0
-        for i, e in enumerate(self.eps):
-            m |= e << i
-        return m
+        return sum(e << i for i, e in enumerate(self.eps))
 
     def to_subset(self) -> GroupSubset:
         return GroupSubset(
@@ -132,7 +129,7 @@ def _parity_folds(mask: int, n: int) -> tuple[int, int]:
     lanes, negs = (full ^ mask, mask), (full ^ neg, neg)
     sums, diffs = [0, 0], [0, 0]
     for q in (0, 1):
-        shifts = _bit_positions(lanes[q]).tolist()
+        shifts = _bit_positions(lanes[q])
         for p in (0, 1):
             s = _shift_or(lanes[p], shifts)  # E_p + E_q
             d = _shift_or(negs[p], shifts)  # -E_p + E_q
@@ -189,6 +186,7 @@ def count_covering(n: int) -> CoverReport:
     Also tabulates, for every group element g, how many graphs miss g in
     their sumset.  Exact for every n up to MAX_COUNT_N.
     """
+    n = _strict_int("n", n)
     if not 2 <= n <= MAX_COUNT_N:
         raise ValueError(f"n must be in [2, {MAX_COUNT_N}]")
     primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
@@ -209,6 +207,7 @@ def count_covering(n: int) -> CoverReport:
 
 def miss_count(n: int, b: int, parity: int) -> int:
     """Number of parity graphs whose sumset misses (b, parity), by the closed form."""
+    n, b, parity = _strict_int("n", n), _strict_int("b", b), _strict_int("parity", parity)
     if not 2 <= n <= MAX_COUNT_N:
         raise ValueError(f"n must be in [2, {MAX_COUNT_N}]")
     if not 0 <= b < n or parity not in (0, 1):
@@ -234,8 +233,10 @@ def find_group_mstd(n: int, strategy: str = "first", seed: int | None = None) ->
     fixes it, and E1 equals the complement of a reflection only when
     |E1| = n/2, that is n = 6.
     """
+    n = _strict_int("n", n)
     if not 2 <= n <= MAX_COUNT_N:
         raise ValueError(f"n must be in [2, {MAX_COUNT_N}]")
+    seed = None if seed is None else _strict_int("seed", seed)
     if strategy == "first":
         candidates = range(1 << n)
     elif strategy == "random":

@@ -163,6 +163,7 @@ class LatticeSet:
 
 def group_sum_diff(a: GroupSubset, h: int, k: int) -> GroupSubset:
     """hA - kA inside the group, by exact modular arithmetic."""
+    h, k = _strict_int("h", h), _strict_int("k", k)
     if not a.elements:
         raise ValueError("subset must be nonempty")
     if h < 0 or k < 0 or h + k < 1:
@@ -198,6 +199,7 @@ def reduce_to_cell(s: LatticeSet, spec: GroupSpec) -> LatticeSet:
 
 def sublattice_box(spec: GroupSpec, lo: int, hi: int) -> LatticeSet:
     """Points (q_1 m_1, ..., q_d m_d) with lo <= q_i < hi; (hi-lo)^d of them."""
+    lo, hi = _strict_int("lo", lo), _strict_int("hi", hi)
     if lo > hi:
         raise ValueError("need lo <= hi")
     _check_points((hi - lo) ** spec.dim)
@@ -274,6 +276,7 @@ def lattice_sum_diff_card(s: LatticeSet, h: int, k: int) -> int:
 
 def thicken(a: GroupSubset, t: int) -> LatticeSet:
     """The lattice set phi(A) + box(0, t); has exactly |A| * t^d points."""
+    t = _strict_int("t", t)
     if not a.elements:
         raise ValueError("subset must be nonempty")
     if t < 1:
@@ -315,7 +318,7 @@ def _thickened_mask(
 def _thickened_fold(a: GroupSubset, t: int, h: int, k: int, budget: int) -> LinearImage:
     """The image of hB_t - kB_t under ``linearize(thicken(a, t), budget)`` as a set."""
     radix, lo, mask = _thickened_mask(a, t, h, k, budget)
-    image = IntSet._from_sorted((_bit_positions(mask) + lo).tolist(), mask)
+    image = IntSet._from_sorted(_bit_positions(mask, lo), mask)
     return LinearImage(radix=radix, image=image)
 
 
@@ -368,6 +371,7 @@ def find_thickness(
     group inequality |h1 A - k1 A| > |h2 A - k2 A|; such a t exists for all
     sufficiently large t, so the scan fails only if t_max is too small.
     """
+    t_max = _strict_int("t_max", t_max)
     (h1, k1), (h2, k2) = pair1, pair2
     if h1 < 1 or h2 < 1 or k1 < 0 or k2 < 0:
         raise ValueError("need h1, h2 >= 1 and k1, k2 >= 0")
@@ -413,6 +417,7 @@ def thickening_bounds(a: GroupSubset, h: int, k: int, t: int) -> ThickeningBound
     ((h+k) t - 2 (h+k-1))^d, applied only when its base is nonnegative
     (reported vacuously true otherwise).
     """
+    h, k, t = _strict_int("h", h), _strict_int("k", k), _strict_int("t", t)
     if not a.elements:
         raise ValueError("subset must be nonempty")
     if h < 1 or k < 0 or t < 1:
@@ -444,6 +449,7 @@ def linearize(s: LatticeSet, cap_l: int) -> LinearImage:
     |hS - kS| = |h psi(S) - k psi(S)| is guaranteed for every h + k <= cap_l;
     keeping it minimal keeps images within 64-bit range.
     """
+    cap_l = _strict_int("cap_l", cap_l)
     if not s.points:
         raise ValueError("lattice set must be nonempty")
     if cap_l < 1:
@@ -475,6 +481,7 @@ class EmbedResult:
 
 def embed_report(a: GroupSubset, t_max: int = 32) -> EmbedResult:
     """Run group -> thickened lattice set -> integers, verifying MSTD at the end."""
+    t_max = _strict_int("t_max", t_max)
     if len(group_sum_diff(a, 2, 0)) <= len(group_sum_diff(a, 1, 1)):
         raise ValueError("input is not an MSTD subset of its group")
     try:

@@ -83,8 +83,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .setops import I64_MAX, IntSet, _bit_positions, _check_i64, _check_span, _shift_or
-from .setops import _fold_delta, _strict_int, mstd_delta
+from .setops import I64_MAX, IntSet, _bit_positions, _check_delta, _fold_delta, _shift_or
+from .setops import _strict_int, mstd_delta
 
 if TYPE_CHECKING:
     import numpy as np
@@ -135,11 +135,7 @@ def _lex_key(mask: int, range_max: int) -> int:
 
 def _key_mask(key: int, range_max: int) -> int:
     """The mask that ``_lex_key`` maps to ``key``: digit 1 marks an element."""
-    mask = 0
-    for p in range(range_max + 1):
-        if (key >> 2 * (range_max - p)) & 3 == 1:
-            mask |= 1 << p
-    return mask
+    return sum(1 << p for p in range(range_max + 1) if key >> 2 * (range_max - p) & 3 == 1)
 
 
 @dataclass(frozen=True)
@@ -276,8 +272,7 @@ def exhaustive_spectrum(range_max: int, min_size: int, max_size: int) -> SearchR
     for i in np.flatnonzero(counts).tolist():
         v = i - 2 * range_max
         spectrum[v] = spectrum.get(v, 0) + int(counts[i])
-        mask = _key_mask(int(best[i]), range_max)
-        w = IntSet._from_sorted(_bit_positions(mask).tolist())
+        w = IntSet._from_sorted(_bit_positions(_key_mask(int(best[i]), range_max)))
         if mstd_delta(w).delta != v:  # pragma: no cover - internal consistency
             raise RuntimeError(f"witness {w} does not verify to delta {v}")
         witnesses[v] = w
@@ -315,9 +310,7 @@ def random_search(range_max: int, size: int, trials: int, seed: int) -> SearchRe
     for _ in range(trials):
         elems = sorted(rng.sample(population, size))
         lo, hi = elems[0], elems[-1]
-        # mstd_delta's checks; elements are nonnegative, so these imply the rest
-        _check_i64(2 * hi)
-        _check_span(2 * (hi - lo))
+        _check_delta(lo, hi)
         s = [e - lo for e in elems]
         d = _fold_delta(_shift_or(1, s), s, hi - lo).delta
         spectrum[d] = spectrum.get(d, 0) + 1

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mstdkit import IntSet, mstd_delta
+from mstdkit import IntSet, find_group_mstd, mstd_delta
 from mstdkit import cli
 from mstdkit.cli import main
 
@@ -453,7 +453,8 @@ def _modules_after(*argvs) -> dict:
 
 
 class TestNumpyImport:
-    """numpy is imported by the spectrum scan and bit decodes, not at startup."""
+    """numpy is imported by the spectrum scan alone: neither at startup nor by
+    any other command."""
 
     def test_construct_and_count_never_import_numpy(self):
         argvs = [
@@ -470,6 +471,17 @@ class TestNumpyImport:
         ]
         assert report["accepted"] == 7
         assert not report["after_strict_int"]
+
+    def test_embed_and_group_search_never_import_numpy(self, tmp_path):
+        group = tmp_path / "group.json"
+        group.write_text(find_group_mstd(24).to_json())
+        report = _modules_after(
+            ["embed", "--input", str(group)],
+            ["group-search", "--n", "24"],
+            ["group-search", "--n", "24", "--strategy", "random", "--seed", "3"],
+        )
+        assert report["codes"] == [0, 0, 0]
+        assert not report["imported"] and not report["after_main"]
 
     def test_spectrum_imports_numpy(self):
         report = _modules_after(

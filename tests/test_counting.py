@@ -225,6 +225,31 @@ class TestMissCounts:
             miss_count(6, 0, 2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: miss_count(7, 1.0, 0), "b must be an integer, got 1.0"),
+     (lambda: miss_count(7, 1, True), "parity must be an integer, got true"),
+     (lambda: miss_count(7.0, 1, 0), "n must be an integer, got 7.0"),
+     (lambda: count_covering(7.0), "n must be an integer, got 7.0"),
+     (lambda: count_covering(True), "n must be an integer, got true"),
+     (lambda: find_group_mstd(7.0), "n must be an integer, got 7.0"),
+     (lambda: find_group_mstd("9"), 'n must be an integer, got "9"'),
+     (lambda: find_group_mstd(9, "random", 1.5), "seed must be an integer, got 1.5"),
+     (lambda: find_group_mstd(9, "random", True), "seed must be an integer, got true")],
+)
+def test_entry_points_take_only_integers(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_entry_points_accept_numpy_integers():
+    assert miss_count(np.int64(6), np.int32(2), np.uint8(1)) == miss_count(6, 2, 1)
+    assert count_covering(np.int64(9)).covering == COVERING[9]
+    assert find_group_mstd(np.int16(9), "random", np.int64(123)) == find_group_mstd(
+        9, "random", 123
+    )
+
+
 class TestFindGroupMstd:
     def test_smallest_admitting_n(self):
         for n in range(2, SMALLEST_COVERING_N):

@@ -142,6 +142,43 @@ class TestGroupFold:
             group_sum_diff(GroupSubset(GroupSpec((3,)), frozenset()), 1, 0)
 
 
+_G7 = find_group_mstd(7)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: group_sum_diff(_G7, 1.0, 1), "h must be an integer, got 1.0"),
+     (lambda: group_sum_diff(_G7, True, True), "h must be an integer, got true"),
+     (lambda: group_sum_diff(_G7, 1, False), "k must be an integer, got false"),
+     (lambda: thicken(_G7, 2.0), "t must be an integer, got 2.0"),
+     (lambda: thicken(_G7, True), "t must be an integer, got true"),
+     (lambda: sublattice_box(_G7.spec, 0, 1.5), "hi must be an integer, got 1.5"),
+     (lambda: sublattice_box(_G7.spec, False, 2), "lo must be an integer, got false"),
+     (lambda: embed_report(_G7, 2.5), "t_max must be an integer, got 2.5"),
+     (lambda: embed_report(_G7, True), "t_max must be an integer, got true"),
+     (lambda: linearize(to_lattice(_G7), 2.0), "cap_l must be an integer, got 2.0"),
+     (lambda: linearize(to_lattice(_G7), True), "cap_l must be an integer, got true"),
+     (lambda: thickening_bounds(_G7, 1, 1, 2.0), "t must be an integer, got 2.0"),
+     (lambda: thickening_bounds(_G7, 1.0, 1, 2), "h must be an integer, got 1.0"),
+     (lambda: thickening_bounds(_G7, 1, True, 2), "k must be an integer, got true"),
+     (lambda: find_thickness(_G7, (2, 0), (1, 1), 2.5), "t_max must be an integer, got 2.5")],
+)
+def test_fold_counts_must_be_integers(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_fold_counts_accept_numpy_integers():
+    assert group_sum_diff(_G7, np.int64(2), np.int32(0)) == group_sum_diff(_G7, 2, 0)
+    assert thicken(_G7, np.int64(2)) == thicken(_G7, 2)
+    assert sublattice_box(_G7.spec, np.int8(-1), np.int64(2)) == sublattice_box(_G7.spec, -1, 2)
+    assert linearize(to_lattice(_G7), np.int64(3)) == linearize(to_lattice(_G7), 3)
+    assert thickening_bounds(_G7, np.int64(2), np.int64(0), np.int64(3)) == thickening_bounds(
+        _G7, 2, 0, 3
+    )
+    assert embed_report(_G7, np.int64(32)) == embed_report(_G7, 32)
+
+
 class TestEmbeddings:
     def test_to_lattice_is_injective_identity_on_residues(self):
         a = GroupSubset(GroupSpec((3, 2)), frozenset({(2, 1)}))

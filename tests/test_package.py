@@ -83,3 +83,19 @@ def test_every_constant_is_read():
                 if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)
             )
     assert constants and constants - loaded == set()
+
+
+def test_only_search_imports_numpy():
+    """numpy serves the spectrum tables in ``search.py`` and nothing else."""
+    importers = set()
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            if "numpy" in roots:
+                importers.add(name)
+    assert importers == {"search.py"}

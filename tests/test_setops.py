@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 import re
 
 import numpy as np
@@ -18,7 +20,7 @@ from mstdkit import (
     sumset,
     symmetry_witness,
 )
-from mstdkit.setops import MAX_SPAN_BITS, _FOLD_MIN, _RUN_MIN, _shift_or
+from mstdkit.setops import MAX_SPAN_BITS, _FOLD_MIN, _RUN_MIN, _bit_positions, _shift_or
 from oracles import brute_diffset, brute_sum_diff, brute_sumset
 
 A1 = IntSet([0, 2, 3, 4, 7, 11, 12, 14])
@@ -164,6 +166,25 @@ class TestSumDiff:
                 assert set(sum_diff(a, h, k)) == brute_sum_diff(a, h, k)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: h_fold(A1, 2.0), "h must be an integer, got 2.0"),
+     (lambda: h_fold(A1, True), "h must be an integer, got true"),
+     (lambda: sum_diff(A1, 1, 1.0), "k must be an integer, got 1.0"),
+     (lambda: sum_diff(A1, True, False), "h must be an integer, got true"),
+     (lambda: sum_diff(A1, 2, False), "k must be an integer, got false"),
+     (lambda: sum_diff(A1, "1", 1), 'h must be an integer, got "1"')],
+)
+def test_fold_counts_must_be_integers(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_fold_counts_accept_numpy_integers():
+    assert h_fold(A1, np.int64(2)) == sumset(A1, A1)
+    assert sum_diff(A1, np.int32(1), np.uint8(1)) == diffset(A1, A1)
+
+
 class TestAffine:
     def test_identity(self):
         assert affine(A1, 1, 0) == A1
@@ -177,6 +198,24 @@ class TestAffine:
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError):
             affine(A1, 0, 3)
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [(0.5, 0, "x must be an integer, got 0.5"),
+         (1, 0.5, "y must be an integer, got 0.5"),
+         (2.0, 1, "x must be an integer, got 2.0"),
+         (True, 0, "x must be an integer, got true"),
+         (1, False, "y must be an integer, got false")],
+    )
+    def test_non_integers_rejected(self, x, y, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            affine(IntSet([0, 1, 3]), x, y)
+
+    def test_numpy_integers_accepted(self):
+        got = affine(IntSet([0, 1, 3]), np.int64(-2), np.int32(5))
+        assert got == IntSet([-1, 3, 5])
+        assert all(type(e) is int for e in got)
+        assert mstd_delta(got) == mstd_delta(IntSet([0, 1, 3]))
 
 
 class TestSymmetry:
@@ -467,3 +506,38 @@ def test_shift_or_matches_plain_loop(mask, aps, rnd):
 def test_shift_or_edge_cases(shifts):
     assert _shift_or(0b1011, shifts) == _plain_shift_or(0b1011, shifts)
     assert _shift_or(0b1011, iter(shifts)) == _plain_shift_or(0b1011, shifts)
+
+
+def _reference_positions(mask: int, base: int) -> list[int]:
+    """The set bits of ``mask``, read one binary digit at a time."""
+    return [base + i for i, digit in enumerate(reversed(format(mask, "b"))) if digit == "1"]
+
+
+def _random_mask(rng: random.Random, bits: int, density: float) -> int:
+    return int("".join("1" if rng.random() < density else "0" for _ in range(bits)), 2)
+
+
+_SEEDED_MASKS = [
+    _random_mask(random.Random(seed), bits, density)
+    for seed, (bits, density) in enumerate(
+        itertools.product((1, 7, 64, 65, 1000, 10**5), (0.001, 0.1, 0.5, 0.9, 1.0))
+    )
+]
+
+
+@pytest.mark.parametrize("base", [0, 5, -1, -(10**6), 2**40])
+@pytest.mark.parametrize(
+    "mask",
+    [0, 1, 2, 3, 1 << 63, 1 << 64, (1 << 64) - 1, 1 << 99_999, (1 << 99_999) | 1]
+    + _SEEDED_MASKS,
+    ids=lambda mask: f"{mask.bit_length()}bits-{mask.bit_count()}set",
+)
+def test_bit_positions_match_reference(mask, base):
+    got = _bit_positions(mask, base)
+    assert type(got) is list and all(type(i) is int for i in got)
+    assert got == _reference_positions(mask, base)
+
+
+def test_bit_positions_default_base_is_zero():
+    assert _bit_positions(0b101101) == [0, 2, 3, 5]
+    assert _bit_positions(0) == []
