@@ -4,19 +4,26 @@ Every family adjoins one element to a core ``B + L + (a* - B)``: a base B,
 a middle L of arithmetic tracks or a generalized arithmetic progression,
 and B reflected about the center a* its theorem names.  Each builder
 validates its parameters, checks the span of the set they describe, and
-hands B, L, a* and the element to one tail, ``_symmetric_mstd``.  The tail
-checks that L, as listed, is its own mirror about a* (B + (a* - B) is
-symmetric by construction), sorts A's elements once and re-verifies the
-MSTD inequality exactly: cheap checks that catch transcription slips.  It
+hands B and L as runs ``(start, step, length)``, a* and the element to
+one tail, ``_symmetric_mstd``.  The builders state their runs: one per
+track, one or two for a punctured interval, and for ``gap`` one per
+point of the progression, stepping by m; only ``gap``'s base is a
+generic set, whose runs ``setops._runs`` finds once.  The tail checks
+that L, as listed, is its own mirror about a*: the mirror of
+``(s, q, n)`` is ``(a* - s - (n-1) q, q, n)``, and L's runs must equal
+their mirrors listed in reverse (B + (a* - B) is symmetric by
+construction).  It then sorts A's elements once and re-verifies the MSTD
+inequality exactly: cheap checks that catch transcription slips.  It
 returns the set, its ``MstdDelta`` and a*, so ``mstd construct`` computes
 neither again; the public family functions return the set alone.
 
-The tail counts |A+A| and |A-A| with ``setops._fold_delta``, the fold
-``mstd_delta`` uses, on A's elements in the order of its pieces: B, then
-L, then a* - B, then the adjoined element.  Each piece is one or a few
-arithmetic progressions, so ``setops._shift_or`` folds each as a run,
-where in sorted order the tracks of ``t3`` and the block of ``gap``
-interleave and give no runs.
+The tail builds A's mask and counts |A+A| and |A-A| with
+``setops._fold_runs`` on A's runs: B, L, a* - B and the adjoined element,
+less min A.  A+A folds the mask over those runs, and A-A, moved up by
+``top = max A - min A``, over their mirrors about ``top``.  Each fold
+costs O(log n) big-int shifts per run, so a family of a few long
+progressions costs a few dozen shifts, where in sorted order the tracks
+of ``t3`` and the block of ``gap`` interleave and give no runs.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .setops import IntSet, MstdDelta, _check_span, _fold_delta, _shift_or
+from .setops import IntSet, MstdDelta, _check_span, _fold_runs, _runs
 from .setops import _strict_int, _strict_ints, diffset, interval, mstd_delta, sumset
 
 # Most points ``Gap.expand`` may enumerate, collisions included.
@@ -95,23 +102,43 @@ def _check_output_span(span: int) -> None:
     _check_span(2 * span)
 
 
+def _mirror(runs: list, center: int) -> list:
+    """The runs of ``center - X``, where ``X`` is the set of ``runs``, in the same order."""
+    return [(center - s - (n - 1) * q, q, n) for s, q, n in runs]
+
+
+def _punctured(m: int, d: int) -> list:
+    """The runs of [0, m-1] less d, for 1 <= d <= m-1."""
+    runs = [(0, 1, d)]
+    if d < m - 1:
+        runs.append((d + 1, 1, m - 1 - d))
+    return runs
+
+
 def _symmetric_mstd(b: list, middle: list, center: int, adjoined: int, family: str):
     """``(A, mstd_delta(A), center)`` for ``A = B + middle + (center - B) + {adjoined}``.
 
-    Raises unless ``middle`` is listed as its own mirror about ``center``,
-    which makes the core symmetric about it, and ``A`` is MSTD.  The counts
-    come from ``_fold_delta`` on A's pieces in build order (module docstring).
+    ``b`` and ``middle`` are runs ``(start, step, length)`` with ``step >= 0``
+    and ``length >= 1``.  Raises unless ``middle`` is listed as its own
+    mirror about ``center``, which makes the core symmetric about it, and
+    ``A`` is MSTD.  The counts fold A's runs (module docstring).
     """
-    if middle != [center - e for e in reversed(middle)]:
+    if middle != _mirror(middle, center)[::-1]:
         raise ConstructionError(
             f"internal error: {family} core is not symmetric about {center}"
         )
-    pieces = b + middle + [center - e for e in b] + [adjoined]
-    elems = sorted({*pieces})
-    lo = elems[0]
-    shifts = [e - lo for e in pieces]
-    mask = _shift_or(1, shifts)
-    d = _fold_delta(mask, shifts, elems[-1] - lo)
+    runs = b + middle + _mirror(b, center) + [(adjoined, 0, 1)]
+    # a run of step 0 is one point, however long
+    points = itertools.chain.from_iterable(
+        range(s, s + (n - 1) * q + 1, q or 1) for s, q, n in runs
+    )
+    elems = sorted({*points})
+    lo, top = elems[0], elems[-1] - elems[0]
+    runs = [(s - lo, q, n) for s, q, n in runs]
+    mask = _fold_runs(1, runs)
+    sums = _fold_runs(mask, runs)
+    diffs = _fold_runs(mask, _mirror(runs, top))  # A - A, moved up by top
+    d = MstdDelta(sums.bit_count(), diffs.bit_count())
     if d.delta < 1:
         raise ConstructionError(
             f"internal error: {family} output is not MSTD (delta={d.delta})"
@@ -157,9 +184,7 @@ def _one_track(p: OneTrackParams) -> tuple[IntSet, MstdDelta, int]:
     m, d, k = p.m, p.d, p.k
     center = (k + 1) * m - 2 * d
     _check_output_span(center)  # the set runs from 0 to center
-    b = [e for e in range(m) if e != d]
-    track = [j * m - d for j in range(1, k + 1)]
-    return _symmetric_mstd(b, track, center, m, "one-track family")
+    return _symmetric_mstd(_punctured(m, d), [(m - d, m, k)], center, m, "one-track family")
 
 
 # -- two-track family ---------------------------------------------------------
@@ -205,9 +230,8 @@ def _two_track(p: TwoTrackParams) -> tuple[IntSet, MstdDelta, int]:
     m, d, k = p.m, p.d, p.k
     center = (k + 2) * m
     _check_output_span(center)  # the set runs from 0 to center
-    b = [e for e in range(m) if e != d]
-    tracks = [j * m - d for j in range(2, k + 1)] + [j * m + d for j in range(2, k + 1)]
-    return _symmetric_mstd(b, tracks, center, m, "two-track family")
+    tracks = [(2 * m - d, m, k - 1), (2 * m + d, m, k - 1)]
+    return _symmetric_mstd(_punctured(m, d), tracks, center, m, "two-track family")
 
 
 # -- small explicit families ---------------------------------------------------
@@ -222,8 +246,7 @@ def _hegarty_roesler(k: int) -> tuple[IntSet, MstdDelta, int]:
     k = _strict_int("k", k)
     _require(k >= 3, "k must be at least 3")
     _check_output_span(4 * k + 2)
-    track = [3 + 4 * j for j in range(k)]
-    return _symmetric_mstd([0, 2], track, 4 * k + 2, 4, "hegarty-roesler family")
+    return _symmetric_mstd([(0, 2, 2)], [(3, 4, k)], 4 * k + 2, 4, "hegarty-roesler family")
 
 
 def two_dim_family(k: int) -> IntSet:
@@ -238,8 +261,8 @@ def _two_dim(k: int) -> tuple[IntSet, MstdDelta, int]:
     k = _strict_int("k", k)
     _require(k >= 2, "k must be at least 2")
     _check_output_span(4 * k + 8)
-    tracks = [3 + 4 * j for j in range(k)] + [9 + 4 * j for j in range(k)]
-    return _symmetric_mstd([0, 2], tracks, 4 * k + 8, 4, "two-dim family")
+    tracks = [(3, 4, k), (9, 4, k)]
+    return _symmetric_mstd([(0, 2, 2)], tracks, 4 * k + 8, 4, "two-dim family")
 
 
 # -- generalized-progression family --------------------------------------------
@@ -346,8 +369,8 @@ def _gap(base: GapBase, k: int, variant: str) -> tuple[IntSet, MstdDelta, int]:
     center = block_lo + block_hi
     lo = min(b.min, block_lo, center - b.max, m)
     _check_output_span(max(b.max, block_hi, center - b.min, m) - lo)
-    block = [m - e + j * m for e in ls for j in j_range]
-    return _symmetric_mstd(list(b), block, center, m, f"gap family ({variant})")
+    block = [(m - e + j_range[0] * m, m, len(j_range)) for e in ls]
+    return _symmetric_mstd(_runs(list(b)), block, center, m, f"gap family ({variant})")
 
 
 def gap_base_recipe(p: Gap, r: int, s: int, m: int) -> GapBase:

@@ -33,9 +33,10 @@ box(s, t) = {(q_1 m_1, ..., q_d m_d) : s <= q_i < t}.  It rests on two facts:
   Minkowski fold: psi(hS - kS) = h psi(S) - k psi(S).
 
 So psi(hB_t - kB_t) = h psi(phi(A)) - k psi(phi(A)) + sum_i P_i, where P_i
-is the progression {q m_i radix^i : -k(t-1) <= q <= h(t-1)}: d shift-ORs
-of the image's mask with (h + k)(t - 1) + 1 shifts each instead of
-|A| t^d points.  Every coordinate of B_t lies in [0, maxnorm], so with
+is the progression {q m_i radix^i : -k(t-1) <= q <= h(t-1)}: d folds of
+the image's mask, each over one run of (h + k)(t - 1) + 1 shifts
+(``setops._fold_runs``, O(log t) big-int shifts), instead of |A| t^d
+points.  Every coordinate of B_t lies in [0, maxnorm], so with
 fold budget h + k the argument above makes psi injective on hB_t - kB_t
 and the image has |hB_t - kB_t| elements, without a corner translation.
 The thickness search compares the bit counts of the final masks and
@@ -44,6 +45,22 @@ makes the range and span checks ``sumset`` makes, so an image outside
 signed 64 bits or ``MAX_SPAN_BITS`` raises and never answers wrongly.
 Each P_i contains 0, so each step's result lies inside the final set's
 range and cannot raise when the final set fits.
+
+``embed_report`` re-checks its output, the image X of B_t, without a
+shift per element of X, which ``mstd_delta`` would make: in sorted order
+the translates of psi(A) interleave, so X has almost no runs.  With P_i
+now {q m_i radix^i : 0 <= q < t}, X should be psi(A) + P_1 + ... + P_d.
+``_image_delta`` first makes ``mstd_delta``'s range and span checks on X,
+then proves that factorization on the built mask: the mask must have X's
+ends and equal 1 folded by psi(A) - min psi(A), then by each P_i as one
+run, or ``EmbedError`` is raised.  This is what makes the count sound:
+it holds for the set the mask encodes, whatever built it, so
+X + X = X + psi(A) + P_1 + ... + P_d as sets of integers.  The mask
+folded by each P_i and then by psi(A) - min psi(A) therefore has
+|X + X| bits, and, as P_i - P_i = P_i - (t-1) m_i radix^i, the same
+fold by max psi(A) - psi(A) is X - X moved up by max X - min X and has
+|X - X| bits.  That is about 2(|A| + d log2 t) big-int shifts instead of
+about 2|X|, and it reads only the mask and the group data.
 """
 
 from __future__ import annotations
@@ -54,9 +71,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .setops import I64_MAX, IntSet, MstdDelta, _bit_positions, _check_i64, _check_span
-from .setops import _load_json, _shift_or, _strict_int, _strict_ints
-from .setops import mstd_delta, sum_diff
+from .setops import I64_MAX, IntSet, MstdDelta, _bit_positions, _check_delta, _check_i64
+from .setops import _check_span, _fold_runs, _load_json, _shift_or, _strict_int, _strict_ints
+from .setops import sum_diff
 
 # Most points ``thicken`` or ``sublattice_box`` may build.  A 2-d point costs
 # about 230 bytes (tuple, ints, set entry), so one set stays near 240 MB.
@@ -231,11 +248,14 @@ def _check_points(count: int) -> None:
 # -- folds on the linearized image ------------------------------------------------
 
 
-def _check_fold(s: LatticeSet, h: int, k: int) -> None:
+def _check_fold(s: LatticeSet, h: int, k: int) -> tuple[int, int]:
+    """``h`` and ``k`` as ints, once they and ``s`` are checked for a lattice fold."""
+    h, k = _strict_int("h", h), _strict_int("k", k)
     if not s.points:
         raise ValueError("lattice set must be nonempty")
     if h < 0 or k < 0 or h + k < 1:
         raise ValueError("fold counts must be nonnegative with h + k >= 1")
+    return h, k
 
 
 def _corner_image(s: LatticeSet, budget: int) -> tuple[tuple[int, ...], LinearImage]:
@@ -250,7 +270,7 @@ def _corner_image(s: LatticeSet, budget: int) -> tuple[tuple[int, ...], LinearIm
 
 def lattice_sum_diff(s: LatticeSet, h: int, k: int) -> LatticeSet:
     """hS - kS by exact vector arithmetic, folded on the linearized image."""
-    _check_fold(s, h, k)
+    h, k = _check_fold(s, h, k)
     corner, lin = _corner_image(s, h + k)
     radix, half = lin.radix, lin.radix // 2
     offset = [(h - k) * c for c in corner]
@@ -267,7 +287,7 @@ def lattice_sum_diff(s: LatticeSet, h: int, k: int) -> LatticeSet:
 
 def lattice_sum_diff_card(s: LatticeSet, h: int, k: int) -> int:
     """|hS - kS| without materializing the points."""
-    _check_fold(s, h, k)
+    h, k = _check_fold(s, h, k)
     return len(sum_diff(_corner_image(s, h + k)[1].image, h, k))
 
 
@@ -311,7 +331,7 @@ def _thickened_mask(
         lo = _check_i64(lo - k * (t - 1) * step)
         hi = _check_i64(hi + h * (t - 1) * step)
         _check_span(hi - lo)
-        mask = _shift_or(mask, range(0, (h + k) * (t - 1) * step + 1, step))
+        mask = _fold_runs(mask, [(0, step, (h + k) * (t - 1) + 1)])
     return radix, lo, mask
 
 
@@ -342,6 +362,7 @@ def embedding_consistency(a: GroupSubset, h: int, k: int) -> EmbeddingConsistenc
     lift_covered: h*phi(A) - k*phi(A) lies in phi(hA - kA) + box(-k, h);
     embed_covered: phi(hA - kA) lies in h*phi(A) - k*phi(A) + box(-h+1, k+1).
     """
+    h, k = _strict_int("h", h), _strict_int("k", k)
     if not a.elements:
         raise ValueError("subset must be nonempty")
     if h < 1 or k < 0:
@@ -493,7 +514,38 @@ def embed_report(a: GroupSubset, t_max: int = 32) -> EmbedResult:
         lin = _thickened_fold(a, t, 1, 0, 2)
     except (ValueError, OverflowError) as e:
         raise EmbedError(f"linearization: {e}") from e
-    d: MstdDelta = mstd_delta(lin.image)
+    d = _image_delta(a, t, lin.radix, lin.image.min, lin.image.mask)
     if d.delta < 1:
         raise EmbedError(f"verification: image delta = {d.delta}, expected >= 1")
     return EmbedResult(t=t, radix=lin.radix, image=lin.image, delta=d.delta)
+
+
+def _image_delta(a: GroupSubset, t: int, radix: int, lo: int, mask: int) -> MstdDelta:
+    """``mstd_delta`` of the embed image X with minimum ``lo`` and mask ``mask``.
+
+    X should be psi(A) + P_1 + ... + P_d, with P_i = {q m_i radix^i : 0 <= q < t}.
+    After ``mstd_delta``'s range and span checks on X, this proves that on
+    the mask, or raises ``EmbedError``, and counts X + X and X - X through it
+    (module docstring).
+    """
+    hi = lo + mask.bit_length() - 1
+    _check_delta(lo, hi)
+    powers = [radix**i for i in range(a.spec.dim)]
+    images = sorted(sum(c * w for c, w in zip(p, powers)) for p in a.elements)
+    steps = [m * w for m, w in zip(a.spec.moduli, powers)]
+    # matching the ends first keeps every fold below within X's checked span
+    ends = (images[0], images[-1] + (t - 1) * sum(steps))
+    shifts = [e - images[0] for e in images]
+    if ends != (lo, hi) or _fold_box(_shift_or(1, shifts), steps, t) != mask:
+        raise EmbedError("verification: the image is not psi(A) + P_1 + ... + P_d")
+    spread = _fold_box(mask, steps, t)  # X + P_1 + ... + P_d, less min X
+    sums = _shift_or(spread, shifts)
+    diffs = _shift_or(spread, [shifts[-1] - e for e in shifts])
+    return MstdDelta(sums.bit_count(), diffs.bit_count())
+
+
+def _fold_box(mask: int, steps: list[int], t: int) -> int:
+    """``mask`` folded by each {q * step : 0 <= q < t} in turn, as one run each."""
+    for step in steps:
+        mask = _fold_runs(mask, [(0, step, t)])
+    return mask

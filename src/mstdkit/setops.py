@@ -8,36 +8,36 @@ copies of A's mask shifted by the elements of B.  Spans in this problem
 domain run from tens to about a million bits, where the dense kernel
 beats pairwise enumeration by a wide margin.
 
-The shift-OR (``_shift_or``) folds arithmetic runs rather than shifting
-once per element.  With at least ``_FOLD_MIN`` shifts it splits them, in
-the order given and with no sort, into maximal runs of equally spaced
-consecutive values.  A run of ``L >= _RUN_MIN`` values costs O(log L)
-shifts.  A descending run is the same set as the ascending one read from
-its other end, so every run is folded as ``s, s + q, ..., s + (L-1) q``
-from its lowest value ``s``, with ``q >= 0``.  Start with ``run = mask``,
-covering the offsets ``{0}`` (in units of ``q``), and ``have = 1``.
-While ``2 have <= L``, the step ``run |= run << (have q)`` turns the
-offsets ``{0, ..., have-1}`` into ``{0, ..., 2 have - 1}``.  When it
-stops, ``have <= L < 2 have``.  If ``have < L``, one more shift by
+The shift-OR folds arithmetic runs rather than shifting once per
+element.  A run ``(s, q, L)`` stands for the shifts ``s, s + q, ...,
+s + (L-1) q`` with ``q >= 0``, and ``_fold_runs`` ORs a mask over a list
+of runs in O(log L) shifts each.  Start with ``run = mask``, covering
+the offsets ``{0}`` (in units of ``q``), and ``have = 1``.  While
+``2 have <= L``, the step ``run |= run << (have q)`` turns the offsets
+``{0, ..., have-1}`` into ``{0, ..., 2 have - 1}``.  When it stops,
+``have <= L < 2 have``.  If ``have < L``, one more shift by
 ``(L - have) q`` adds ``{L - have, ..., L - 1}``.  That block starts at
 ``L - have < have``, so the union is ``{0, ..., L - 1}``: no gap, and
-nothing past ``L - 1``.  A final shift by ``s`` places the run.  The
-shifts outside such runs are ORed one at a time, as are all shifts of a
-shorter list.  The cutoffs were measured (CHANGES.md).  Repeated shifts
-need no deduplication: OR is idempotent, so equal shifts, ORed one at a
-time or folded as a run of step 0, set each bit once.
+nothing past ``L - 1``.  A final shift by ``s`` places the run.  Runs
+need no deduplication: OR is idempotent, so equal or overlapping shifts,
+and a run of step 0, set each bit once.
 
-Since runs are found in the order given, a caller that lists a set as
-the progressions it was built from, one after another, gets each folded
-as a run even where they interleave in sorted order; ``constructions``
-folds its family sets this way.
+Callers that built a set from progressions pass those runs to
+``_fold_runs`` directly: ``constructions`` folds each family's pieces,
+and ``grouplattice`` the embed progressions.  Runs are found only in a
+generic list, by ``_runs``, in the order given and with no sort: each
+maximal run of at least ``_RUN_MIN`` equally spaced consecutive shifts,
+ascending or descending, becomes one run from its lowest value, and the
+other shifts stay single.  ``_shift_or(mask, shifts)`` ORs fewer than
+``_FOLD_MIN`` shifts one at a time and folds longer lists through
+``_runs``; the gap family calls ``_runs`` once on its base.  The cutoffs
+were measured (CHANGES.md).
 
 ``mstd_delta`` only counts: it takes ``int.bit_count`` of the A+A and
 A-A masks and never expands them into sets.  Its two folds are
 ``_fold_delta``, which takes A's elements less ``min A`` in any order;
-``mstd_delta`` passes them ascending, ``search.random_search`` each
-sorted sample, without building an ``IntSet``, and
-``constructions._symmetric_mstd`` a family set in the order of its pieces.
+``mstd_delta`` passes them ascending and ``search.random_search`` each
+sorted sample, without building an ``IntSet``.
 
 All element arithmetic is range-checked against signed 64-bit bounds;
 a result outside them raises ``OverflowError`` instead of wrapping.
@@ -291,41 +291,62 @@ class MstdDelta:
 # -- kernel ------------------------------------------------------------------
 
 
+def _fold_runs(mask: int, runs: Iterable[tuple[int, int, int]]) -> int:
+    """OR together ``mask << (s + i q)`` for ``0 <= i < L`` over runs ``(s, q, L)``.
+
+    Each run needs ``s >= 0``, ``q >= 0`` and ``L >= 1``, and costs
+    O(log L) big-int shifts by doubling (module docstring).
+    """
+    acc = 0
+    for start, step, length in runs:
+        run, have = mask, 1
+        while 2 * have <= length:
+            run |= run << (have * step)
+            have *= 2
+        if have < length:
+            run |= run << ((length - have) * step)
+        acc |= run << start
+    return acc
+
+
+def _runs(s: list[int]) -> list[tuple[int, int, int]]:
+    """The shifts ``s`` as runs ``(start, step, length)`` for ``_fold_runs``, in order.
+
+    Each maximal run of at least ``_RUN_MIN`` equally spaced consecutive
+    shifts becomes one run from its lowest value, ascending or not; every
+    other shift ``x`` becomes ``(x, 0, 1)``.
+    """
+    gaps = list(map(sub, s[1:], s))
+    # byte i is 1 when s[i], s[i+1], s[i+2] are equally spaced
+    even = bytes(map(eq, gaps[1:], gaps))
+    runs = []
+    done = 0  # s[:done] is in runs
+    i = even.find(_RUN_BYTES)
+    while i >= 0:
+        j = even.find(0, i)
+        if j < 0:
+            j = len(even)
+        runs += [(x, 0, 1) for x in s[done:i]]
+        # s[i : j + 2] is a maximal run: its low end is s[i] if it ascends,
+        # s[j + 1] if not
+        runs.append((min(s[i], s[j + 1]), abs(gaps[i]), j + 2 - i))
+        done = j + 2
+        i = even.find(_RUN_BYTES, j)
+    runs += [(x, 0, 1) for x in s[done:]]
+    return runs
+
+
 def _shift_or(mask: int, shifts: Iterable[int]) -> int:
     """OR together ``mask << s`` over nonnegative shifts ``s``.
 
-    With at least ``_FOLD_MIN`` shifts, each maximal run of at least
-    ``_RUN_MIN`` equally spaced consecutive shifts, in the order given, is
-    folded in O(log L) big-int shifts (module docstring); every other
-    shift is ORed on its own.
+    With fewer than ``_FOLD_MIN`` shifts, each is ORed on its own; with
+    more, ``_runs`` finds their runs and ``_fold_runs`` folds them.
     """
     s = list(shifts)
-    acc = 0
-    done = 0  # s[:done] is ORed in
     if len(s) >= _FOLD_MIN:
-        gaps = list(map(sub, s[1:], s))
-        # byte i is 1 when s[i], s[i+1], s[i+2] are equally spaced
-        even = bytes(map(eq, gaps[1:], gaps))
-        i = even.find(_RUN_BYTES)
-        while i >= 0:
-            j = even.find(0, i)
-            if j < 0:
-                j = len(even)
-            for x in s[done:i]:
-                acc |= mask << x
-            # s[i : j + 2] is a maximal run of at least _RUN_MIN shifts,
-            # folded from its low end: s[i] if it ascends, s[j + 1] if not
-            length, step = j + 2 - i, abs(gaps[i])
-            run, have = mask, 1
-            while 2 * have <= length:
-                run |= run << (have * step)
-                have *= 2
-            if have < length:
-                run |= run << ((length - have) * step)
-            acc |= run << min(s[i], s[j + 1])
-            done = j + 2
-            i = even.find(_RUN_BYTES, j)
-    for x in s[done:]:
+        return _fold_runs(mask, _runs(s))
+    acc = 0
+    for x in s:
         acc |= mask << x
     return acc
 

@@ -21,6 +21,24 @@ def brute_diffset(a, b) -> set:
     return {x - y for x in a for y in b}
 
 
+def pair_delta(elems, block=256) -> int:
+    """|A+A| - |A-A| by enumerating every pair, ``block`` rows of them at a time.
+
+    Each pairwise sum and difference, moved to be nonnegative, marks its
+    slot in a boolean array, so a set of a few thousand elements needs no
+    Python set of millions of pairs."""
+    a = np.asarray(sorted(elems), dtype=np.int64)
+    a -= a[0]
+    top = int(a[-1])
+    sums = np.zeros(2 * top + 1, dtype=bool)
+    diffs = np.zeros(2 * top + 1, dtype=bool)
+    for i in range(0, len(a), block):
+        rows = a[i : i + block]
+        sums[np.add.outer(rows, a)] = True
+        diffs[np.subtract.outer(rows, a) + top] = True
+    return int(sums.sum()) - int(diffs.sum())
+
+
 def brute_sum_diff(a, h, k) -> set:
     """hA - kA by direct enumeration of (h+k)-tuples."""
     elems = list(a)

@@ -417,6 +417,22 @@ def test_construct_grid_output_pinned(capsys):
     assert digest.hexdigest() == CONSTRUCT_GRID_SHA256
 
 
+# sha256 of the (n, exit code, stdout, stderr) records of ``embed`` on the
+# first covering witness for n = 7..16, recorded before the embed image was
+# re-checked through its factorization
+EMBED_SHA256 = "41f8407e9d3a460bac19b458cc271808073942721a314bf59719a9eceb1484ff"
+
+
+def test_embed_outputs_pinned(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for n in range(7, 17):
+        path = tmp_path / f"witness-n{n}.json"
+        path.write_text(find_group_mstd(n).to_json())
+        record = [n, *run_cli(capsys, "embed", "--input", str(path), "--t-max", "32")]
+        digest.update(json.dumps(record).encode() + b"\n")
+    assert digest.hexdigest() == EMBED_SHA256
+
+
 # Imports the CLI, runs ``main`` on each argv of the JSON list in argv[1] with
 # stdout captured, then checks _strict_int, and reports whether numpy was
 # loaded after each step.

@@ -25,7 +25,7 @@ from mstdkit import (
 )
 from mstdkit.constructions import _gap, _hegarty_roesler, _one_track, _symmetric_mstd
 from mstdkit.constructions import _two_dim, _two_track
-from mstdkit.setops import MAX_SPAN_BITS
+from mstdkit.setops import MAX_SPAN_BITS, _runs
 from oracles import brute_diffset, brute_sumset
 
 A1 = IntSet([0, 2, 3, 4, 7, 11, 12, 14])
@@ -262,8 +262,8 @@ def _large_family_grid():
     ids=["delta_one", "recipe", "large"],
 )
 def test_tail_delta_matches_sorted_path(grid, size):
-    # _symmetric_mstd folds A's elements in the order of its pieces;
-    # mstd_delta folds them sorted
+    # _symmetric_mstd folds A's runs as the builders state them;
+    # mstd_delta folds A's elements sorted
     checked = 0
     for label, (a, d, _) in grid():
         assert d == mstd_delta(a), label
@@ -272,10 +272,10 @@ def test_tail_delta_matches_sorted_path(grid, size):
 
 
 def test_tail_delta_with_adjoined_anywhere():
-    # the adjoined element comes last in the tail's piece order wherever it
-    # lies, below, inside or above the core; check its counts, returned or
-    # in the refusal, on every position, for small cores and for two with
-    # runs long enough to be folded
+    # the adjoined element comes last in the tail's runs wherever it lies,
+    # below, inside or above the core; check its counts, returned or in the
+    # refusal, on every position, for small cores and for two with runs
+    # longer than one element, each core given as the runs _runs finds in it
     cores = [[i for i in range(7) if mask >> i & 1] for mask in range(1, 1 << 7)]
     cores += [list(range(40)) + list(range(45, 100, 5)), list(range(0, 120, 3)) + [121]]
     checked = 0
@@ -284,7 +284,7 @@ def test_tail_delta_with_adjoined_anywhere():
             for x in range(-4, center + 5):
                 want = mstd_delta(IntSet(b + [center - e for e in b] + [x]))
                 try:
-                    _, got, _ = _symmetric_mstd(b, [], center, x, "test")
+                    _, got, _ = _symmetric_mstd(_runs(b), [], center, x, "test")
                 except ConstructionError as e:
                     assert f"not MSTD (delta={want.delta})" in str(e), (b, center, x)
                 else:
@@ -467,29 +467,30 @@ class TestGapFamily:
 
 class TestSymmetricTail:
     def test_returns_set_delta_and_center(self):
-        a, d, center = _symmetric_mstd([0, 2], [3, 7, 11], 14, 4, "test")
+        a, d, center = _symmetric_mstd([(0, 2, 2)], [(3, 4, 3)], 14, 4, "test")
         assert (a, d.delta, center) == (A1, 1, 14)
 
     def test_asymmetric_core_refused(self):
         # core {0, 2, 3, 8, 10}: 3 has no mirror 7
         with pytest.raises(ConstructionError, match="core is not symmetric about 10"):
-            _symmetric_mstd([0, 2], [3], 10, 4, "test")
+            _symmetric_mstd([(0, 2, 2)], [(3, 0, 1)], 10, 4, "test")
 
     def test_core_symmetric_about_another_center_refused(self):
         # core {0, 2, 4, 6} is symmetric about 6, not about the stated 4
         with pytest.raises(ConstructionError, match="core is not symmetric about 4"):
-            _symmetric_mstd([0], [2, 6], 4, 1, "test")
+            _symmetric_mstd([(0, 0, 1)], [(2, 4, 2)], 4, 1, "test")
 
     def test_middle_not_listed_as_its_mirror_refused(self):
         # core {0, 2, 3, 7, 11, 12, 14} is symmetric about 14 as a set, but
         # the middle [3, 11, 7] is not listed as its own mirror [7, 3, 11]
+        middle = [(3, 0, 1), (11, 0, 1), (7, 0, 1)]
         with pytest.raises(ConstructionError, match="core is not symmetric about 14"):
-            _symmetric_mstd([0, 2], [3, 11, 7], 14, 4, "test")
+            _symmetric_mstd([(0, 2, 2)], middle, 14, 4, "test")
 
     def test_non_mstd_result_refused(self):
         # core [0, 3]; adjoining 5 gives 10 sums (9 is missing) and 11 differences
         with pytest.raises(ConstructionError, match=r"not MSTD \(delta=-1\)"):
-            _symmetric_mstd([0, 1], [], 3, 5, "test")
+            _symmetric_mstd([(0, 1, 2)], [], 3, 5, "test")
 
 
 def test_gap_base_fullness_counts_match_set_equality():

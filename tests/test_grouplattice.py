@@ -26,8 +26,9 @@ from mstdkit import (
     thickening_bounds,
     to_lattice,
 )
-from mstdkit.grouplattice import MAX_LATTICE_POINTS, _thickened_fold
-from oracles import brute_group_fold, brute_lattice_fold, brute_sum_diff
+from mstdkit import grouplattice, mstd_delta, setops
+from mstdkit.grouplattice import MAX_LATTICE_POINTS, _image_delta, _thickened_fold
+from oracles import brute_group_fold, brute_lattice_fold, brute_sum_diff, pair_delta
 
 
 def random_subset(rng, max_dim=3, max_mod=6, max_size=5):
@@ -161,7 +162,20 @@ _G7 = find_group_mstd(7)
      (lambda: thickening_bounds(_G7, 1, 1, 2.0), "t must be an integer, got 2.0"),
      (lambda: thickening_bounds(_G7, 1.0, 1, 2), "h must be an integer, got 1.0"),
      (lambda: thickening_bounds(_G7, 1, True, 2), "k must be an integer, got true"),
-     (lambda: find_thickness(_G7, (2, 0), (1, 1), 2.5), "t_max must be an integer, got 2.5")],
+     (lambda: find_thickness(_G7, (2, 0), (1, 1), 2.5), "t_max must be an integer, got 2.5"),
+     # explicit ids keep the generated ids above free of duplicate suffixes
+     pytest.param(lambda: lattice_sum_diff(to_lattice(_G7), 2.0, 0),
+                  "h must be an integer, got 2.0", id="lattice_sum_diff-h-2.0"),
+     pytest.param(lambda: lattice_sum_diff(to_lattice(_G7), 1, True),
+                  "k must be an integer, got true", id="lattice_sum_diff-k-true"),
+     pytest.param(lambda: lattice_sum_diff_card(to_lattice(_G7), True, 1),
+                  "h must be an integer, got true", id="lattice_sum_diff_card-h-true"),
+     pytest.param(lambda: lattice_sum_diff_card(to_lattice(_G7), 1, 1.0),
+                  "k must be an integer, got 1.0", id="lattice_sum_diff_card-k-1.0"),
+     pytest.param(lambda: embedding_consistency(_G7, "1", 0),
+                  'h must be an integer, got "1"', id="embedding_consistency-h-str"),
+     pytest.param(lambda: embedding_consistency(_G7, 1, False),
+                  "k must be an integer, got false", id="embedding_consistency-k-false")],
 )
 def test_fold_counts_must_be_integers(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -177,6 +191,12 @@ def test_fold_counts_accept_numpy_integers():
         _G7, 2, 0, 3
     )
     assert embed_report(_G7, np.int64(32)) == embed_report(_G7, 32)
+    s = to_lattice(_G7)
+    assert lattice_sum_diff(s, np.int64(2), np.int8(0)) == lattice_sum_diff(s, 2, 0)
+    assert lattice_sum_diff_card(s, np.int32(1), np.int64(1)) == lattice_sum_diff_card(s, 1, 1)
+    assert embedding_consistency(_G7, np.int64(2), np.int64(1)) == embedding_consistency(
+        _G7, 2, 1
+    )
 
 
 class TestEmbeddings:
@@ -522,3 +542,45 @@ class TestPipeline:
         a = covering_pair_subset()
         with pytest.raises(EmbedError, match="thickness search"):
             embed_report(a, t_max=0)
+
+
+class TestImageDelta:
+    """``embed_report``'s re-check through the image's factorization."""
+
+    @staticmethod
+    def witnesses():
+        for n in range(7, 21):
+            yield find_group_mstd(n)
+        # d = 2 as above, on other parity graphs
+        for n, seed in itertools.product(range(7, 15), (0, 1)):
+            yield find_group_mstd(n, strategy="random", seed=seed)
+
+    def test_matches_mstd_delta_and_pairs(self):
+        for a in self.witnesses():
+            res = embed_report(a)
+            image = res.image
+            d = _image_delta(a, res.t, res.radix, image.min, image.mask)
+            assert d == mstd_delta(image), a.to_json()
+            assert d.delta == res.delta == pair_delta(image), a.to_json()
+
+    @pytest.mark.parametrize("n", [7, 8, 12])
+    def test_wrong_mask_or_thickness_refused(self, n):
+        a = find_group_mstd(n)
+        res = embed_report(a)
+        lo, mask = res.image.min, res.image.mask
+        for bit in (0, 1, mask.bit_length() // 2, mask.bit_length() - 1, mask.bit_length()):
+            with pytest.raises(EmbedError, match="not psi"):
+                _image_delta(a, res.t, res.radix, lo, mask ^ (1 << bit))
+        for t in (res.t - 1, res.t + 1):
+            with pytest.raises(EmbedError, match="not psi"):
+                _image_delta(a, t, res.radix, lo, mask)
+
+    def test_embed_never_calls_mstd_delta(self, monkeypatch):
+        want = embed_report(find_group_mstd(9))
+
+        def boom(_):
+            raise AssertionError("embed_report called mstd_delta")
+
+        monkeypatch.setattr(setops, "mstd_delta", boom)
+        monkeypatch.setattr(grouplattice, "mstd_delta", boom, raising=False)
+        assert embed_report(find_group_mstd(9)) == want

@@ -20,7 +20,8 @@ from mstdkit import (
     sumset,
     symmetry_witness,
 )
-from mstdkit.setops import MAX_SPAN_BITS, _FOLD_MIN, _RUN_MIN, _bit_positions, _shift_or
+from mstdkit.setops import MAX_SPAN_BITS, _FOLD_MIN, _RUN_MIN, _bit_positions, _fold_runs
+from mstdkit.setops import _shift_or
 from oracles import brute_diffset, brute_sum_diff, brute_sumset
 
 A1 = IntSet([0, 2, 3, 4, 7, 11, 12, 14])
@@ -506,6 +507,29 @@ def test_shift_or_matches_plain_loop(mask, aps, rnd):
 def test_shift_or_edge_cases(shifts):
     assert _shift_or(0b1011, shifts) == _plain_shift_or(0b1011, shifts)
     assert _shift_or(0b1011, iter(shifts)) == _plain_shift_or(0b1011, shifts)
+
+
+# (start, step, length) runs as _fold_runs takes them: start 0 and step 0
+# included; several in a list may overlap or nest
+fold_runs = st.lists(
+    st.tuples(st.integers(0, 80), st.integers(0, 9), st.integers(1, 70)), max_size=5
+)
+
+
+@given(st.integers(0, 1 << 70), fold_runs)
+def test_fold_runs_matches_plain_loop(mask, runs):
+    assert _fold_runs(mask, runs) == _plain_shift_or(mask, _union(runs))
+
+
+def test_fold_runs_every_length():
+    # every length from 1 to 70, so the doubling stops at each power of two
+    # with every tail, alone and beside a second run that may overlap it
+    rng = random.Random(16)
+    for length in range(1, 71):
+        for step in (0, 1, 3, 64):
+            runs = [(0, step, length), (rng.randrange(50), step, rng.randint(1, 70))]
+            for part in (runs[:1], runs, runs[::-1]):
+                assert _fold_runs(0b1011, part) == _plain_shift_or(0b1011, _union(part))
 
 
 def _reference_positions(mask: int, base: int) -> list[int]:
