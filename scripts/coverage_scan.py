@@ -11,6 +11,7 @@ n up to 4096 is quick) against the union bound and the fraction of all
 import argparse
 
 from mstdkit import count_covering
+from mstdkit.counting import MAX_COUNT_N
 
 
 def main():
@@ -18,6 +19,9 @@ def main():
     parser.add_argument("--min-n", type=int, default=4)
     parser.add_argument("--max-n", type=int, default=18)
     args = parser.parse_args()
+    for name, n in (("--min-n", args.min_n), ("--max-n", args.max_n)):
+        if not 2 <= n <= MAX_COUNT_N:
+            parser.error(f"{name} must be in [2, {MAX_COUNT_N}]")
 
     print(f"{'n':>3} {'covering':>10} {'bound':>10} {'fraction':>9}")
     for n in range(args.min_n, args.max_n + 1):

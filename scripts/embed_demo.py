@@ -10,6 +10,7 @@ with exact arithmetic.
 import argparse
 
 from mstdkit import embed_report, find_group_mstd, mstd_delta
+from mstdkit.counting import MAX_COUNT_N
 
 
 def main():
@@ -18,6 +19,11 @@ def main():
     parser.add_argument("--max-n", type=int, default=10)
     parser.add_argument("--t-max", type=int, default=16)
     args = parser.parse_args()
+    for name, n in (("--min-n", args.min_n), ("--max-n", args.max_n)):
+        if not 2 <= n <= MAX_COUNT_N:
+            parser.error(f"{name} must be in [2, {MAX_COUNT_N}]")
+    if args.t_max < 1:
+        parser.error("--t-max must be at least 1")
 
     for n in range(args.min_n, args.max_n + 1):
         try:

@@ -312,8 +312,12 @@ def _thickened_mask(
     ``linearize(thicken(a, t), budget)``.
 
     Built as h psi(A) - k psi(A) plus one progression per axis, without a
-    lattice point; with h + k <= budget the mask has |hB_t - kB_t| set bits.
-    Each axis is range-checked as ``sumset`` checks it, then ORs in the
+    lattice point; with h + k <= budget the mask has |hB_t - kB_t| set
+    bits.  The mask 1 of {0} is folded h times by psi(A) - min psi(A), then
+    k times by max psi(A) - psi(A), after the range and span checks that
+    ``IntSet`` and ``sum_diff``'s ``sumset`` and ``diffset`` steps make, in
+    their order; every step's result lies within the checked ends.  Each
+    axis is range-checked as ``sumset`` checks it, then ORs in the
     progression, shifted to start at 0, on the mask alone.
     """
     moduli = a.spec.moduli
@@ -322,10 +326,25 @@ def _thickened_mask(
     maxnorm = max(top + m * (t - 1) for top, m in zip(tops, moduli))
     radix = _check_i64(2 * budget * maxnorm + 1)
     powers = [radix**i for i in range(len(moduli))]
-    core = sum_diff(
-        IntSet(sum(c * w for c, w in zip(p, powers)) for p in a.elements), h, k
-    )
-    lo, hi, mask = core.min, core.max, core.mask
+    images = [sum(c * w for c, w in zip(p, powers)) for p in a.elements]
+    lo, hi = _check_i64(min(images)), _check_i64(max(images))
+    for j in range(2, max(h, k) + 1):  # the j-fold sums
+        _check_i64(j * lo)
+        _check_i64(j * hi)
+        _check_span(j * (hi - lo))
+    if k:
+        _check_i64(h * lo - k * hi)
+        _check_i64(h * hi - k * lo)
+        _check_span((h + k) * (hi - lo))
+    _check_span(hi - lo)  # psi(A)'s own mask: binding only when (h, k) = (1, 0)
+    ups = [e - lo for e in images]
+    downs = [hi - e for e in images]
+    mask = 1
+    for _ in range(h):
+        mask = _shift_or(mask, ups)
+    for _ in range(k):
+        mask = _shift_or(mask, downs)
+    lo, hi = h * lo - k * hi, h * hi - k * lo
     for m, w in zip(moduli, powers):
         step = m * w
         lo = _check_i64(lo - k * (t - 1) * step)
@@ -393,6 +412,7 @@ def find_thickness(
     sufficiently large t, so the scan fails only if t_max is too small.
     """
     t_max = _strict_int("t_max", t_max)
+    pair1, pair2 = [(_strict_int("h", h), _strict_int("k", k)) for h, k in (pair1, pair2)]
     (h1, k1), (h2, k2) = pair1, pair2
     if h1 < 1 or h2 < 1 or k1 < 0 or k2 < 0:
         raise ValueError("need h1, h2 >= 1 and k1, k2 >= 0")

@@ -305,6 +305,29 @@ def test_readme_scripts_run(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "script, args, name",
+    [
+        ("spectrum_scan.py", ["--max-range", "25"], "--max-range"),
+        ("spectrum_scan.py", ["--max-range", "0"], "--max-range"),
+        ("coverage_scan.py", ["--min-n", "1"], "--min-n"),
+        ("coverage_scan.py", ["--max-n", "4097"], "--max-n"),
+        ("embed_demo.py", ["--min-n", "1"], "--min-n"),
+        ("embed_demo.py", ["--max-n", "4097"], "--max-n"),
+        ("embed_demo.py", ["--t-max", "0"], "--t-max"),
+    ],
+)
+def test_scripts_reject_out_of_range_parameters(script, args, name):
+    # refused by argparse before any output, with the usage line and no traceback
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), *args],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: ")
+    assert f"error: {name} must be" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
     "value",
     [
         # every subcommand's shape: int lists, nested dicts and lists of

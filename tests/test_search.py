@@ -1,3 +1,5 @@
+import collections
+import functools
 import hashlib
 import itertools
 import json
@@ -10,7 +12,7 @@ from mstdkit import IntSet, exhaustive_spectrum, mstd_delta, normalize, random_s
 from mstdkit import search
 from mstdkit.search import MAX_RANGE, _key_mask, _lex_key
 from mstdkit.setops import I64_MAX, MAX_SPAN_BITS
-from oracles import random_draws, replay_random_search
+from oracles import brute_diffset, brute_sumset, random_draws, replay_random_search
 
 
 def brute_spectrum(range_max, min_size, max_size):
@@ -26,6 +28,11 @@ def brute_spectrum(range_max, min_size, max_size):
                 if d not in witnesses or w.elements < witnesses[d].elements:
                     witnesses[d] = w
     return spectrum, witnesses
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_band(range_max, min_size, max_size):
+    return brute_spectrum(range_max, min_size, max_size)
 
 
 class TestExhaustive:
@@ -51,6 +58,39 @@ class TestExhaustive:
         rep = exhaustive_spectrum(range_max, min_size, max_size)
         assert rep.spectrum == want_spec
         assert rep.witnesses == want_wit
+
+    @pytest.mark.parametrize("range_max", range(5, 12))
+    def test_matches_brute_mirror_grid(self, monkeypatch, range_max):
+        # every chunk size from 1 to 4 bits on full, cut and one-size bands,
+        # with each chunk sorted by how the mirror pairs treat it
+        n = range_max
+        bands = [(0, n + 1), (1, n + 1), (2, n - 1)] + [(k, k) for k in range(1, n + 2)]
+        seen = collections.Counter()
+        scan_chunk = search._scan_chunk
+
+        def counted(high, width, range_max, min_size, max_size, *rest):
+            hs = [h for h in range(width, range_max + 1) if high >> h & 1]
+            if min_size - len(hs) <= width and max_size - len(hs) >= 1:
+                top = high.bit_length() - 1
+                if not hs:
+                    seen["no high bits"] += 1
+                elif top - 1 < width:
+                    seen["top at the width"] += 1
+                else:
+                    seen["top - 1 in H" if high >> (top - 1) & 1 else "top - 1 not in H"] += 1
+            scan_chunk(high, width, range_max, min_size, max_size, *rest)
+
+        monkeypatch.setattr(search, "_scan_chunk", counted)
+        for chunk_bits in range(1, 5):
+            monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
+            for band in bands:
+                want_spec, want_wit = _brute_band(n, *band)
+                rep = exhaustive_spectrum(n, *band)
+                assert rep.spectrum == want_spec, (chunk_bits, band)
+                assert rep.witnesses == want_wit, (chunk_bits, band)
+        assert seen.keys() == {
+            "no high bits", "top at the width", "top - 1 in H", "top - 1 not in H"
+        }
 
     def test_no_positive_delta_below_range_seven(self):
         rep = exhaustive_spectrum(6, 0, 7)
@@ -181,12 +221,41 @@ def test_witness_key_orders_as_tuples(pair):
     assert _key_mask(kb, range_max) == b
 
 
+@st.composite
+def _masks_with_top(draw):
+    """(range_max, mask) for a mask over [0, range_max] with bit 0 and its top."""
+    top = draw(st.integers(0, MAX_RANGE))
+    inner = draw(st.integers(0, (1 << max(top - 1, 0)) - 1))  # bits 1..top-1
+    return draw(st.integers(top, MAX_RANGE)), 1 | inner << 1 | 1 << top
+
+
+@given(_masks_with_top())
+def test_mirror_keeps_delta_and_leads_its_class(pair):
+    # R(A) = max A - A: same delta; and with 1 not in A but max A - 1 in A,
+    # R(A) comes first in witness order
+    range_max, mask = pair
+    a = _elements(mask)
+    top = a[-1]
+    r = tuple(top - x for x in reversed(a))
+    mirror = sum(1 << x for x in r)
+
+    def delta(elems):
+        return len(brute_sumset(elems, elems)) - len(brute_diffset(elems, elems))
+
+    assert delta(r) == delta(a)
+    assert r[0] == 0 and r[-1] == top and len(r) == len(a)
+    if top > 1 and not mask >> 1 & 1 and mask >> (top - 1) & 1:
+        assert mirror >> 1 & 1 and not mirror >> (top - 1) & 1
+        assert _lex_key(mirror, range_max) < _lex_key(mask, range_max)
+
+
 def test_low_tables_read_only():
     tables = search._low_tables(4)
-    # rows by size, ascending within each size
-    assert list(tables.low) == [1, 3, 5, 9, 7, 11, 13, 15]
-    assert tables.starts == (0, 0, 1, 4, 7, 8)
-    assert list(tables.top) == [0, 1, 2, 3, 2, 3, 3, 3]
+    # the rows with bit 1 set, then those without, each by size, ascending
+    # within each size; starts[b] is the size starts of the block with bit 1 = b
+    assert list(tables.low) == [3, 7, 11, 15, 1, 5, 9, 13]
+    assert tables.starts == ((4, 4, 5, 7, 8, 8), (0, 0, 0, 1, 3, 4))
+    assert list(tables.top) == [1, 2, 3, 3, 0, 2, 3, 3]
     assert tables.top.dtype == np.uint8
     for name, arr in vars(tables).items():
         if name != "starts":
