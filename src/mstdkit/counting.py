@@ -221,10 +221,10 @@ def find_group_mstd(n: int, strategy: str = "first", seed: int | None = None) ->
     Such a subset has |A+A| = 2n and |A-A| <= 2n-1, so it is MSTD in the
     group; both facts are re-verified by cyclic folds (module docstring)
     before returning.  Strategy "first" scans masks in increasing order
-    (deterministic); "random" draws masks from a seeded generator.  Raises
-    RuntimeError when no witness is found within the budget (for small n
-    none exists at all), and ValueError for n outside [2, MAX_COUNT_N]
-    before scanning anything.
+    (deterministic) and takes no seed; "random" draws masks from a seeded
+    generator.  Raises RuntimeError when no witness is found within the
+    budget (for small n none exists at all), and ValueError for n outside
+    [2, MAX_COUNT_N] or a seed given to "first" before scanning anything.
 
     For n >= 7 "first" returns E1 = {0, 1, 3} (mask 0b1011).  Masks 0..10
     are subsets of {0, 1, 2, 3} fixed by some reflection i -> b - i, so
@@ -238,6 +238,8 @@ def find_group_mstd(n: int, strategy: str = "first", seed: int | None = None) ->
         raise ValueError(f"n must be in [2, {MAX_COUNT_N}]")
     seed = None if seed is None else _strict_int("seed", seed)
     if strategy == "first":
+        if seed is not None:
+            raise ValueError("strategy 'first' does not take parameter(s): seed")
         candidates = range(1 << n)
     elif strategy == "random":
         rng = random.Random(seed)

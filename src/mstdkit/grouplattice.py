@@ -412,6 +412,8 @@ def find_thickness(
     sufficiently large t, so the scan fails only if t_max is too small.
     """
     t_max = _strict_int("t_max", t_max)
+    if t_max < 1:
+        raise ValueError("t_max must be at least 1")
     pair1, pair2 = [(_strict_int("h", h), _strict_int("k", k)) for h, k in (pair1, pair2)]
     (h1, k1), (h2, k2) = pair1, pair2
     if h1 < 1 or h2 < 1 or k1 < 0 or k2 < 0:
@@ -523,6 +525,8 @@ class EmbedResult:
 def embed_report(a: GroupSubset, t_max: int = 32) -> EmbedResult:
     """Run group -> thickened lattice set -> integers, verifying MSTD at the end."""
     t_max = _strict_int("t_max", t_max)
+    if t_max < 1:
+        raise ValueError("t_max must be at least 1")
     if len(group_sum_diff(a, 2, 0)) <= len(group_sum_diff(a, 1, 1)):
         raise ValueError("input is not an MSTD subset of its group")
     try:

@@ -84,16 +84,28 @@ the integer minimum of keys, so the report does not depend on the chunk
 size.  The arithmetic is integer throughout.
 
 Random samples.  ``random_search`` draws ``sorted(rng.sample(...))`` and
-scores each draw on plain ints, with no ``IntSet`` per sample.  With
-s = A - min A and t = max s, the mask is the shift-OR of 1 by s, and
-``setops._fold_delta(mask, s, t)``, the counting body ``mstd_delta``
-shares, gives |A+A| and |A-A| after ``mstd_delta``'s range and span
-checks.  The normalized candidate is s divided by its gcd, compared as a
-list, and the least candidate per delta becomes an ``IntSet`` once, at
-the end, re-verified by ``mstd_delta``.  The exhaustive tables keep A+A in uint64 lanes, which
-caps them at MAX_RANGE, while a sample may span any range the kernel
-takes (range_max = 40 already gives 81-bit sums) and costs |A| big-int
-shifts, so the two scorers stay separate.
+keeps the least normalized sample per delta (s = A - min A divided by its
+gcd, compared as a list), which becomes an ``IntSet`` once, at the end,
+re-verified by ``mstd_delta``.  With range_max <= 63, A's shifted mask and
+the nonnegative half of A-A fit one uint64 lane and A+A two, so the draws
+are scored a batch at a time: up to 2^_CHUNK_BITS sample elements, the
+working set of one spectrum chunk.  Each row is sorted and shifted to 0,
+m = OR_j 1 << s_j, and for each column e
+
+    lo |= m << e,   hi |= (m >> 1) >> (63 - e),   dif |= m >> e,
+
+where hi holds the bits of A+A from 64 up (m >> (64 - e), written so no
+shift reaches 64), and delta = |lo| + |hi| - (2 |dif| - 1).  The rng makes
+the same calls in the same order, so the report does not depend on the
+batch size.  ``mstd_delta``'s range and span checks grow with max A and
+with the span, and every sample lies in [0, range_max], so one check of
+the whole range before the first draw covers every sample.  Above 63 each
+sample is scored on plain ints: its mask is the shift-OR of 1 by s, and
+``setops._fold_delta(mask, s, max s)``, the counting body ``mstd_delta``
+shares, gives |A+A| and |A-A| after ``mstd_delta``'s checks on that
+sample, which raise at the first failing trial.  Both scorers cost O(|A|)
+shifts per sample, while the exhaustive tables enumerate whole bands,
+which caps them at MAX_RANGE.
 """
 
 from __future__ import annotations
@@ -375,18 +387,24 @@ def random_search(range_max: int, size: int, trials: int, seed: int) -> SearchRe
     population = range(range_max + 1)
     spectrum: dict = {}
     best: dict = {}  # delta -> least normalized sample, as a list
-    for _ in range(trials):
-        elems = sorted(rng.sample(population, size))
-        lo, hi = elems[0], elems[-1]
-        _check_delta(lo, hi)
-        s = [e - lo for e in elems]
-        d = _fold_delta(_shift_or(1, s), s, hi - lo).delta
-        spectrum[d] = spectrum.get(d, 0) + 1
-        g = math.gcd(*s)
-        if g > 1:
-            s = [e // g for e in s]
-        if d not in best or s < best[d]:
-            best[d] = s
+    if range_max <= 63:
+        # every sample lies in [0, range_max], and mstd_delta's checks grow with
+        # max A and with the span, so this one call covers every sample
+        _check_delta(0, range_max)
+        _score_lanes(rng, population, size, trials, spectrum, best)
+    else:
+        for _ in range(trials):
+            elems = sorted(rng.sample(population, size))
+            lo, hi = elems[0], elems[-1]
+            _check_delta(lo, hi)
+            s = [e - lo for e in elems]
+            d = _fold_delta(_shift_or(1, s), s, hi - lo).delta
+            spectrum[d] = spectrum.get(d, 0) + 1
+            g = math.gcd(*s)
+            if g > 1:
+                s = [e // g for e in s]
+            if d not in best or s < best[d]:
+                best[d] = s
     witnesses = {}
     for d, s in best.items():
         w = IntSet._from_sorted(s)
@@ -399,3 +417,45 @@ def random_search(range_max: int, size: int, trials: int, seed: int) -> SearchRe
         witnesses=witnesses,
         enumerated=trials,
     )
+
+
+def _score_lanes(
+    rng: random.Random, population: range, size: int, trials: int, spectrum: dict, best: dict
+) -> None:
+    """``random_search``'s loop for a population within [0, 63]: the same
+    draws, scored a batch at a time in uint64 lanes (module docstring)."""
+    import numpy as np
+
+    one = np.uint64(1)
+    rows = max(1, (1 << _CHUNK_BITS) // size)
+    for done in range(0, trials, rows):
+        draws = [rng.sample(population, size) for _ in range(min(rows, trials - done))]
+        s = np.array(draws, dtype=np.uint64)
+        s.sort(axis=1)
+        s -= s[:, :1]
+        mask = np.bitwise_or.reduce(one << s, axis=1)
+        half = mask >> one
+        lo = np.zeros_like(mask)  # bits 0..63 of A+A
+        hi = np.zeros_like(mask)  # bits 64..127 of A+A
+        dif = np.zeros_like(mask)  # (A-A) ∩ N
+        for e in s.T:
+            lo |= mask << e
+            hi |= half >> (np.uint64(63) - e)  # mask >> (64 - e), and 0 at e = 0
+            dif |= mask >> e
+        sums = np.bitwise_count(lo).astype(np.intp) + np.bitwise_count(hi)
+        delta = sums - 2 * np.bitwise_count(dif).astype(np.intp) + 1
+        base = int(delta.min())
+        tally = np.bincount(delta - base)
+        g = np.gcd.reduce(s, axis=1)
+        np.maximum(g, one, out=g)  # a singleton shifts to [0], whose gcd is 0
+        # the normalized rows, grouped by delta
+        cands = (s // g[:, None])[np.argsort(delta)].tolist()
+        start = 0
+        for i in np.flatnonzero(tally).tolist():
+            stop = start + int(tally[i])
+            d = i + base
+            spectrum[d] = spectrum.get(d, 0) + stop - start
+            c = min(cands[start:stop])
+            if d not in best or c < best[d]:
+                best[d] = c
+            start = stop

@@ -182,6 +182,11 @@ class TestGroupSearchAndEmbed:
         )
         assert code1 == code2 == 0 and out1 == out2
 
+    def test_search_first_rejects_a_seed(self, capsys):
+        code, out, err = run_cli(capsys, "group-search", "--n", "7", "--seed", "5")
+        assert code == 2 and out == ""
+        assert "error: strategy 'first' does not take parameter(s): seed" in err
+
     def test_search_over_cap_rejected(self, capsys):
         code, out, err = run_cli(capsys, "group-search", "--n", "4097")
         assert code == 2 and out == ""
@@ -196,6 +201,15 @@ class TestGroupSearchAndEmbed:
         path.write_text('{"moduli": [5], "elements": [[0], [1], [4]]}')
         code, _, err = run_cli(capsys, "embed", "--input", str(path))
         assert code == 2 and "not an MSTD subset" in err
+
+    @pytest.mark.parametrize("t_max", ["0", "-1"])
+    def test_embed_rejects_t_max_below_one(self, capsys, tmp_path, t_max):
+        _, witness, _ = run_cli(capsys, "group-search", "--n", "7")
+        path = tmp_path / "witness.json"
+        path.write_text(witness)
+        code, out, err = run_cli(capsys, "embed", "--input", str(path), "--t-max", t_max)
+        assert code == 2 and out == ""
+        assert err == "error: t_max must be at least 1\n"
 
     def test_embed_over_point_budget(self, capsys, tmp_path):
         # the n = 7 covering witness times {0} in (Z/2)^22 is still group MSTD;

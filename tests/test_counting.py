@@ -275,6 +275,12 @@ class TestFindGroupMstd:
         assert a == b
         assert len(group_sum_diff(a, 2, 0)) == 18
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_first_rejects_a_seed(self, seed):
+        message = "strategy 'first' does not take parameter(s): seed"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            find_group_mstd(7, "first", seed=seed)
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             find_group_mstd(7, strategy="exhaustive")

@@ -539,9 +539,21 @@ class TestPipeline:
             embed_report(sym)
 
     def test_stage_identified_on_budget_exhaustion(self):
-        a = covering_pair_subset()
+        a = covering_pair_subset()  # needs thickness 2
         with pytest.raises(EmbedError, match="thickness search"):
-            embed_report(a, t_max=0)
+            embed_report(a, t_max=1)
+
+    @pytest.mark.parametrize("t_max", [0, -1])
+    def test_t_max_below_one_rejected_before_any_fold(self, monkeypatch, t_max):
+        def no_fold(*args):
+            raise AssertionError("group fold computed")
+
+        monkeypatch.setattr(grouplattice, "group_sum_diff", no_fold)
+        a = covering_pair_subset()
+        with pytest.raises(ValueError, match="^t_max must be at least 1$"):
+            embed_report(a, t_max=t_max)
+        with pytest.raises(ValueError, match="^t_max must be at least 1$"):
+            find_thickness(a, (2, 0), (1, 1), t_max)
 
 
 class TestImageDelta:

@@ -279,6 +279,30 @@ def test_spectrum_output_pinned():
     assert digest.hexdigest() == SPECTRUM_SHA256
 
 
+# sha256 of random_search reports on both sides of the uint64 lane limit
+# (range_max 63), recorded while every sample was scored on Python ints
+RANDOM_SHA256 = "0d9aa4c03af663fe7d9d3562b6137f860ddca9e32d3ab6652a7f134237d110f6"
+
+
+def _random_grid():
+    for range_max in (0, 1, 5, 20, 40, 62, 63, 64, 70):
+        for size in sorted({1, 2, 12, range_max + 1}):
+            if size <= range_max + 1:
+                # 1501 and 7 are multiples of no batch's row count
+                for seed, trials in ((1, 1501), (2, 1501), (2, 7)):
+                    yield range_max, size, trials, seed
+
+
+def test_random_output_pinned():
+    digest = hashlib.sha256()
+    grid = list(_random_grid())
+    for args in grid:
+        record = [list(args), random_search(*args).to_dict()]
+        digest.update(json.dumps(record).encode() + b"\n")
+    assert len(grid) == 90
+    assert digest.hexdigest() == RANDOM_SHA256
+
+
 class TestRandom:
     def test_seed_reproducibility(self):
         a = random_search(14, 8, 500, seed=42)
@@ -343,10 +367,21 @@ class TestRandom:
             (80, 40, 200, 4),  # 40 shifts reach the run-folding path
             (600, 64, 20, 6),  # sparse samples at the folding size
             (200, 2, 300, 7),  # pairs: gcd = span, witnesses [0, 1]
+            (63, 20, 300, 8),  # the widest range scored in uint64 lanes
+            (64, 20, 300, 8),  # the narrowest scored one sample at a time
         ],
     )
     def test_matches_python_set_replay(self, args):
         assert random_search(*args).to_dict() == replay_random_search(*args)
+
+    @pytest.mark.parametrize("chunk_bits", [1, 3, None], ids=["chunk1", "chunk3", "default"])
+    def test_batch_size_invariant(self, monkeypatch, chunk_bits):
+        # batches of one row up to batches wider than the trials
+        grid = [(63, 64, 37, 1), (63, 12, 500, 2), (40, 12, 1001, 5), (20, 1, 50, 3), (5, 2, 99, 4)]
+        want = [replay_random_search(*args) for args in grid]
+        if chunk_bits is not None:
+            monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
+        assert [random_search(*args).to_dict() for args in grid] == want
 
     @pytest.mark.parametrize(
         "range_max, size, seed, fails, error",
