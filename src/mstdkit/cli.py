@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import cache, partial
 
@@ -23,7 +24,14 @@ from .constructions import (
 from .counting import count_covering, find_group_mstd
 from .grouplattice import GroupSubset, embed_report
 from .search import exhaustive_spectrum
-from .setops import IntSet, MstdDelta, _load_json, _strict_int, _strict_ints
+from .setops import _INT_TOKEN, IntSet, MstdDelta, _load_json, _strict_int, _strict_ints
+
+
+def _int_arg(text: str) -> int:
+    """An integer flag, read as the text wire format reads integers."""
+    if not re.fullmatch(_INT_TOKEN, text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer")
+    return int(text)
 
 
 def _parse_gap(raw) -> Gap:
@@ -157,24 +165,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="turn a group MSTD subset into an integer one")
     p.add_argument("--input", required=True, help="group subset JSON file, or -")
-    p.add_argument("--t-max", type=int, default=32, dest="t_max")
+    p.add_argument("--t-max", type=_int_arg, default=32, dest="t_max")
     p.set_defaults(handler=_cmd_embed)
 
     p = sub.add_parser("count", help="covering counts for parity graphs in Z/n x Z/2")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--table", action="store_true", help="include per-element misses")
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("group-search", help="find a covering parity graph")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--strategy", choices=("first", "random"), default="first")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_arg, default=None)
     p.set_defaults(handler=_cmd_group_search)
 
     p = sub.add_parser("spectrum", help="exhaustive delta spectrum over [0, N]")
-    p.add_argument("--range-max", type=int, required=True, dest="range_max")
-    p.add_argument("--min-size", type=int, default=0, dest="min_size")
-    p.add_argument("--max-size", type=int, required=True, dest="max_size")
+    p.add_argument("--range-max", type=_int_arg, required=True, dest="range_max")
+    p.add_argument("--min-size", type=_int_arg, default=0, dest="min_size")
+    p.add_argument("--max-size", type=_int_arg, required=True, dest="max_size")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=_cmd_spectrum)
 

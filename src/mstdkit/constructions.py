@@ -3,19 +3,21 @@
 Every family adjoins one element to a core ``B + L + (a* - B)``: a base B,
 a middle L of arithmetic tracks or a generalized arithmetic progression,
 and B reflected about the center a* its theorem names.  Each builder
-validates its parameters, checks the span of the set they describe, and
-hands B and L as runs ``(start, step, length)``, a* and the element to
-one tail, ``_symmetric_mstd``.  The builders state their runs: one per
-track, one or two for a punctured interval, and for ``gap`` one per
-point of the progression, stepping by m; only ``gap``'s base is a
-generic set, whose runs ``setops._runs`` finds once.  The tail checks
-that L, as listed, is its own mirror about a*: the mirror of
-``(s, q, n)`` is ``(a* - s - (n-1) q, q, n)``, and L's runs must equal
-their mirrors listed in reverse (B + (a* - B) is symmetric by
-construction).  It then sorts A's elements once and re-verifies the MSTD
-inequality exactly: cheap checks that catch transcription slips.  It
-returns the set, its ``MstdDelta`` and a*, so ``mstd construct`` computes
-neither again; the public family functions return the set alone.
+validates its parameters and hands B and L as runs ``(start, step,
+length)``, a* and the element to one tail, ``_symmetric_mstd``.  The
+builders state their runs: one per track, one or two for a punctured
+interval, and for ``gap`` one per point of the progression, stepping by
+m; only ``gap``'s base is a generic set, whose runs ``setops._runs``
+finds once.  The tail checks that L, as listed, is its own mirror about
+a*: the mirror of ``(s, q, n)`` is ``(a* - s - (n-1) q, q, n)``, and L's
+runs must equal their mirrors listed in reverse (B + (a* - B) is
+symmetric by construction).  It makes the families' one span check, on
+the runs' ends, before it expands a point: every run list is O(1) long,
+or bounded by ``MAX_GAP_POINTS`` or |B|.  It then sorts A's elements
+once and re-verifies the MSTD inequality exactly: cheap checks that
+catch transcription slips.  It returns the set, its ``MstdDelta`` and
+a*, so ``mstd construct`` computes neither again; the public family
+functions return the set alone.
 
 The tail builds A's mask and counts |A+A| and |A-A| with
 ``setops._fold_runs`` on A's runs: B, L, a* - B and the adjoined element,
@@ -71,10 +73,6 @@ class Gap:
             if length < 1:
                 raise ConstructionError("progression lengths must be at least 1")
 
-    @property
-    def dim(self) -> int:
-        return len(self.dims)
-
     def translate(self, offset: int) -> "Gap":
         return Gap(self.base + offset, self.dims)
 
@@ -95,11 +93,6 @@ class Gap:
 def _require(cond: bool, message: str):
     if not cond:
         raise ConstructionError(message)
-
-
-def _check_output_span(span: int) -> None:
-    """``mstd_delta``'s span check on a set that spans ``span``, before it is built."""
-    _check_span(2 * span)
 
 
 def _mirror(runs: list, center: int) -> list:
@@ -128,12 +121,14 @@ def _symmetric_mstd(b: list, middle: list, center: int, adjoined: int, family: s
             f"internal error: {family} core is not symmetric about {center}"
         )
     runs = b + middle + _mirror(b, center) + [(adjoined, 0, 1)]
+    lo = min(s for s, _q, _n in runs)
+    top = max(s + (n - 1) * q for s, q, n in runs) - lo
+    _check_span(2 * top)  # mstd_delta's span check, before A is built
     # a run of step 0 is one point, however long
     points = itertools.chain.from_iterable(
         range(s, s + (n - 1) * q + 1, q or 1) for s, q, n in runs
     )
     elems = sorted({*points})
-    lo, top = elems[0], elems[-1] - elems[0]
     runs = [(s - lo, q, n) for s, q, n in runs]
     mask = _fold_runs(1, runs)
     sums = _fold_runs(mask, runs)
@@ -183,7 +178,6 @@ def _one_track(p: OneTrackParams) -> tuple[IntSet, MstdDelta, int]:
     p.validate()
     m, d, k = p.m, p.d, p.k
     center = (k + 1) * m - 2 * d
-    _check_output_span(center)  # the set runs from 0 to center
     return _symmetric_mstd(_punctured(m, d), [(m - d, m, k)], center, m, "one-track family")
 
 
@@ -229,7 +223,6 @@ def _two_track(p: TwoTrackParams) -> tuple[IntSet, MstdDelta, int]:
     p.validate()
     m, d, k = p.m, p.d, p.k
     center = (k + 2) * m
-    _check_output_span(center)  # the set runs from 0 to center
     tracks = [(2 * m - d, m, k - 1), (2 * m + d, m, k - 1)]
     return _symmetric_mstd(_punctured(m, d), tracks, center, m, "two-track family")
 
@@ -245,7 +238,6 @@ def hegarty_roesler_family(k: int) -> IntSet:
 def _hegarty_roesler(k: int) -> tuple[IntSet, MstdDelta, int]:
     k = _strict_int("k", k)
     _require(k >= 3, "k must be at least 3")
-    _check_output_span(4 * k + 2)
     return _symmetric_mstd([(0, 2, 2)], [(3, 4, k)], 4 * k + 2, 4, "hegarty-roesler family")
 
 
@@ -260,7 +252,6 @@ def two_dim_family(k: int) -> IntSet:
 def _two_dim(k: int) -> tuple[IntSet, MstdDelta, int]:
     k = _strict_int("k", k)
     _require(k >= 2, "k must be at least 2")
-    _check_output_span(4 * k + 8)
     tracks = [(3, 4, k), (9, 4, k)]
     return _symmetric_mstd([(0, 2, 2)], tracks, 4 * k + 8, 4, "two-dim family")
 
@@ -365,10 +356,7 @@ def _gap(base: GapBase, k: int, variant: str) -> tuple[IntSet, MstdDelta, int]:
             "otherwise 2m is already a sum of the core and the set is not MSTD",
         )
     b = base.b
-    block_lo, block_hi = m - ls.max + j_range[0] * m, m - ls.min + k * m
-    center = block_lo + block_hi
-    lo = min(b.min, block_lo, center - b.max, m)
-    _check_output_span(max(b.max, block_hi, center - b.min, m) - lo)
+    center = (j_range[0] + k + 2) * m - ls.min - ls.max  # min(L) + max(L)
     block = [(m - e + j_range[0] * m, m, len(j_range)) for e in ls]
     return _symmetric_mstd(_runs(list(b)), block, center, m, f"gap family ({variant})")
 

@@ -180,15 +180,21 @@ def _twisted_fixed(n: int, b: int, c: int, e: int, u: int) -> int:
     return 1 << ((e + len(fixed)) // 2)
 
 
+def _check_n(n: int) -> int:
+    """``n`` as an int in [2, MAX_COUNT_N], or ValueError."""
+    n = _strict_int("n", n)
+    if not 2 <= n <= MAX_COUNT_N:
+        raise ValueError(f"n must be in [2, {MAX_COUNT_N}]")
+    return n
+
+
 def count_covering(n: int) -> CoverReport:
     """Count the parity graphs whose sumset covers Z/n x Z/2, by the closed form.
 
     Also tabulates, for every group element g, how many graphs miss g in
     their sumset.  Exact for every n up to MAX_COUNT_N.
     """
-    n = _strict_int("n", n)
-    if not 2 <= n <= MAX_COUNT_N:
-        raise ValueError(f"n must be in [2, {MAX_COUNT_N}]")
+    n = _check_n(n)
     primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
     g = 2 - n % 2  # T depends on b only through b mod gcd(2, n)
     weighted = 0
@@ -207,9 +213,8 @@ def count_covering(n: int) -> CoverReport:
 
 def miss_count(n: int, b: int, parity: int) -> int:
     """Number of parity graphs whose sumset misses (b, parity), by the closed form."""
-    n, b, parity = _strict_int("n", n), _strict_int("b", b), _strict_int("parity", parity)
-    if not 2 <= n <= MAX_COUNT_N:
-        raise ValueError(f"n must be in [2, {MAX_COUNT_N}]")
+    n = _check_n(n)
+    b, parity = _strict_int("b", b), _strict_int("parity", parity)
     if not 0 <= b < n or parity not in (0, 1):
         raise ValueError("element must satisfy 0 <= b < n, parity in {0, 1}")
     return _twisted_fixed(n, b, 1 - parity, n, 0)
@@ -221,10 +226,10 @@ def find_group_mstd(n: int, strategy: str = "first", seed: int | None = None) ->
     Such a subset has |A+A| = 2n and |A-A| <= 2n-1, so it is MSTD in the
     group; both facts are re-verified by cyclic folds (module docstring)
     before returning.  Strategy "first" scans masks in increasing order
-    (deterministic) and takes no seed; "random" draws masks from a seeded
-    generator.  Raises RuntimeError when no witness is found within the
-    budget (for small n none exists at all), and ValueError for n outside
-    [2, MAX_COUNT_N] or a seed given to "first" before scanning anything.
+    (deterministic) and takes no seed; "random" needs one.  Raises
+    RuntimeError when no witness is found within the budget (for small n
+    none exists at all), and ValueError for n outside [2, MAX_COUNT_N] or
+    a seed wrongly given or missing, before scanning anything.
 
     For n >= 7 "first" returns E1 = {0, 1, 3} (mask 0b1011).  Masks 0..10
     are subsets of {0, 1, 2, 3} fixed by some reflection i -> b - i, so
@@ -233,15 +238,15 @@ def find_group_mstd(n: int, strategy: str = "first", seed: int | None = None) ->
     fixes it, and E1 equals the complement of a reflection only when
     |E1| = n/2, that is n = 6.
     """
-    n = _strict_int("n", n)
-    if not 2 <= n <= MAX_COUNT_N:
-        raise ValueError(f"n must be in [2, {MAX_COUNT_N}]")
+    n = _check_n(n)
     seed = None if seed is None else _strict_int("seed", seed)
     if strategy == "first":
         if seed is not None:
             raise ValueError("strategy 'first' does not take parameter(s): seed")
         candidates = range(1 << n)
     elif strategy == "random":
+        if seed is None:
+            raise ValueError("strategy 'random' needs a seed")
         rng = random.Random(seed)
         candidates = (rng.getrandbits(n) for _ in range(_RANDOM_TRIALS))
     else:

@@ -35,16 +35,17 @@ box(s, t) = {(q_1 m_1, ..., q_d m_d) : s <= q_i < t}.  It rests on two facts:
 So psi(hB_t - kB_t) = h psi(phi(A)) - k psi(phi(A)) + sum_i P_i, where P_i
 is the progression {q m_i radix^i : -k(t-1) <= q <= h(t-1)}: d folds of
 the image's mask, each over one run of (h + k)(t - 1) + 1 shifts
-(``setops._fold_runs``, O(log t) big-int shifts), instead of |A| t^d
-points.  Every coordinate of B_t lies in [0, maxnorm], so with
-fold budget h + k the argument above makes psi injective on hB_t - kB_t
-and the image has |hB_t - kB_t| elements, without a corner translation.
+(``_fold_box``, O(log t) big-int shifts), instead of |A| t^d points;
+``_psi`` gives psi(A) and the steps m_i radix^i.  Every coordinate of B_t
+lies in [0, maxnorm], so with fold budget h + k the argument above makes
+psi injective on hB_t - kB_t and the image has |hB_t - kB_t| elements,
+without a corner translation.
 The thickness search compares the bit counts of the final masks and
 builds no set.  The envelope is the ``setops`` one: each progression step
-makes the range and span checks ``sumset`` makes, so an image outside
-signed 64 bits or ``MAX_SPAN_BITS`` raises and never answers wrongly.
-Each P_i contains 0, so each step's result lies inside the final set's
-range and cannot raise when the final set fits.
+has the range and span checks ``sumset`` makes, all made before the first
+fold, so an image outside signed 64 bits or ``MAX_SPAN_BITS`` raises and
+never answers wrongly.  Each P_i contains 0, so each step's result lies
+inside the final set's range and cannot raise when the final set fits.
 
 ``embed_report`` re-checks its output, the image X of B_t, without a
 shift per element of X, which ``mstd_delta`` would make: in sorted order
@@ -59,8 +60,9 @@ X + X = X + psi(A) + P_1 + ... + P_d as sets of integers.  The mask
 folded by each P_i and then by psi(A) - min psi(A) therefore has
 |X + X| bits, and, as P_i - P_i = P_i - (t-1) m_i radix^i, the same
 fold by max psi(A) - psi(A) is X - X moved up by max X - min X and has
-|X - X| bits.  That is about 2(|A| + d log2 t) big-int shifts instead of
-about 2|X|, and it reads only the mask and the group data.
+|X - X| bits; ``setops._fold_delta``, ``mstd_delta``'s count, folds both.
+That is about 2(|A| + d log2 t) big-int shifts instead of about 2|X|,
+and it reads only the mask and the group data.
 """
 
 from __future__ import annotations
@@ -69,11 +71,10 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .setops import I64_MAX, IntSet, MstdDelta, _bit_positions, _check_delta, _check_i64
-from .setops import _check_span, _fold_runs, _load_json, _shift_or, _strict_int, _strict_ints
-from .setops import sum_diff
+from .setops import _check_span, _fold_delta, _fold_runs, _load_json, _shift_or, _strict_int
+from .setops import _strict_ints, sum_diff
 
 # Most points ``thicken`` or ``sublattice_box`` may build.  A 2-d point costs
 # about 230 bytes (tuple, ints, set entry), so one set stays near 240 MB.
@@ -102,9 +103,6 @@ class GroupSpec:
     @property
     def order(self) -> int:
         return math.prod(self.moduli)
-
-    def elements(self) -> Iterable[tuple[int, ...]]:
-        return itertools.product(*(range(m) for m in self.moduli))
 
 
 @dataclass(frozen=True)
@@ -313,21 +311,20 @@ def _thickened_mask(
 
     Built as h psi(A) - k psi(A) plus one progression per axis, without a
     lattice point; with h + k <= budget the mask has |hB_t - kB_t| set
-    bits.  The mask 1 of {0} is folded h times by psi(A) - min psi(A), then
-    k times by max psi(A) - psi(A), after the range and span checks that
-    ``IntSet`` and ``sum_diff``'s ``sumset`` and ``diffset`` steps make, in
-    their order; every step's result lies within the checked ends.  Each
-    axis is range-checked as ``sumset`` checks it, then ORs in the
-    progression, shifted to start at 0, on the mask alone.
+    bits.  Every range and span check comes first, in order: those of
+    ``IntSet`` and of ``sum_diff``'s ``sumset`` and ``diffset`` steps, then
+    each axis's as ``sumset`` makes it.  Then the mask 1 of {0} is folded h
+    times by psi(A) - min psi(A), k times by max psi(A) - psi(A), and by
+    each axis's progression from 0; every step's result lies within the
+    checked ends.
     """
     moduli = a.spec.moduli
     _check_points(len(a) * t ** len(moduli))
     tops = map(max, zip(*a.elements))
     maxnorm = max(top + m * (t - 1) for top, m in zip(tops, moduli))
     radix = _check_i64(2 * budget * maxnorm + 1)
-    powers = [radix**i for i in range(len(moduli))]
-    images = [sum(c * w for c, w in zip(p, powers)) for p in a.elements]
-    lo, hi = _check_i64(min(images)), _check_i64(max(images))
+    images, steps = _psi(a, radix)
+    lo, hi = _check_i64(images[0]), _check_i64(images[-1])
     for j in range(2, max(h, k) + 1):  # the j-fold sums
         _check_i64(j * lo)
         _check_i64(j * hi)
@@ -339,19 +336,17 @@ def _thickened_mask(
     _check_span(hi - lo)  # psi(A)'s own mask: binding only when (h, k) = (1, 0)
     ups = [e - lo for e in images]
     downs = [hi - e for e in images]
+    lo, hi = h * lo - k * hi, h * hi - k * lo
+    for step in steps:
+        lo = _check_i64(lo - k * (t - 1) * step)
+        hi = _check_i64(hi + h * (t - 1) * step)
+        _check_span(hi - lo)
     mask = 1
     for _ in range(h):
         mask = _shift_or(mask, ups)
     for _ in range(k):
         mask = _shift_or(mask, downs)
-    lo, hi = h * lo - k * hi, h * hi - k * lo
-    for m, w in zip(moduli, powers):
-        step = m * w
-        lo = _check_i64(lo - k * (t - 1) * step)
-        hi = _check_i64(hi + h * (t - 1) * step)
-        _check_span(hi - lo)
-        mask = _fold_runs(mask, [(0, step, (h + k) * (t - 1) + 1)])
-    return radix, lo, mask
+    return radix, lo, _fold_box(mask, steps, (h + k) * (t - 1) + 1)
 
 
 def _thickened_fold(a: GroupSubset, t: int, h: int, k: int, budget: int) -> LinearImage:
@@ -554,22 +549,25 @@ def _image_delta(a: GroupSubset, t: int, radix: int, lo: int, mask: int) -> Mstd
     """
     hi = lo + mask.bit_length() - 1
     _check_delta(lo, hi)
-    powers = [radix**i for i in range(a.spec.dim)]
-    images = sorted(sum(c * w for c, w in zip(p, powers)) for p in a.elements)
-    steps = [m * w for m, w in zip(a.spec.moduli, powers)]
+    images, steps = _psi(a, radix)
     # matching the ends first keeps every fold below within X's checked span
     ends = (images[0], images[-1] + (t - 1) * sum(steps))
     shifts = [e - images[0] for e in images]
     if ends != (lo, hi) or _fold_box(_shift_or(1, shifts), steps, t) != mask:
         raise EmbedError("verification: the image is not psi(A) + P_1 + ... + P_d")
     spread = _fold_box(mask, steps, t)  # X + P_1 + ... + P_d, less min X
-    sums = _shift_or(spread, shifts)
-    diffs = _shift_or(spread, [shifts[-1] - e for e in shifts])
-    return MstdDelta(sums.bit_count(), diffs.bit_count())
+    return _fold_delta(spread, shifts, shifts[-1])
 
 
-def _fold_box(mask: int, steps: list[int], t: int) -> int:
-    """``mask`` folded by each {q * step : 0 <= q < t} in turn, as one run each."""
+def _psi(a: GroupSubset, radix: int) -> tuple[list[int], list[int]]:
+    """psi(A) in ascending order, and the axis steps m_i radix^i."""
+    powers = [radix**i for i in range(a.spec.dim)]
+    images = sorted(sum(c * w for c, w in zip(p, powers)) for p in a.elements)
+    return images, [m * w for m, w in zip(a.spec.moduli, powers)]
+
+
+def _fold_box(mask: int, steps: list[int], length: int) -> int:
+    """``mask`` folded by each {q * step : 0 <= q < length} in turn, as one run each."""
     for step in steps:
-        mask = _fold_runs(mask, [(0, step, t)])
+        mask = _fold_runs(mask, [(0, step, length)])
     return mask

@@ -187,6 +187,11 @@ class TestGroupSearchAndEmbed:
         assert code == 2 and out == ""
         assert "error: strategy 'first' does not take parameter(s): seed" in err
 
+    def test_search_random_needs_a_seed(self, capsys):
+        code, out, err = run_cli(capsys, "group-search", "--n", "9", "--strategy", "random")
+        assert code == 2 and out == ""
+        assert err == "error: strategy 'random' needs a seed\n"
+
     def test_search_over_cap_rejected(self, capsys):
         code, out, err = run_cli(capsys, "group-search", "--n", "4097")
         assert code == 2 and out == ""
@@ -249,6 +254,28 @@ class TestGroupSearchAndEmbed:
         path.write_text(text)
         code, out, err = run_cli(capsys, "embed", "--input", str(path))
         assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0667", " 7", "7.0", "0x7", ""])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "{}"],
+        ["group-search", "--n", "{}"],
+        ["group-search", "--strategy", "random", "--n", "9", "--seed", "{}"],
+        ["embed", "--input", "-", "--t-max", "{}"],
+        ["spectrum", "--range-max", "{}", "--max-size", "3"],
+        ["spectrum", "--range-max", "4", "--min-size", "{}", "--max-size", "3"],
+        ["spectrum", "--range-max", "4", "--max-size", "{}"],
+    ],
+)
+def test_integer_flags_take_only_decimal_integers(capsys, argv, value):
+    # read as the text wire format reads integers: "1_0" is not 10, nor is
+    # the Arabic-Indic digit seven (U+0667) 7
+    with pytest.raises(SystemExit) as exc:
+        main([value if a == "{}" else a for a in argv])
+    assert exc.value.code == 2
+    assert f"{value!r} is not a decimal integer" in capsys.readouterr().err
 
 
 def test_parser_is_shared_and_keeps_no_state(capsys):

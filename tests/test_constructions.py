@@ -492,6 +492,16 @@ class TestSymmetricTail:
         with pytest.raises(ConstructionError, match=r"not MSTD \(delta=-1\)"):
             _symmetric_mstd([(0, 1, 2)], [], 3, 5, "test")
 
+    def test_span_taken_from_the_runs(self):
+        # A = {0, 1, c - 1, c} spans c, read off the runs' ends: A+A spans
+        # 2c, so c = MAX_SPAN_BITS / 2 passes the span check (and A is not
+        # MSTD) and the next c is refused before a point is expanded
+        center = MAX_SPAN_BITS // 2
+        with pytest.raises(ConstructionError, match="not MSTD"):
+            _symmetric_mstd([(0, 1, 2)], [], center, 1, "test")
+        with pytest.raises(ValueError, match="dense-kernel limit"):
+            _symmetric_mstd([(0, 1, 2)], [], center + 1, 1, "test")
+
 
 def test_gap_base_fullness_counts_match_set_equality():
     # GapBase.validate decides fullness from |B+B| and |B-B| alone

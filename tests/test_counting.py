@@ -281,6 +281,11 @@ class TestFindGroupMstd:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             find_group_mstd(7, "first", seed=seed)
 
+    def test_random_needs_a_seed(self):
+        # an unseeded draw would not be reproducible
+        with pytest.raises(ValueError, match="^strategy 'random' needs a seed$"):
+            find_group_mstd(9, "random")
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             find_group_mstd(7, strategy="exhaustive")
