@@ -11,13 +11,14 @@ n up to 4096 is quick) against the union bound and the fraction of all
 import argparse
 
 from mstdkit import count_covering
+from mstdkit.cli import _int_arg
 from mstdkit.counting import MAX_COUNT_N
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--min-n", type=int, default=4)
-    parser.add_argument("--max-n", type=int, default=18)
+    parser.add_argument("--min-n", type=_int_arg, default=4)
+    parser.add_argument("--max-n", type=_int_arg, default=18)
     args = parser.parse_args()
     for name, n in (("--min-n", args.min_n), ("--max-n", args.max_n)):
         if not 2 <= n <= MAX_COUNT_N:

@@ -9,12 +9,13 @@ nonempty subsets of [0, n].
 import argparse
 
 from mstdkit import exhaustive_spectrum
+from mstdkit.cli import _int_arg
 from mstdkit.search import MAX_RANGE
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-range", type=int, default=15)
+    parser.add_argument("--max-range", type=_int_arg, default=15)
     args = parser.parse_args()
     if not 1 <= args.max_range <= MAX_RANGE:
         parser.error(f"--max-range must be in [1, {MAX_RANGE}]")

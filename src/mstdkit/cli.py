@@ -138,16 +138,23 @@ def _to_json(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, at nesting ``indent``.
 
     With ``indent`` set, ``json.dumps`` runs the pure-Python encoder on every
-    item; a list of ints is joined in one call here instead."""
-    if type(value) is int:
+    item.  Here a list of ints is one C ``repr``, and other nonempty lists
+    and string-keyed dicts recurse, so only scalars reach ``json.dumps``."""
+    kind = type(value)
+    if kind is int:
         return str(value)
     inner = indent + "  "
-    if type(value) is dict and value and {*map(type, value)} == {str}:
-        items = (f"{inner}{json.dumps(k)}: {_to_json(v, inner)}" for k, v in value.items())
-        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
-    if type(value) is list and value and {*map(type, value)} == {int}:
-        return f"[\n{inner}" + f",\n{inner}".join(map(str, value)) + f"\n{indent}]"
-    # JSON text holds no raw newline outside its indentation
+    if kind is list and value:
+        if {*map(type, value)} == {int}:
+            body = str(value)[1:-1].replace(", ", ",\n" + inner)
+        else:
+            body = f",\n{inner}".join([_to_json(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if kind is dict and value and {*map(type, value)} == {str}:
+        items = [f"{json.dumps(k)}: {_to_json(v, inner)}" for k, v in value.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    # a scalar, an empty container or a dict with other keys; JSON text
+    # holds no raw newline outside its indentation
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 

@@ -21,6 +21,31 @@ values within signed 64 bits and a folded span of at most
 ``thicken`` and ``sublattice_box`` check their size against
 ``MAX_LATTICE_POINTS`` first.
 
+Group folds run on the same kernel (``_group_fold``).  On axis i, let lo_i
+be the coordinate of A just after its widest cyclic gap (the largest step
+from one coordinate to the next, the last wrapping round to the first),
+write each coordinate c as the digit (c - lo_i) mod m_i, and let s_i be the
+largest digit.  Every point of hD + k(s - D), for D the digit vectors of
+A, has i-th coordinate in [0, (h+k) s_i], so a mixed-radix layout with a
+field of w_i = (h+k) s_i + 1 values per axis (stride w_1 ... w_(i-1))
+encodes it without carries.  The mirrored copy s - D stands in for -A,
+and hA - kA = hD + k(s - D) + h lo - k(lo + s) coordinatewise, mod m.
+The mask 1 is folded h times by the codes of D and k times by those of
+s - D, then each axis with w_i > m_i is reduced mod m_i: the slabs of
+digits [j m_i, (j+1) m_i), each picked by a mask that ``_fold_runs`` lays
+over every other axis, are shifted down to [0, m_i) and ORed.  A field of
+w_i <= m_i digits is already distinct mod m_i, so it is left as it is,
+and the digit x on axis i stands for the residue
+(x + h lo_i - k(lo_i + s_i)) mod m_i.  The set bits are then the elements
+of hA - kA, one each: ``group_sum_diff`` decodes them, and
+``find_thickness``, ``thickening_bounds`` and ``embed_report`` only count
+them.  The layout depends on A's cyclic spread s_i, not on the moduli, so
+a subset of a large group that sits in a short arc of each axis, wrapping
+round the modulus or not, stays small.  Its envelope is the ``setops``
+one: a layout of more than ``MAX_SPAN_BITS`` bits, such as that of a
+2-fold of a set spread round the whole of a cyclic factor of order above
+2^26, raises ``ValueError`` before any fold.
+
 The thickness search never builds B_t = phi(A) + box(0, t), where
 box(s, t) = {(q_1 m_1, ..., q_d m_d) : s <= q_i < t}.  It rests on two facts:
 
@@ -36,7 +61,11 @@ So psi(hB_t - kB_t) = h psi(phi(A)) - k psi(phi(A)) + sum_i P_i, where P_i
 is the progression {q m_i radix^i : -k(t-1) <= q <= h(t-1)}: d folds of
 the image's mask, each over one run of (h + k)(t - 1) + 1 shifts
 (``_fold_box``, O(log t) big-int shifts), instead of |A| t^d points;
-``_psi`` gives psi(A) and the steps m_i radix^i.  Every coordinate of B_t
+``_thickened_psi`` gives the radix, psi(A) and the steps m_i radix^i once
+per thickness for both pairs of a scan, from A sorted once by
+``_psi_columns``: the radix exceeds every coordinate, so psi orders A by
+its reversed tuples whatever the radix.  ``embed_report`` sorts A once for
+the scan, the final fold and the re-check, which reuses that fold's psi(A).  Every coordinate of B_t
 lies in [0, maxnorm], so with fold budget h + k the argument above makes
 psi injective on hB_t - kB_t and the image has |hB_t - kB_t| elements,
 without a corner translation.
@@ -71,6 +100,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from operator import add, mul, sub
 
 from .setops import I64_MAX, IntSet, MstdDelta, _bit_positions, _check_delta, _check_i64
 from .setops import _check_span, _fold_delta, _fold_runs, _load_json, _shift_or, _strict_int
@@ -177,21 +207,67 @@ class LatticeSet:
 
 
 def group_sum_diff(a: GroupSubset, h: int, k: int) -> GroupSubset:
-    """hA - kA inside the group, by exact modular arithmetic."""
+    """hA - kA inside the group, decoded from ``_group_fold``'s mask."""
+    widths, offsets, mask = _group_fold(a, h, k)
+    moduli = a.spec.moduli
+    elements = []
+    for pos in _bit_positions(mask):
+        e = []
+        for w, o, m in zip(widths, offsets, moduli):
+            pos, x = divmod(pos, w)
+            e.append((x + o) % m)
+        elements.append(tuple(e))
+    return GroupSubset(a.spec, frozenset(elements))
+
+
+def _group_fold(a: GroupSubset, h: int, k: int) -> tuple[list[int], list[int], int]:
+    """(widths, offsets, mask) of hA - kA in the group's mixed-radix layout.
+
+    Axis i has a field of ``widths[i]`` values, with stride the product of
+    the widths below it; a set bit whose digit on axis i is x stands for
+    the residue (x + offsets[i]) mod m_i.  The mask has |hA - kA| set bits
+    (module docstring).
+    """
     h, k = _strict_int("h", h), _strict_int("k", k)
     if not a.elements:
         raise ValueError("subset must be nonempty")
     if h < 0 or k < 0 or h + k < 1:
         raise ValueError("fold counts must be nonnegative with h + k >= 1")
     moduli = a.spec.moduli
-    acc = {tuple(0 for _ in moduli)}
-    for sign in (1,) * h + (-1,) * k:
-        acc = {
-            tuple((u + sign * v) % m for u, v, m in zip(x, p, moduli))
-            for x in acc
-            for p in a.elements
-        }
-    return GroupSubset(a.spec, frozenset(acc))
+    lows, spreads = [], []
+    for col, m in zip(zip(*a.elements), moduli):
+        vals = sorted(set(col))
+        nexts = vals[1:] + [vals[0] + m]
+        # the field starts just after the widest cyclic gap
+        gap, low = max(zip(map(sub, nexts, vals), nexts))
+        lows.append(low % m)
+        spreads.append(m - gap)
+    widths = [(h + k) * s + 1 for s in spreads]
+    size = math.prod(widths)
+    _check_span(size - 1)
+    strides = list(itertools.accumulate(widths[:-1], mul, initial=1))
+    digits = [
+        sum((c - low) % m * w for c, low, m, w in zip(p, lows, moduli, strides))
+        for p in a.elements
+    ]
+    top = sum(s * w for s, w in zip(spreads, strides))
+    mask = 1
+    for _ in range(h):
+        mask = _shift_or(mask, digits)
+    for _ in range(k):
+        mask = _shift_or(mask, [top - x for x in digits])
+    for w, m, stride in zip(widths, moduli, strides):
+        if w <= m:  # at most m consecutive digits: already distinct mod m
+            continue
+        outer = size // (stride * w)
+        reduced = 0
+        for j in range(0, w, m):  # the slab of digits [j, j + m)
+            block = (1 << (min(m, w - j) * stride)) - 1
+            slab = _fold_runs(block, [(j * stride, stride * w, outer)])
+            reduced |= (mask & slab) >> (j * stride)
+        mask = reduced
+    offsets = [h * low - k * (low + s) for low, s in zip(lows, spreads)]
+    return widths, offsets, mask
 
 
 # -- lattice embeddings ---------------------------------------------------------
@@ -303,27 +379,47 @@ def thicken(a: GroupSubset, t: int) -> LatticeSet:
     return minkowski_sum(to_lattice(a), sublattice_box(a.spec, 0, t))
 
 
-def _thickened_mask(
-    a: GroupSubset, t: int, h: int, k: int, budget: int
-) -> tuple[int, int, int]:
-    """(radix, min, mask) of the image of hB_t - kB_t under
-    ``linearize(thicken(a, t), budget)``.
+def _psi_columns(a: GroupSubset) -> list[tuple[int, ...]]:
+    """A's coordinates axis by axis, elements in ascending order of psi for
+    every radix above their coordinates.
 
-    Built as h psi(A) - k psi(A) plus one progression per axis, without a
-    lattice point; with h + k <= budget the mask has |hB_t - kB_t| set
-    bits.  Every range and span check comes first, in order: those of
-    ``IntSet`` and of ``sum_diff``'s ``sumset`` and ``diffset`` steps, then
-    each axis's as ``sumset`` makes it.  Then the mask 1 of {0} is folded h
-    times by psi(A) - min psi(A), k times by max psi(A) - psi(A), and by
-    each axis's progression from 0; every step's result lies within the
-    checked ends.
+    Such a radix makes psi(p) the number with base-radix digits p, last
+    axis most significant, so the order is that of the reversed tuples.
+    """
+    return list(zip(*sorted(a.elements, key=lambda p: p[::-1])))
+
+
+def _thickened_psi(
+    a: GroupSubset, cols: list[tuple[int, ...]], t: int, budget: int
+) -> tuple[int, list[int], list[int]]:
+    """(radix, psi(A) ascending, steps m_i radix^i) of ``linearize(thicken(a, t), budget)``.
+
+    ``cols`` is ``_psi_columns(a)``; the radix exceeds every coordinate, so
+    psi(A) comes out ascending.  The point budget and the radix's range are
+    checked first, in that order.
     """
     moduli = a.spec.moduli
     _check_points(len(a) * t ** len(moduli))
-    tops = map(max, zip(*a.elements))
-    maxnorm = max(top + m * (t - 1) for top, m in zip(tops, moduli))
+    maxnorm = max(max(c) + m * (t - 1) for c, m in zip(cols, moduli))
     radix = _check_i64(2 * budget * maxnorm + 1)
-    images, steps = _psi(a, radix)
+    return (radix, *_psi(cols, moduli, radix))
+
+
+def _thickened_mask(
+    images: list[int], steps: list[int], t: int, h: int, k: int
+) -> tuple[int, int]:
+    """(min, mask) of the image of hB_t - kB_t, from ``_thickened_psi``'s
+    psi(A) and steps.
+
+    Built as h psi(A) - k psi(A) plus one progression per axis, without a
+    lattice point; with h + k at most the fold budget the mask has
+    |hB_t - kB_t| set bits.  Every range and span check comes first, in
+    order: those of ``IntSet`` and of ``sum_diff``'s ``sumset`` and
+    ``diffset`` steps, then each axis's as ``sumset`` makes it.  Then the
+    mask 1 of {0} is folded h times by psi(A) - min psi(A), k times by
+    max psi(A) - psi(A), and by each axis's progression from 0; every
+    step's result lies within the checked ends.
+    """
     lo, hi = _check_i64(images[0]), _check_i64(images[-1])
     for j in range(2, max(h, k) + 1):  # the j-fold sums
         _check_i64(j * lo)
@@ -346,14 +442,18 @@ def _thickened_mask(
         mask = _shift_or(mask, ups)
     for _ in range(k):
         mask = _shift_or(mask, downs)
-    return radix, lo, _fold_box(mask, steps, (h + k) * (t - 1) + 1)
+    return lo, _fold_box(mask, steps, (h + k) * (t - 1) + 1)
 
 
-def _thickened_fold(a: GroupSubset, t: int, h: int, k: int, budget: int) -> LinearImage:
-    """The image of hB_t - kB_t under ``linearize(thicken(a, t), budget)`` as a set."""
-    radix, lo, mask = _thickened_mask(a, t, h, k, budget)
+def _thickened_fold(
+    a: GroupSubset, cols: list[tuple[int, ...]], t: int, h: int, k: int, budget: int
+) -> tuple[LinearImage, list[int], list[int]]:
+    """The image of hB_t - kB_t under ``linearize(thicken(a, t), budget)`` as a
+    set, with the psi(A) and steps it was folded from (``_thickened_psi``)."""
+    radix, images, steps = _thickened_psi(a, cols, t, budget)
+    lo, mask = _thickened_mask(images, steps, t, h, k)
     image = IntSet._from_sorted(_bit_positions(mask, lo), mask)
-    return LinearImage(radix=radix, image=image)
+    return LinearImage(radix=radix, image=image), images, steps
 
 
 @dataclass(frozen=True)
@@ -415,27 +515,30 @@ def find_thickness(
         raise ValueError("need h1, h2 >= 1 and k1, k2 >= 0")
     if h1 + k1 != h2 + k2:
         raise ValueError("fold totals must match: h1 + k1 == h2 + k2")
-    c1 = len(group_sum_diff(a, h1, k1))
-    c2 = len(group_sum_diff(a, h2, k2))
+    c1 = _group_fold(a, h1, k1)[2].bit_count()
+    c2 = _group_fold(a, h2, k2)[2].bit_count()
     if c1 <= c2:
         raise ValueError(
             f"group inequality fails: |{h1}A-{k1}A| = {c1} <= |{h2}A-{k2}A| = {c2}"
         )
-    return _thickness_scan(a, pair1, pair2, t_max)
+    return _thickness_scan(a, _psi_columns(a), pair1, pair2, t_max)
 
 
 def _thickness_scan(
     a: GroupSubset,
+    cols: list[tuple[int, ...]],
     pair1: tuple[int, int],
     pair2: tuple[int, int],
     t_max: int,
 ) -> int:
-    """``find_thickness`` for pairs and a group inequality it has checked."""
+    """``find_thickness`` for pairs and a group inequality it has checked;
+    ``cols`` is ``_psi_columns(a)``."""
     (h1, k1), (h2, k2) = pair1, pair2
-    budget = h1 + k1
     for t in range(1, t_max + 1):
-        card1 = _thickened_mask(a, t, h1, k1, budget)[2].bit_count()
-        if card1 > _thickened_mask(a, t, h2, k2, budget)[2].bit_count():
+        # both pairs have the fold budget h1 + k1, so they share radix and psi(A)
+        _, images, steps = _thickened_psi(a, cols, t, h1 + k1)
+        card1 = _thickened_mask(images, steps, t, h1, k1)[1].bit_count()
+        if card1 > _thickened_mask(images, steps, t, h2, k2)[1].bit_count():
             return t
     raise RuntimeError(f"no thickness up to {t_max} transfers the inequality")
 
@@ -461,8 +564,9 @@ def thickening_bounds(a: GroupSubset, h: int, k: int, t: int) -> ThickeningBound
     if h < 1 or k < 0 or t < 1:
         raise ValueError("need h >= 1, k >= 0, t >= 1")
     d = a.spec.dim
-    group_card = len(group_sum_diff(a, h, k))
-    lat_card = _thickened_mask(a, t, h, k, h + k)[2].bit_count()
+    group_card = _group_fold(a, h, k)[2].bit_count()
+    _, images, steps = _thickened_psi(a, _psi_columns(a), t, h + k)
+    lat_card = _thickened_mask(images, steps, t, h, k)[1].bit_count()
     upper_ok = lat_card <= group_card * ((h + k) * t) ** d
     base = (h + k) * t - 2 * (h + k - 1)
     lower_ok = True if base < 0 else lat_card >= group_card * base**d
@@ -522,34 +626,38 @@ def embed_report(a: GroupSubset, t_max: int = 32) -> EmbedResult:
     t_max = _strict_int("t_max", t_max)
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    if len(group_sum_diff(a, 2, 0)) <= len(group_sum_diff(a, 1, 1)):
+    if _group_fold(a, 2, 0)[2].bit_count() <= _group_fold(a, 1, 1)[2].bit_count():
         raise ValueError("input is not an MSTD subset of its group")
+    cols = _psi_columns(a)
     try:
-        t = _thickness_scan(a, (2, 0), (1, 1), t_max)
+        t = _thickness_scan(a, cols, (2, 0), (1, 1), t_max)
     except (ValueError, RuntimeError) as e:
         raise EmbedError(f"thickness search: {e}") from e
     try:
         # B_t itself, linearized with the fold budget 2 that |2B| vs |B - B| needs
-        lin = _thickened_fold(a, t, 1, 0, 2)
+        lin, images, steps = _thickened_fold(a, cols, t, 1, 0, 2)
     except (ValueError, OverflowError) as e:
         raise EmbedError(f"linearization: {e}") from e
-    d = _image_delta(a, t, lin.radix, lin.image.min, lin.image.mask)
+    d = _image_delta(images, steps, t, lin.image.min, lin.image.mask)
     if d.delta < 1:
         raise EmbedError(f"verification: image delta = {d.delta}, expected >= 1")
     return EmbedResult(t=t, radix=lin.radix, image=lin.image, delta=d.delta)
 
 
-def _image_delta(a: GroupSubset, t: int, radix: int, lo: int, mask: int) -> MstdDelta:
+def _image_delta(
+    images: list[int], steps: list[int], t: int, lo: int, mask: int
+) -> MstdDelta:
     """``mstd_delta`` of the embed image X with minimum ``lo`` and mask ``mask``.
 
-    X should be psi(A) + P_1 + ... + P_d, with P_i = {q m_i radix^i : 0 <= q < t}.
+    ``images`` is psi(A) in ascending order and ``steps`` the axis steps
+    m_i radix^i, as ``_thickened_psi`` gives them.  X should be
+    psi(A) + P_1 + ... + P_d, with P_i = {q m_i radix^i : 0 <= q < t}.
     After ``mstd_delta``'s range and span checks on X, this proves that on
     the mask, or raises ``EmbedError``, and counts X + X and X - X through it
     (module docstring).
     """
     hi = lo + mask.bit_length() - 1
     _check_delta(lo, hi)
-    images, steps = _psi(a, radix)
     # matching the ends first keeps every fold below within X's checked span
     ends = (images[0], images[-1] + (t - 1) * sum(steps))
     shifts = [e - images[0] for e in images]
@@ -559,11 +667,16 @@ def _image_delta(a: GroupSubset, t: int, radix: int, lo: int, mask: int) -> Mstd
     return _fold_delta(spread, shifts, shifts[-1])
 
 
-def _psi(a: GroupSubset, radix: int) -> tuple[list[int], list[int]]:
-    """psi(A) in ascending order, and the axis steps m_i radix^i."""
-    powers = [radix**i for i in range(a.spec.dim)]
-    images = sorted(sum(c * w for c, w in zip(p, powers)) for p in a.elements)
-    return images, [m * w for m, w in zip(a.spec.moduli, powers)]
+def _psi(
+    cols: list[tuple[int, ...]], moduli: tuple[int, ...], radix: int
+) -> tuple[list[int], list[int]]:
+    """psi of the points with coordinates ``cols`` (one tuple per axis), in
+    their order, and the axis steps m_i radix^i."""
+    images = list(cols[-1])
+    for col in reversed(cols[:-1]):  # Horner's rule, a column at a time
+        images = list(map(add, map(radix.__mul__, images), col))
+    powers = [radix**i for i in range(len(moduli))]
+    return images, [m * w for m, w in zip(moduli, powers)]
 
 
 def _fold_box(mask: int, steps: list[int], length: int) -> int:

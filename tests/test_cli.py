@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mstdkit import IntSet, find_group_mstd, mstd_delta
 from mstdkit import cli
@@ -369,6 +370,26 @@ def test_scripts_reject_out_of_range_parameters(script, args, name):
 
 
 @pytest.mark.parametrize(
+    "script, args, shown",
+    [
+        ("coverage_scan.py", ["--min-n", "٤", "--max-n", "10"], "'٤'"),
+        ("embed_demo.py", ["--max-n", "1_0"], "'1_0'"),
+        ("spectrum_scan.py", ["--max-range", "7.0"], "'7.0'"),
+    ],
+)
+def test_scripts_take_only_decimal_integers(script, args, shown):
+    # the flags read integers as ``mstd`` does: no digit groups, no
+    # non-ASCII digits, no decimal point
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), *args],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"{shown} is not a decimal integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
     "value",
     [
         # every subcommand's shape: int lists, nested dicts and lists of
@@ -383,6 +404,19 @@ def test_scripts_reject_out_of_range_parameters(script, args, name):
     ],
 )
 def test_json_emitter_matches_indented_dumps(value):
+    assert cli._to_json(value) == json.dumps(value, indent=2)
+
+
+json_values = st.recursive(
+    st.integers() | st.booleans() | st.none() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_values | st.lists(st.integers(), max_size=8))
+def test_json_emitter_matches_indented_dumps_on_nested_values(value):
     assert cli._to_json(value) == json.dumps(value, indent=2)
 
 

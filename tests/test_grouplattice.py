@@ -1,9 +1,11 @@
 import itertools
 import random
 import re
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mstdkit import (
     EmbedError,
@@ -26,8 +28,9 @@ from mstdkit import (
     thickening_bounds,
     to_lattice,
 )
-from mstdkit import grouplattice, mstd_delta, setops
-from mstdkit.grouplattice import MAX_LATTICE_POINTS, _image_delta, _thickened_fold
+from mstdkit import ParityGraph, grouplattice, mstd_delta, setops
+from mstdkit.grouplattice import MAX_LATTICE_POINTS, _image_delta, _psi, _psi_columns
+from mstdkit.grouplattice import _thickened_fold
 from oracles import brute_group_fold, brute_lattice_fold, brute_sum_diff, pair_delta
 
 
@@ -134,6 +137,65 @@ class TestGroupFold:
                 continue
             want = brute_group_fold(a.elements, a.spec.moduli, h, k)
             assert group_sum_diff(a, h, k).elements == want
+
+    def test_large_subsets_match_brute(self):
+        # |A| >= 32 takes _shift_or's run path, and both axes are reduced
+        rng = random.Random(20)
+        for n in (64, 257):
+            for _ in range(2):
+                a = ParityGraph.from_mask(n, rng.getrandbits(n)).to_subset()
+                for h, k in ((2, 0), (1, 1)):
+                    want = brute_group_fold(a.elements, a.spec.moduli, h, k)
+                    assert group_sum_diff(a, h, k).elements == want
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_kernel_matches_oracle(self, data):
+        # d = 1..4, moduli 2..9, h and k in 0..3; a flat axis holds one value
+        axes = data.draw(st.lists(st.tuples(st.integers(2, 9), st.booleans()), min_size=1,
+                                  max_size=4))
+        moduli = [m for m, _ in axes]
+        coords = [st.just(data.draw(st.integers(0, m - 1))) if flat else st.integers(0, m - 1)
+                  for m, flat in axes]
+        elements = data.draw(st.frozensets(st.tuples(*coords), min_size=1, max_size=5))
+        h, k = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any))
+        a = GroupSubset(GroupSpec(tuple(moduli)), elements)
+        want = brute_group_fold(elements, a.spec.moduli, h, k)
+        assert group_sum_diff(a, h, k).elements == want
+        assert grouplattice._group_fold(a, h, k)[2].bit_count() == len(want)
+
+    def test_small_spread_in_a_huge_group(self):
+        # the layout is sized by A's spread on each axis, not by the moduli
+        spec = GroupSpec((1 << 21, 3, 1 << 21))
+        assert spec.order > 1 << 40
+        a = GroupSubset(spec, frozenset({(0, 0, 5), (1, 2, 5), (3, 1, 6)}))
+        # a set wrapping round the modulus: the field starts after its widest gap
+        m = (1 << 26) + 3
+        wrap = GroupSubset(GroupSpec((m,)), frozenset({(0,), (m - 1,)}))
+        across = GroupSubset(GroupSpec((m, 4)), frozenset({(m - 2, 0), (1, 3), (0, 1)}))
+        for b in (a, wrap, across):
+            for h, k in ((2, 0), (1, 1), (2, 3)):
+                want = brute_group_fold(b.elements, b.spec.moduli, h, k)
+                assert group_sum_diff(b, h, k).elements == want
+
+    def test_layout_over_span_refused_before_any_fold(self, monkeypatch):
+        def no_fold(*args):
+            raise AssertionError("folded past the span check")
+
+        monkeypatch.setattr(grouplattice, "_shift_or", no_fold)
+        monkeypatch.setattr(grouplattice, "_fold_runs", no_fold)
+        # widest cyclic gaps about m/3, so spreads about 2m/3 on both axes:
+        # about (4m/3)^2 = 2^41 bits for h + k = 2
+        m = 1 << 20
+        thirds = {(0, 0), (m // 3, m // 3), (2 * m // 3, 2 * m // 3)}
+        a = GroupSubset(GroupSpec((m, m)), frozenset(thirds))
+        start = time.perf_counter()
+        for call in (group_sum_diff, grouplattice._group_fold):
+            with pytest.raises(ValueError, match="dense-kernel limit"):
+                call(a, 1, 1)
+        with pytest.raises(ValueError, match="dense-kernel limit"):
+            find_thickness(a, (2, 0), (1, 1), 4)
+        assert time.perf_counter() - start < 0.5
 
     def test_preconditions(self):
         a = GroupSubset(GroupSpec((3,)), frozenset({(0,)}))
@@ -467,7 +529,7 @@ class TestThickenedFold:
             for t in range(1, 5):
                 points = thicken(a, t).points
                 for h, k in self.PAIRS:
-                    got = _thickened_fold(a, t, h, k, h + k).image
+                    got = _thickened_fold(a, _psi_columns(a), t, h, k, h + k)[0].image
                     assert len(got) == len(brute_lattice_fold(points, h, k))
 
     def test_is_linearized_thickening(self):
@@ -475,18 +537,19 @@ class TestThickenedFold:
         subsets = [random_subset(rng, max_mod=5) for _ in range(20)]
         for a in subsets + list(self.odd_parity_subsets()):
             for t in range(1, 5):
-                assert _thickened_fold(a, t, 1, 0, 2) == linearize(thicken(a, t), 2)
+                lin = _thickened_fold(a, _psi_columns(a), t, 1, 0, 2)[0]
+                assert lin == linearize(thicken(a, t), 2)
 
     def test_point_budget_checked_first(self):
         a = GroupSubset(GroupSpec((2,) * 21), frozenset({(0,) * 21}))
         with pytest.raises(ValueError, match="budget"):
-            _thickened_fold(a, 2, 1, 0, 2)
+            _thickened_fold(a, _psi_columns(a), 2, 1, 0, 2)
 
     def test_span_checked_per_axis(self):
         # the fold of A spans 2 bits; the second axis's progression about 6.7e9
         a = GroupSubset(GroupSpec((2, 1000)), frozenset({(0, 0), (1, 0)}))
         with pytest.raises(ValueError, match="dense-kernel limit"):
-            _thickened_fold(a, 30, 1, 1, 2)
+            _thickened_fold(a, _psi_columns(a), 30, 1, 1, 2)
 
 
 class TestThicknessSearch:
@@ -549,11 +612,17 @@ class TestPipeline:
             raise AssertionError("group fold computed")
 
         monkeypatch.setattr(grouplattice, "group_sum_diff", no_fold)
+        monkeypatch.setattr(grouplattice, "_group_fold", no_fold)
         a = covering_pair_subset()
         with pytest.raises(ValueError, match="^t_max must be at least 1$"):
             embed_report(a, t_max=t_max)
         with pytest.raises(ValueError, match="^t_max must be at least 1$"):
             find_thickness(a, (2, 0), (1, 1), t_max)
+
+
+def psi_of(a, radix):
+    """psi(A) in ascending order and the axis steps, for a radix above A's coordinates."""
+    return _psi(_psi_columns(a), a.spec.moduli, radix)
 
 
 class TestImageDelta:
@@ -571,7 +640,7 @@ class TestImageDelta:
         for a in self.witnesses():
             res = embed_report(a)
             image = res.image
-            d = _image_delta(a, res.t, res.radix, image.min, image.mask)
+            d = _image_delta(*psi_of(a, res.radix), res.t, image.min, image.mask)
             assert d == mstd_delta(image), a.to_json()
             assert d.delta == res.delta == pair_delta(image), a.to_json()
 
@@ -580,12 +649,13 @@ class TestImageDelta:
         a = find_group_mstd(n)
         res = embed_report(a)
         lo, mask = res.image.min, res.image.mask
+        images, steps = psi_of(a, res.radix)
         for bit in (0, 1, mask.bit_length() // 2, mask.bit_length() - 1, mask.bit_length()):
             with pytest.raises(EmbedError, match="not psi"):
-                _image_delta(a, res.t, res.radix, lo, mask ^ (1 << bit))
+                _image_delta(images, steps, res.t, lo, mask ^ (1 << bit))
         for t in (res.t - 1, res.t + 1):
             with pytest.raises(EmbedError, match="not psi"):
-                _image_delta(a, t, res.radix, lo, mask)
+                _image_delta(images, steps, t, lo, mask)
 
     def test_embed_never_calls_mstd_delta(self, monkeypatch):
         want = embed_report(find_group_mstd(9))
