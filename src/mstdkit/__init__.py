@@ -1,5 +1,8 @@
 """Exact set arithmetic, MSTD constructions, group embeddings, and search."""
 
+# the one statement of the version; pyproject.toml repeats it (a test checks)
+__version__ = "0.1.0"
+
 from .setops import (
     IntSet, MstdDelta, SymmetryWitness, affine, diffset, h_fold, interval, mstd_delta,
     normalize, sum_diff, sumset, symmetry_witness,

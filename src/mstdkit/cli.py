@@ -9,6 +9,7 @@ import re
 import sys
 from functools import cache, partial
 
+from . import __version__
 from .constructions import (
     ConstructionError,
     Gap,
@@ -163,6 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mstd",
         description="Construct, verify, search for, and embed MSTD sets.",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a set from a named family")

@@ -95,17 +95,41 @@ m = OR_j 1 << s_j, and for each column e
     lo |= m << e,   hi |= (m >> 1) >> (63 - e),   dif |= m >> e,
 
 where hi holds the bits of A+A from 64 up (m >> (64 - e), written so no
-shift reaches 64), and delta = |lo| + |hi| - (2 |dif| - 1).  The rng makes
-the same calls in the same order, so the report does not depend on the
-batch size.  ``mstd_delta``'s range and span checks grow with max A and
-with the span, and every sample lies in [0, range_max], so one check of
-the whole range before the first draw covers every sample.  Above 63 each
+shift reaches 64), and delta = |lo| + |hi| - (2 |dif| - 1).  The samples
+come in the same order whatever the batch size (replayed draws, below),
+so the report does not depend on it.  ``mstd_delta``'s range and span
+checks grow with max A and with the span, and every sample lies in
+[0, range_max], so one check of the whole range before the first draw
+covers every sample.  Above 63 each
 sample is scored on plain ints: its mask is the shift-OR of 1 by s, and
 ``setops._fold_delta(mask, s, max s)``, the counting body ``mstd_delta``
 shares, gives |A+A| and |A-A| after ``mstd_delta``'s checks on that
 sample, which raise at the first failing trial.  Both scorers cost O(|A|)
 shifts per sample, while the exhaustive tables enumerate whole bands,
 which caps them at MAX_RANGE.
+
+Replayed draws.  With range_max <= 63 the lanes take their samples from
+``_PoolReplay``, which makes the draws of ``rng.sample(range(n), k)``,
+n = range_max + 1, without calling it, in CPython's pool branch: n at
+most setsize = 21, plus 4^ceil(log4(3k)) when k > 5.  That branch keeps a
+pool of the n values and, for step i < k, takes j = randbelow(n - i),
+emits pool[j] and moves pool[n - i - 1] into its place.  randbelow(m)
+reads one 32-bit Mersenne Twister word per try, keeps its top
+b = m.bit_length() bits and tries again while they are >= m.
+``rng.getrandbits(32 W)`` returns the next W words of the same stream,
+word j at bits [32j, 32j + 32).  As n <= 64, b <= 7: the replay keeps
+only each word's top byte (byte 4j + 3 of the little-endian bytes) and
+translates those bytes into one string of top b bits per b in use.  A
+Python loop walks the strings, one try per word, for the accepted j; the
+pool swaps then run on a (rows, n) uint8 array a column at a time.
+Words left unread carry over to the next batch.  A sample that runs out
+of words starts again once more words of the stream are drawn, so a
+shortfall never skips or changes a draw.  The rng is private to
+``random_search``, so the words drawn past the last sample change
+nothing.  ``_replays_sample`` checks the replay against ``rng.sample`` on
+a fixed seed, once per (n, k) and process; where they differ, as on an
+interpreter whose sampler draws otherwise, and in the set branch
+(n > setsize), the lanes call ``rng.sample``, as does the scorer above 63.
 """
 
 from __future__ import annotations
@@ -126,6 +150,10 @@ MAX_RANGE = 24
 
 # log2 of the masks per chunk; the tables then have 2^14 entries each
 _CHUNK_BITS = 14
+
+# the samples on which _replays_sample compares the replay with rng.sample
+_PROBE_SEED = 20260809
+_PROBE_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -422,14 +450,21 @@ def random_search(range_max: int, size: int, trials: int, seed: int) -> SearchRe
 def _score_lanes(
     rng: random.Random, population: range, size: int, trials: int, spectrum: dict, best: dict
 ) -> None:
-    """``random_search``'s loop for a population within [0, 63]: the same
-    draws, scored a batch at a time in uint64 lanes (module docstring)."""
+    """``random_search``'s loop for a population within [0, 63]: the draws
+    of ``rng.sample``, replayed where ``_replays_sample`` allows, scored a
+    batch at a time in uint64 lanes (module docstring)."""
     import numpy as np
 
     one = np.uint64(1)
     rows = max(1, (1 << _CHUNK_BITS) // size)
+    n = len(population)
+    replay = _PoolReplay(rng, n, size) if _replays_sample(n, size) else None
     for done in range(0, trials, rows):
-        draws = [rng.sample(population, size) for _ in range(min(rows, trials - done))]
+        count = min(rows, trials - done)
+        if replay is not None:
+            draws = replay.draw(count)
+        else:
+            draws = [rng.sample(population, size) for _ in range(count)]
         s = np.array(draws, dtype=np.uint64)
         s.sort(axis=1)
         s -= s[:, :1]
@@ -459,3 +494,75 @@ def _score_lanes(
             if d not in best or c < best[d]:
                 best[d] = c
             start = stop
+
+
+class _PoolReplay:
+    """``rng.sample(range(n), k)`` for n <= 64 in CPython's pool branch,
+    replayed from bulk generator words (module docstring).  Unread words
+    carry over from one ``draw`` to the next, so successive draws make
+    the same samples as successive ``rng.sample`` calls."""
+
+    def __init__(self, rng: random.Random, n: int, k: int) -> None:
+        self.rng = rng
+        self.n = n
+        # step i draws randbelow(n - i) from the top b bits of a word
+        self.steps = [(n - i, (n - i).bit_length()) for i in range(k)]
+        # words a sample takes on average: each draw is kept with chance bound / 2^b
+        self.per_sample = sum((1 << b) / bound for bound, b in self.steps)
+        # b <= 7, so a word's top byte holds its top b bits: byte x -> x >> (8 - b)
+        bits = {b for _, b in self.steps}
+        self.shifts = {b: bytes(x >> (8 - b) for x in range(256)) for b in bits}
+        self.unread = b""  # the top byte of each word drawn and not yet read
+
+    def draw(self, count: int) -> np.ndarray:
+        """The next ``count`` samples, as the rows of a uint8 array."""
+        import numpy as np
+
+        k = len(self.steps)
+        picks = bytearray()  # randbelow(n - i) of each step, k per sample
+        while len(picks) < count * k:
+            left = count - len(picks) // k
+            # at least one new word, so a sample cut short gets further each pass
+            new = max(1, math.ceil(left * self.per_sample) - len(self.unread))
+            # word j is bits [32j, 32j + 32), so its top byte is byte 4j + 3
+            self.unread += self.rng.getrandbits(32 * new).to_bytes(4 * new, "little")[3::4]
+            tops = {b: self.unread.translate(table) for b, table in self.shifts.items()}
+            steps = [(bound, tops[b]) for bound, b in self.steps]
+            q = start = 0
+            try:
+                for _ in range(left):
+                    for bound, v in steps:
+                        r = v[q]
+                        q += 1
+                        while r >= bound:
+                            r = v[q]
+                            q += 1
+                        picks.append(r)
+                    start = q
+            except IndexError:  # out of words mid-sample: it starts again on more
+                del picks[len(picks) - len(picks) % k :]
+            self.unread = self.unread[start:]
+        # the pool swaps, a column at a time: result[i] = pool[j]; pool[j] = pool[n - i - 1]
+        picks = np.frombuffer(picks, dtype=np.uint8).reshape(count, k)
+        pool = np.tile(np.arange(self.n, dtype=np.uint8), (count, 1))
+        rows = np.arange(count)
+        out = np.empty_like(picks)
+        for i in range(k):
+            j = picks[:, i]
+            out[:, i] = pool[rows, j]
+            pool[rows, j] = pool[:, self.n - 1 - i]
+        return out
+
+
+@lru_cache(maxsize=None)
+def _replays_sample(n: int, k: int) -> bool:
+    """Whether ``_PoolReplay(rng, n, k)`` draws what ``rng.sample(range(n), k)``
+    does on this interpreter: CPython's pool branch holds for (n, k), and the
+    two agree on a fixed seed.  Probed once per (n, k) and process."""
+    setsize = 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
+    if n > setsize:
+        return False  # the set branch
+    rng = random.Random(_PROBE_SEED)
+    want = [rng.sample(range(n), k) for _ in range(_PROBE_SAMPLES)]
+    got = _PoolReplay(random.Random(_PROBE_SEED), n, k).draw(_PROBE_SAMPLES)
+    return got.tolist() == want

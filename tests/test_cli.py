@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import mstdkit
 from mstdkit import IntSet, find_group_mstd, mstd_delta
 from mstdkit import cli
 from mstdkit.cli import main
@@ -277,6 +278,13 @@ def test_integer_flags_take_only_decimal_integers(capsys, argv, value):
         main([value if a == "{}" else a for a in argv])
     assert exc.value.code == 2
     assert f"{value!r} is not a decimal integer" in capsys.readouterr().err
+
+
+def test_version_flag_prints_the_package_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"mstd {mstdkit.__version__}\n"
 
 
 def test_parser_is_shared_and_keeps_no_state(capsys):

@@ -21,6 +21,12 @@ SRC = Path(mstdkit.__file__).resolve().parent
 MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
+def test_version_matches_pyproject():
+    # a regex, as Python 3.10 has no tomllib
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'(?m)^version = "([^"]*)"$', pyproject) == [mstdkit.__version__]
+
+
 def _names_used(tree) -> set:
     """Every identifier read in the module, including ``__all__``'s strings."""
     used = set()

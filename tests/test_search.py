@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -406,3 +407,116 @@ class TestRandom:
         assert 2 * first[-1] > I64_MAX and 2 * (first[-1] - first[0]) > MAX_SPAN_BITS
         with pytest.raises(OverflowError):
             random_search(I64_MAX - 1, 2, 1, 1)
+
+
+def _samples(n, k, seed, counts):
+    """``rng.sample(range(n), k)`` for sum(counts) calls, and the replay's
+    rows for the same seed, drawn ``counts`` rows at a time."""
+    rng = random.Random(seed)
+    want = [rng.sample(range(n), k) for _ in range(sum(counts))]
+    replay = search._PoolReplay(random.Random(seed), n, k)
+    return want, [row for c in counts for row in replay.draw(c).tolist()]
+
+
+_CPYTHON_SAMPLE = random.Random.sample
+
+
+def _sample_then_skip_a_word(self, population, k):
+    """A sampler that draws otherwise than CPython's: one more word per call."""
+    result = _CPYTHON_SAMPLE(self, population, k)
+    self.getrandbits(32)
+    return result
+
+
+@pytest.fixture
+def fresh_probe():
+    """``_replays_sample`` probes again inside the test, and after it."""
+    search._replays_sample.cache_clear()
+    yield
+    search._replays_sample.cache_clear()
+
+
+class TestPoolReplay:
+    @pytest.mark.parametrize(
+        "n, k",
+        [
+            (41, 12),  # the benchmark's shape
+            (33, 6),  # bounds 33..28: b falls from 6 to 5 bits mid-sample
+            (64, 6),  # bounds 64..59: b falls from 7 to 6 bits
+            (64, 64),  # the whole pool, down to randbelow(1)
+            (7, 7),
+            (2, 1),
+            (1, 1),
+            (21, 5),  # the widest pool of a sample of at most 5
+        ],
+    )
+    @pytest.mark.parametrize("seed", [1, 7, 123456])
+    def test_rows_match_rng_sample(self, n, k, seed):
+        assert search._replays_sample(n, k)
+        want, got = _samples(n, k, seed, [1, 2, 61, 700])
+        assert got == want
+
+    @given(
+        st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        st.integers(-(2**70), 2**70),
+        st.lists(st.integers(1, 40), min_size=1, max_size=4),
+    )
+    def test_rows_match_rng_sample_on_any_pool_shape(self, shape, seed, counts):
+        n, k = shape
+        if search._replays_sample(n, k):
+            want, got = _samples(n, k, seed, counts)
+            assert got == want
+
+    @pytest.mark.parametrize("n, k", [(41, 12), (33, 6), (64, 64), (2, 1)])
+    def test_one_word_blocks_extend_the_stream_mid_sample(self, n, k):
+        rng = random.Random(5)
+        want = [rng.sample(range(n), k) for _ in range(40)]
+        replay = search._PoolReplay(random.Random(5), n, k)
+        replay.per_sample = 0  # each pass draws a single word
+        got = replay.draw(25).tolist() + replay.draw(15).tolist()
+        assert got == want
+
+    def test_unread_words_carry_across_one_row_batches(self, monkeypatch):
+        draw = search._PoolReplay.draw
+        carried = []
+
+        def spy(self, count):
+            assert count == 1
+            carried.append(len(self.unread))
+            return draw(self, count)
+
+        monkeypatch.setattr(search._PoolReplay, "draw", spy)
+        monkeypatch.setattr(search, "_CHUNK_BITS", 1)
+        args = (40, 12, 300, 3)
+        assert random_search(*args).to_dict() == replay_random_search(*args)
+        assert len(carried) == 300 and carried[0] == 0 and max(carried) > 0
+
+    def test_set_branch_is_not_replayed(self):
+        assert not search._replays_sample(41, 3)  # 41 > setsize 21
+        assert not search._replays_sample(22, 5)
+        assert search._replays_sample(41, 6)  # setsize 21 + 64
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (40, 12, 500, 1),  # the pool branch, replayed unless the probe fails
+            (40, 3, 200, 1),  # the set branch, never replayed
+        ],
+    )
+    def test_sampler_that_differs_falls_back(self, monkeypatch, fresh_probe, args):
+        range_max, size = args[:2]
+        cpython = random_search(*args).to_dict()
+        monkeypatch.setattr(random.Random, "sample", _sample_then_skip_a_word)
+        search._replays_sample.cache_clear()
+        assert not search._replays_sample(range_max + 1, size)
+        got = random_search(*args).to_dict()
+        assert got == replay_random_search(*args)
+        assert got != cpython  # the patched sampler draws other samples
+
+    def test_set_branch_draws_with_rng_sample(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the set branch was replayed")
+
+        monkeypatch.setattr(search, "_PoolReplay", refuse)
+        args = (40, 3, 200, 1)
+        assert random_search(*args).to_dict() == replay_random_search(*args)
