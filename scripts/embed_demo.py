@@ -9,7 +9,7 @@ with exact arithmetic.
 
 import argparse
 
-from mstdkit import embed_report, find_group_mstd, mstd_delta
+from mstdkit import EmbedError, embed_report, find_group_mstd, mstd_delta
 from mstdkit.cli import _int_arg
 from mstdkit.counting import MAX_COUNT_N
 
@@ -32,7 +32,11 @@ def main():
         except RuntimeError as e:
             print(f"n={n}: {e}")
             continue
-        result = embed_report(witness, t_max=args.t_max)
+        try:
+            result = embed_report(witness, t_max=args.t_max)
+        except EmbedError as e:
+            print(f"n={n}: {e}")
+            continue
         check = mstd_delta(result.image)
         print(
             f"n={n}: t={result.t} radix={result.radix} "

@@ -30,14 +30,9 @@ Translating by one conjugates R(b, c) to R(b + 2, c) and commutes with
 S(e, u), so T depends on b only through b mod gcd(2, n): the inner sum
 has at most two distinct terms.
 
-Witnesses are re-checked by a different mechanism: cyclic folds on
-n-bit masks.  The graph splits Z/n into the lanes E0 (eps = 0, the
-complement of the mask) and E1 (the mask).  E_p + E_q lies at parity
-p ^ q, so A+A is E0+E0 | E1+E1 at parity 0 and E0+E1 at parity 1.  One
-lane sum is the ``setops`` shift-OR of E_p by the positions of E_q,
-below 2n - 1, folded once mod n (acc | acc >> n, cut to n bits).  Since
--(i, e) = (-i, e), A-A = A + (-A) is the same sum with -E_p, the bit
-reversal of E_p rotated by one bit, in place of E_p.
+Witnesses are re-checked by a different mechanism: the one group fold,
+``grouplattice._group_fold``, counts |A+A| and |A-A| of the witness as
+the set bits of its masks, with no reference to reflections.
 """
 
 from __future__ import annotations
@@ -46,8 +41,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .grouplattice import GroupSpec, GroupSubset
-from .setops import _bit_positions, _shift_or, _strict_int, _strict_ints
+from .grouplattice import GroupSpec, GroupSubset, _group_fold
+from .setops import _strict_int, _strict_ints
 
 # 2^4096 has 1,234 decimal digits: far below the 4,300-digit int-to-str
 # limit that JSON output hits, and a full --table takes milliseconds.
@@ -120,25 +115,6 @@ def _mask_covers(mask: int, n: int) -> bool:
         if mask == w or mask == w ^ full:
             return False
     return True
-
-
-def _parity_folds(mask: int, n: int) -> tuple[int, int]:
-    """(|A+A|, |A-A|) for the parity graph A with E1 = mask, by cyclic folds."""
-    full = (1 << n) - 1
-    neg = _negate(mask, n)
-    lanes, negs = (full ^ mask, mask), (full ^ neg, neg)
-    sums, diffs = [0, 0], [0, 0]
-    for q in (0, 1):
-        shifts = _bit_positions(lanes[q])
-        for p in (0, 1):
-            s = _shift_or(lanes[p], shifts)  # E_p + E_q
-            d = _shift_or(negs[p], shifts)  # -E_p + E_q
-            sums[p ^ q] |= s | s >> n
-            diffs[p ^ q] |= d | d >> n
-    return (
-        sum((x & full).bit_count() for x in sums),
-        sum((x & full).bit_count() for x in diffs),
-    )
 
 
 @dataclass(frozen=True)
@@ -224,7 +200,7 @@ def find_group_mstd(n: int, strategy: str = "first", seed: int | None = None) ->
     """A parity graph whose sumset covers Z/n x Z/2, as a group subset.
 
     Such a subset has |A+A| = 2n and |A-A| <= 2n-1, so it is MSTD in the
-    group; both facts are re-verified by cyclic folds (module docstring)
+    group; both facts are re-verified by the group fold (module docstring)
     before returning.  Strategy "first" scans masks in increasing order
     (deterministic) and takes no seed; "random" needs one.  Raises
     RuntimeError when no witness is found within the budget (for small n
@@ -254,9 +230,9 @@ def find_group_mstd(n: int, strategy: str = "first", seed: int | None = None) ->
     mask = next((m for m in candidates if _mask_covers(m, n)), None)
     if mask is None:
         raise RuntimeError(f"no covering parity graph found for n={n}")
-    sums, diffs = _parity_folds(mask, n)
-    if sums != 2 * n:
+    subset = ParityGraph.from_mask(n, mask).to_subset()
+    if _group_fold(subset, 2, 0)[2].bit_count() != 2 * n:
         raise RuntimeError("internal error: witness sumset does not cover the group")
-    if diffs > 2 * n - 1:
+    if _group_fold(subset, 1, 1)[2].bit_count() > 2 * n - 1:
         raise RuntimeError("internal error: witness difference set too large")
-    return ParityGraph.from_mask(n, mask).to_subset()
+    return subset

@@ -30,10 +30,11 @@ A, has i-th coordinate in [0, (h+k) s_i], so a mixed-radix layout with a
 field of w_i = (h+k) s_i + 1 values per axis (stride w_1 ... w_(i-1))
 encodes it without carries.  The mirrored copy s - D stands in for -A,
 and hA - kA = hD + k(s - D) + h lo - k(lo + s) coordinatewise, mod m.
-The mask 1 is folded h times by the codes of D and k times by those of
-s - D, then each axis with w_i > m_i is reduced mod m_i: the slabs of
-digits [j m_i, (j+1) m_i), each picked by a mask that ``_fold_runs`` lays
-over every other axis, are shifted down to [0, m_i) and ORed.  A field of
+``setops._fold_sum_diff`` folds the mask 1 h times by the codes of D
+and k times by those of s - D, then each axis with w_i > m_i is reduced
+mod m_i: the slabs of digits [j m_i, (j+1) m_i), each picked by a mask
+that ``_fold_runs`` lays over every other axis, are shifted down to
+[0, m_i) and ORed.  A field of
 w_i <= m_i digits is already distinct mod m_i, so it is left as it is,
 and the digit x on axis i stands for the residue
 (x + h lo_i - k(lo_i + s_i)) mod m_i.  The set bits are then the elements
@@ -70,10 +71,11 @@ lies in [0, maxnorm], so with fold budget h + k the argument above makes
 psi injective on hB_t - kB_t and the image has |hB_t - kB_t| elements,
 without a corner translation.
 The thickness search compares the bit counts of the final masks and
-builds no set.  The envelope is the ``setops`` one: each progression step
-has the range and span checks ``sumset`` makes, all made before the first
-fold, so an image outside signed 64 bits or ``MAX_SPAN_BITS`` raises and
-never answers wrongly.  Each P_i contains 0, so each step's result lies
+builds no set.  The envelope is the ``setops`` one: ``_check_sum_diff``
+on psi(A), then the range and span checks ``sumset`` makes for each
+progression step, all before ``_fold_sum_diff`` folds psi(A), so an
+image outside signed 64 bits or ``MAX_SPAN_BITS`` raises and never
+answers wrongly.  Each P_i contains 0, so each step's result lies
 inside the final set's range and cannot raise when the final set fits.
 
 ``embed_report`` re-checks its output, the image X of B_t, without a
@@ -102,9 +104,9 @@ import math
 from dataclasses import dataclass
 from operator import add, mul, sub
 
-from .setops import I64_MAX, IntSet, MstdDelta, _bit_positions, _check_delta, _check_i64
-from .setops import _check_span, _fold_delta, _fold_runs, _load_json, _shift_or, _strict_int
-from .setops import _strict_ints, sum_diff
+from .setops import I64_MAX, IntSet, MstdDelta, _bit_positions, _check_i64, _check_span
+from .setops import _check_sum_diff, _fold_delta, _fold_runs, _fold_sum_diff, _load_json
+from .setops import _shift_or, _strict_int, _strict_ints, sum_diff
 
 # Most points ``thicken`` or ``sublattice_box`` may build.  A 2-d point costs
 # about 230 bytes (tuple, ints, set entry), so one set stays near 240 MB.
@@ -234,8 +236,9 @@ def _group_fold(a: GroupSubset, h: int, k: int) -> tuple[list[int], list[int], i
     if h < 0 or k < 0 or h + k < 1:
         raise ValueError("fold counts must be nonnegative with h + k >= 1")
     moduli = a.spec.moduli
+    cols = list(zip(*a.elements))
     lows, spreads = [], []
-    for col, m in zip(zip(*a.elements), moduli):
+    for col, m in zip(cols, moduli):
         vals = sorted(set(col))
         nexts = vals[1:] + [vals[0] + m]
         # the field starts just after the widest cyclic gap
@@ -246,16 +249,11 @@ def _group_fold(a: GroupSubset, h: int, k: int) -> tuple[list[int], list[int], i
     size = math.prod(widths)
     _check_span(size - 1)
     strides = list(itertools.accumulate(widths[:-1], mul, initial=1))
-    digits = [
-        sum((c - low) % m * w for c, low, m, w in zip(p, lows, moduli, strides))
-        for p in a.elements
-    ]
+    digits = [0] * len(a)
+    for col, low, m, w in zip(cols, lows, moduli, strides):
+        digits = list(map(add, digits, [(c - low) % m * w for c in col]))
     top = sum(s * w for s, w in zip(spreads, strides))
-    mask = 1
-    for _ in range(h):
-        mask = _shift_or(mask, digits)
-    for _ in range(k):
-        mask = _shift_or(mask, [top - x for x in digits])
+    mask = _fold_sum_diff(digits, top, h, k)
     for w, m, stride in zip(widths, moduli, strides):
         if w <= m:  # at most m consecutive digits: already distinct mod m
             continue
@@ -414,35 +412,19 @@ def _thickened_mask(
     Built as h psi(A) - k psi(A) plus one progression per axis, without a
     lattice point; with h + k at most the fold budget the mask has
     |hB_t - kB_t| set bits.  Every range and span check comes first, in
-    order: those of ``IntSet`` and of ``sum_diff``'s ``sumset`` and
-    ``diffset`` steps, then each axis's as ``sumset`` makes it.  Then the
-    mask 1 of {0} is folded h times by psi(A) - min psi(A), k times by
-    max psi(A) - psi(A), and by each axis's progression from 0; every
-    step's result lies within the checked ends.
+    order: those of ``IntSet`` and of ``setops._check_sum_diff`` on psi(A),
+    then each axis's as ``sumset`` makes it.  Then ``setops._fold_sum_diff``
+    folds h psi(A) - k psi(A) and each axis's progression from 0 is folded
+    in; every step's result lies within the checked ends.
     """
     lo, hi = _check_i64(images[0]), _check_i64(images[-1])
-    for j in range(2, max(h, k) + 1):  # the j-fold sums
-        _check_i64(j * lo)
-        _check_i64(j * hi)
-        _check_span(j * (hi - lo))
-    if k:
-        _check_i64(h * lo - k * hi)
-        _check_i64(h * hi - k * lo)
-        _check_span((h + k) * (hi - lo))
-    _check_span(hi - lo)  # psi(A)'s own mask: binding only when (h, k) = (1, 0)
-    ups = [e - lo for e in images]
-    downs = [hi - e for e in images]
-    lo, hi = h * lo - k * hi, h * hi - k * lo
+    base, end = _check_sum_diff(lo, hi, h, k)
     for step in steps:
-        lo = _check_i64(lo - k * (t - 1) * step)
-        hi = _check_i64(hi + h * (t - 1) * step)
-        _check_span(hi - lo)
-    mask = 1
-    for _ in range(h):
-        mask = _shift_or(mask, ups)
-    for _ in range(k):
-        mask = _shift_or(mask, downs)
-    return lo, _fold_box(mask, steps, (h + k) * (t - 1) + 1)
+        base = _check_i64(base - k * (t - 1) * step)
+        end = _check_i64(end + h * (t - 1) * step)
+        _check_span(end - base)
+    mask = _fold_sum_diff([e - lo for e in images], hi - lo, h, k)
+    return base, _fold_box(mask, steps, (h + k) * (t - 1) + 1)
 
 
 def _thickened_fold(
@@ -657,7 +639,7 @@ def _image_delta(
     (module docstring).
     """
     hi = lo + mask.bit_length() - 1
-    _check_delta(lo, hi)
+    _check_sum_diff(lo, hi, 2, 0)
     # matching the ends first keeps every fold below within X's checked span
     ends = (images[0], images[-1] + (t - 1) * sum(steps))
     shifts = [e - images[0] for e in images]

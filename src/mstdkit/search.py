@@ -140,7 +140,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .setops import I64_MAX, IntSet, _bit_positions, _check_delta, _fold_delta, _shift_or
+from .setops import I64_MAX, IntSet, _bit_positions, _check_sum_diff, _fold_delta, _shift_or
 from .setops import _strict_int, mstd_delta
 
 if TYPE_CHECKING:
@@ -418,13 +418,13 @@ def random_search(range_max: int, size: int, trials: int, seed: int) -> SearchRe
     if range_max <= 63:
         # every sample lies in [0, range_max], and mstd_delta's checks grow with
         # max A and with the span, so this one call covers every sample
-        _check_delta(0, range_max)
+        _check_sum_diff(0, range_max, 2, 0)
         _score_lanes(rng, population, size, trials, spectrum, best)
     else:
         for _ in range(trials):
             elems = sorted(rng.sample(population, size))
             lo, hi = elems[0], elems[-1]
-            _check_delta(lo, hi)
+            _check_sum_diff(lo, hi, 2, 0)
             s = [e - lo for e in elems]
             d = _fold_delta(_shift_or(1, s), s, hi - lo).delta
             spectrum[d] = spectrum.get(d, 0) + 1

@@ -33,6 +33,15 @@ other shifts stay single.  ``_shift_or(mask, shifts)`` ORs fewer than
 ``_runs``; the gap family calls ``_runs`` once on its base.  The cutoffs
 were measured (CHANGES.md).
 
+hA - kA has one fold and one envelope.  ``_fold_sum_diff`` folds the
+mask 1 of {0} h times by A's elements less ``min A`` and k times by
+``max A`` less each element: a sum of those terms is a sum of h
+elements less a sum of k, moved up by ``k max A - h min A``.  Before
+it, ``_check_sum_diff`` makes the range and span checks of building
+hA - kA a step at a time with ``sumset`` and ``diffset``.
+``sum_diff``, ``mstd_delta``, ``search`` and ``grouplattice`` share
+them.
+
 ``mstd_delta`` only counts: it takes ``int.bit_count`` of the A+A and
 A-A masks and never expands them into sets.  Its two folds are
 ``_fold_delta``, which takes A's elements less ``min A`` in any order;
@@ -384,26 +393,58 @@ def diffset(a: IntSet, b: IntSet) -> IntSet:
 
 
 def h_fold(a: IntSet, h: int) -> IntSet:
-    """h-fold sumset: 0-fold is {0}, 1-fold is A, then inductively (h-1)A + A."""
-    h = _strict_int("h", h)
-    if h < 0:
-        raise ValueError("fold count must be nonnegative")
-    if h == 0:
-        return IntSet((0,))
-    acc = a
-    for _ in range(h - 1):
-        acc = sumset(acc, a)
-    return acc
+    """h-fold sumset hA: 0-fold is {0}, 1-fold is A (``sum_diff(a, h, 0)``)."""
+    return sum_diff(a, h, 0)
 
 
 def sum_diff(a: IntSet, h: int, k: int) -> IntSet:
-    """Generalized sum-difference set hA - kA (sums of h elements minus sums of k)."""
+    """Generalized sum-difference set hA - kA (sums of h elements minus sums of k).
+
+    0A - 0A is {0} and 1A - 0A is A itself.  Any other hA - kA is checked
+    once (``_check_sum_diff``), folded once (``_fold_sum_diff``) and
+    decoded once."""
     h, k = _strict_int("h", h), _strict_int("k", k)
     if h < 0 or k < 0:
         raise ValueError("fold counts must be nonnegative")
-    if k == 0:
-        return h_fold(a, h)
-    return diffset(h_fold(a, h), h_fold(a, k))
+    if h + k == 0:
+        return IntSet((0,))
+    if not a or (h, k) == (1, 0):
+        return a
+    lo, hi = a.min, a.max
+    base = _check_sum_diff(lo, hi, h, k)[0]
+    mask = _fold_sum_diff([e - lo for e in a.elements], hi - lo, h, k)
+    return IntSet._from_sorted(_bit_positions(mask, base), mask)
+
+
+def _check_sum_diff(lo: int, hi: int, h: int, k: int) -> tuple[int, int]:
+    """(min, max) of hA - kA for a set A from ``lo`` to ``hi``, after its checks.
+
+    They are the range and span checks of building hA - kA a step at a
+    time, in order: each j-fold sum jA for j = 2..max(h, k), then hA - kA
+    itself.  Its span (h + k)(hi - lo) bounds A's own span, so for
+    (h, k) = (1, 0) the last check is A's own range and span."""
+    for j in range(2, max(h, k) + 1):
+        _check_i64(j * lo)
+        _check_i64(j * hi)
+        _check_span(j * (hi - lo))
+    lo, hi = _check_i64(h * lo - k * hi), _check_i64(h * hi - k * lo)
+    _check_span(hi - lo)
+    return lo, hi
+
+
+def _fold_sum_diff(ups: list[int], top: int, h: int, k: int) -> int:
+    """The mask 1 folded ``h`` times by ``ups`` and ``k`` times by ``top`` less each.
+
+    With ``ups`` A's elements less ``min A`` and ``top`` its span, bit i
+    marks i + h min A - k max A in hA - kA (module docstring)."""
+    mask = 1
+    for _ in range(h):
+        mask = _shift_or(mask, ups)
+    if k:
+        downs = [top - u for u in ups]
+        for _ in range(k):
+            mask = _shift_or(mask, downs)
+    return mask
 
 
 def affine(a: IntSet, x: int, y: int) -> IntSet:
@@ -437,22 +478,14 @@ def symmetry_witness(a: IntSet) -> Optional[SymmetryWitness]:
 def mstd_delta(a: IntSet) -> MstdDelta:
     """|A+A|, |A-A| and their difference; positive delta means A is MSTD.
 
-    Counts the set bits of the two shift-OR masks, with the range and span
-    checks of ``sumset(a, a)`` and ``diffset(a, a)``, without building
-    either set."""
+    Counts the set bits of the two shift-OR masks, after the checks of
+    ``sum_diff(a, 2, 0)``, which cover A-A too, without building either
+    set."""
     if not a:
         return MstdDelta(0, 0)
     lo, hi = a.min, a.max
-    _check_delta(lo, hi)
+    _check_sum_diff(lo, hi, 2, 0)
     return _fold_delta(a.mask, [e - lo for e in a.elements], hi - lo)
-
-
-def _check_delta(lo: int, hi: int) -> None:
-    """``mstd_delta``'s checks for a set from ``lo`` to ``hi``: the range of
-    A+A, then the span, which bounds A-A within [-2^26, 2^26]."""
-    _check_i64(2 * lo)
-    _check_i64(2 * hi)
-    _check_span(2 * (hi - lo))
 
 
 def _fold_delta(mask: int, shifts: list[int], top: int) -> MstdDelta:

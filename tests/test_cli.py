@@ -354,6 +354,19 @@ def test_readme_scripts_run(capsys, monkeypatch):
     assert demo[i + 1].startswith("  set: ") and len(demo[i + 1].split()) == 1 + 28
 
 
+def test_embed_demo_reports_a_failed_embed_per_n():
+    # t_max = 1 is too small for n = 7 (it needs t = 2): one line, no traceback
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "embed_demo.py"),
+         "--min-n", "7", "--max-n", "8", "--t-max", "1"],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "n=7: thickness search: no thickness up to 1 transfers the inequality"
+    assert lines[1].startswith("n=8: ")
+
+
 @pytest.mark.parametrize(
     "script, args, name",
     [

@@ -15,7 +15,8 @@ from mstdkit import (
     find_group_mstd,
     miss_count,
 )
-from mstdkit.counting import MAX_COUNT_N, _parity_folds
+from mstdkit.counting import MAX_COUNT_N
+from mstdkit.grouplattice import _group_fold
 from oracles import brute_group_fold, enumerate_covering
 
 # Exact covering counts, frozen from an exhaustive enumeration: pairwise
@@ -51,6 +52,12 @@ SMALLEST_COVERING_N = 7
 def group_fold(sub, h, k):
     """hA - kA of a group subset, by the brute-force oracle."""
     return brute_group_fold(sub.elements, sub.spec.moduli, h, k)
+
+
+def _fold_cards(mask, n):
+    """(|A+A|, |A-A|) of the parity graph with E1 = mask: the group fold's bit counts."""
+    sub = ParityGraph.from_mask(n, mask).to_subset()
+    return _group_fold(sub, 2, 0)[2].bit_count(), _group_fold(sub, 1, 1)[2].bit_count()
 
 
 def brute_sumset_size(n, eps):
@@ -112,7 +119,7 @@ class TestCovers:
                 g = ParityGraph.from_mask(n, mask)
                 size = brute_sumset_size(n, g.eps)
                 assert covers_group(g) == (size == 2 * n)
-                assert _parity_folds(mask, n)[0] == size
+                assert _fold_cards(mask, n)[0] == size
 
     def test_difference_always_misses_odd_zero_exhaustive(self):
         for n in range(2, 13):
@@ -121,7 +128,7 @@ class TestCovers:
                 diff = group_fold(sub, 1, 1)
                 assert (0, 1) not in diff
                 assert len(diff) <= 2 * n - 1
-                assert _parity_folds(mask, n)[1] == len(diff)
+                assert _fold_cards(mask, n)[1] == len(diff)
 
     def test_difference_always_misses_odd_zero_random_large(self):
         rng = random.Random(31)
@@ -132,13 +139,13 @@ class TestCovers:
                 diff = group_fold(sub, 1, 1)
                 assert (0, 1) not in diff
                 assert len(diff) <= 2 * n - 1
-                assert _parity_folds(mask, n)[1] == len(diff)
+                assert _fold_cards(mask, n)[1] == len(diff)
         for n in (64, 257):
             for _ in range(3):
                 mask = rng.getrandbits(n)
                 sub = ParityGraph.from_mask(n, mask).to_subset()
                 want = (len(group_fold(sub, 2, 0)), len(group_fold(sub, 1, 1)))
-                assert _parity_folds(mask, n) == want
+                assert _fold_cards(mask, n) == want
 
 
 class TestCountCovering:

@@ -20,8 +20,9 @@ from mstdkit import (
     sumset,
     symmetry_witness,
 )
-from mstdkit.setops import MAX_SPAN_BITS, _FOLD_MIN, _RUN_MIN, _bit_positions, _fold_runs
-from mstdkit.setops import _shift_or
+from mstdkit import setops
+from mstdkit.setops import I64_MAX, MAX_SPAN_BITS, _FOLD_MIN, _RUN_MIN, _bit_positions
+from mstdkit.setops import _fold_runs, _shift_or
 from oracles import brute_diffset, brute_sum_diff, brute_sumset
 
 A1 = IntSet([0, 2, 3, 4, 7, 11, 12, 14])
@@ -165,6 +166,46 @@ class TestSumDiff:
         for h in range(3):
             for k in range(3):
                 assert set(sum_diff(a, h, k)) == brute_sum_diff(a, h, k)
+
+    def test_decodes_once(self, monkeypatch):
+        calls = []
+
+        def counted(mask, base=0):
+            calls.append(base)
+            return _bit_positions(mask, base)
+
+        monkeypatch.setattr(setops, "_bit_positions", counted)
+        got = sum_diff(A1, 3, 2)
+        assert calls == [3 * A1.min - 2 * A1.max]
+        assert set(got) == brute_sum_diff(A1, 3, 2)
+        assert got._mask_cache == IntSet(got.elements).mask
+
+
+class TestSumDiffEnvelope:
+    def test_one_fold_is_the_set_itself_at_any_span(self):
+        a = IntSet([0, 1 << 40])
+        assert sum_diff(a, 1, 0) == a and h_fold(a, 1) == a
+
+    def test_span_over_the_kernel_limit(self):
+        a = IntSet([0, (1 << 26) + 1])
+        want = f"span {(1 << 27) + 2} exceeds the dense-kernel limit of {MAX_SPAN_BITS} bits"
+        for h, k in ((2, 0), (1, 1), (0, 2)):
+            with pytest.raises(ValueError, match=re.escape(want)):
+                sum_diff(a, h, k)
+
+    def test_range_just_above_a_third_of_i64(self):
+        x = I64_MAX // 3
+        assert sum_diff(IntSet([x]), 3, 0) == IntSet([3 * x])
+        want = f"value {3 * (x + 1)} exceeds the signed 64-bit range"
+        with pytest.raises(OverflowError, match=re.escape(want)):
+            sum_diff(IntSet([x + 1]), 3, 0)
+
+    @pytest.mark.parametrize("h, k", [(3, 3), (1, 3)])
+    def test_sums_are_checked_before_the_difference(self, h, k):
+        # hA - kA fits in the signed 64-bit range, but the 3-fold sums leave it
+        x = I64_MAX // 3
+        with pytest.raises(OverflowError, match=re.escape(f"value {3 * (x + 1)} exceeds")):
+            sum_diff(IntSet([x, x + 1]), h, k)
 
 
 @pytest.mark.parametrize(
@@ -424,9 +465,9 @@ def test_sumset_commutative_and_matches_brute(a, b):
 
 
 @given(
-    st.builds(IntSet, st.lists(st.integers(-9, 9), min_size=1, max_size=4)),
-    st.integers(0, 2),
-    st.integers(0, 2),
+    st.builds(IntSet, st.lists(st.integers(-9, 9), max_size=4)),
+    st.integers(0, 3),
+    st.integers(0, 3),
 )
 def test_sum_diff_matches_brute(a, h, k):
     assert set(sum_diff(a, h, k)) == brute_sum_diff(a, h, k)
