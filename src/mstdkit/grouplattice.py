@@ -40,9 +40,12 @@ and the digit x on axis i stands for the residue
 (x + h lo_i - k(lo_i + s_i)) mod m_i.  The set bits are then the elements
 of hA - kA, one each: ``group_sum_diff`` decodes them, and
 ``find_thickness``, ``thickening_bounds`` and ``embed_report`` only count
-them.  The layout depends on A's cyclic spread s_i, not on the moduli, so
-a subset of a large group that sits in a short arc of each axis, wrapping
-round the modulus or not, stays small.  Its envelope is the ``setops``
+them.  The layout (``_group_layout``: lo_i, s_i, the widths, the strides
+and the codes of D and s) depends on h and k only through h + k, so the
+callers that compare two pairs of equal total build it once.  It depends
+on A's cyclic spread s_i, not on the moduli, so a subset of a large
+group that sits in a short arc of each axis, wrapping round the modulus
+or not, stays small.  Its envelope is the ``setops``
 one: a layout of more than ``MAX_SPAN_BITS`` bits, such as that of a
 2-fold of a set spread round the whole of a cyclic factor of order above
 2^26, raises ``ValueError`` before any fold.
@@ -222,15 +225,23 @@ def group_sum_diff(a: GroupSubset, h: int, k: int) -> GroupSubset:
     return GroupSubset(a.spec, frozenset(elements))
 
 
-def _group_fold(a: GroupSubset, h: int, k: int) -> tuple[list[int], list[int], int]:
-    """(widths, offsets, mask) of hA - kA in the group's mixed-radix layout.
+@dataclass(frozen=True)
+class _GroupLayout:
+    """A's mixed-radix layout for folds hA - kA with a given h + k."""
 
-    Axis i has a field of ``widths[i]`` values, with stride the product of
-    the widths below it; a set bit whose digit on axis i is x stands for
-    the residue (x + offsets[i]) mod m_i.  The mask has |hA - kA| set bits
-    (module docstring).
-    """
-    h, k = _strict_int("h", h), _strict_int("k", k)
+    lows: list[int]  # per axis: the coordinate just after A's widest cyclic gap
+    spreads: list[int]  # per axis: A's largest digit s_i
+    widths: list[int]  # per axis: the field of (h + k) s_i + 1 digits
+    strides: list[int]  # per axis: the product of the widths below it
+    digits: list[int]  # the code of each element's digit vector D
+    top: int  # the code of s
+
+
+def _group_layout(a: GroupSubset, h: int, k: int) -> _GroupLayout:
+    """The layout ``_group_fold`` folds A on, for every pair with total h + k.
+
+    ``h`` and ``k`` are ints; A must be nonempty, and the layout must fit
+    ``MAX_SPAN_BITS`` (module docstring)."""
     if not a.elements:
         raise ValueError("subset must be nonempty")
     if h < 0 or k < 0 or h + k < 1:
@@ -246,15 +257,34 @@ def _group_fold(a: GroupSubset, h: int, k: int) -> tuple[list[int], list[int], i
         lows.append(low % m)
         spreads.append(m - gap)
     widths = [(h + k) * s + 1 for s in spreads]
-    size = math.prod(widths)
-    _check_span(size - 1)
+    _check_span(math.prod(widths) - 1)
     strides = list(itertools.accumulate(widths[:-1], mul, initial=1))
     digits = [0] * len(a)
     for col, low, m, w in zip(cols, lows, moduli, strides):
         digits = list(map(add, digits, [(c - low) % m * w for c in col]))
     top = sum(s * w for s, w in zip(spreads, strides))
-    mask = _fold_sum_diff(digits, top, h, k)
-    for w, m, stride in zip(widths, moduli, strides):
+    return _GroupLayout(lows, spreads, widths, strides, digits, top)
+
+
+def _group_fold(
+    a: GroupSubset, h: int, k: int, layout: _GroupLayout | None = None
+) -> tuple[list[int], list[int], int]:
+    """(widths, offsets, mask) of hA - kA in the group's mixed-radix layout.
+
+    Axis i has a field of ``widths[i]`` values, with stride the product of
+    the widths below it; a set bit whose digit on axis i is x stands for
+    the residue (x + offsets[i]) mod m_i.  The mask has |hA - kA| set bits
+    (module docstring).  ``layout`` is ``_group_layout`` of A for a pair
+    with total h + k, so that two pairs share one; without it, ``h`` and
+    ``k`` are checked and the layout is built here.
+    """
+    if layout is None:
+        h, k = _strict_int("h", h), _strict_int("k", k)
+        layout = _group_layout(a, h, k)
+    widths, strides = layout.widths, layout.strides
+    size = widths[-1] * strides[-1]
+    mask = _fold_sum_diff(layout.digits, layout.top, h, k)
+    for w, m, stride in zip(widths, a.spec.moduli, strides):
         if w <= m:  # at most m consecutive digits: already distinct mod m
             continue
         outer = size // (stride * w)
@@ -264,7 +294,7 @@ def _group_fold(a: GroupSubset, h: int, k: int) -> tuple[list[int], list[int], i
             slab = _fold_runs(block, [(j * stride, stride * w, outer)])
             reduced |= (mask & slab) >> (j * stride)
         mask = reduced
-    offsets = [h * low - k * (low + s) for low, s in zip(lows, spreads)]
+    offsets = [h * low - k * (low + s) for low, s in zip(layout.lows, layout.spreads)]
     return widths, offsets, mask
 
 
@@ -358,9 +388,15 @@ def lattice_sum_diff(s: LatticeSet, h: int, k: int) -> LatticeSet:
 
 
 def lattice_sum_diff_card(s: LatticeSet, h: int, k: int) -> int:
-    """|hS - kS| without materializing the points."""
+    """|hS - kS| without materializing the points: the bit count of the
+    folded image, after the checks ``sum_diff`` makes on it."""
     h, k = _check_fold(s, h, k)
-    return len(sum_diff(_corner_image(s, h + k)[1].image, h, k))
+    image = _corner_image(s, h + k)[1].image
+    if (h, k) == (1, 0):  # S itself, as in sum_diff: no span check
+        return len(image)
+    lo, hi = image.min, image.max
+    _check_sum_diff(lo, hi, h, k)
+    return _fold_sum_diff([e - lo for e in image.elements], hi - lo, h, k).bit_count()
 
 
 # -- thickening and transfer ------------------------------------------------------
@@ -497,8 +533,9 @@ def find_thickness(
         raise ValueError("need h1, h2 >= 1 and k1, k2 >= 0")
     if h1 + k1 != h2 + k2:
         raise ValueError("fold totals must match: h1 + k1 == h2 + k2")
-    c1 = _group_fold(a, h1, k1)[2].bit_count()
-    c2 = _group_fold(a, h2, k2)[2].bit_count()
+    layout = _group_layout(a, h1, k1)
+    c1 = _group_fold(a, h1, k1, layout)[2].bit_count()
+    c2 = _group_fold(a, h2, k2, layout)[2].bit_count()
     if c1 <= c2:
         raise ValueError(
             f"group inequality fails: |{h1}A-{k1}A| = {c1} <= |{h2}A-{k2}A| = {c2}"
@@ -608,7 +645,9 @@ def embed_report(a: GroupSubset, t_max: int = 32) -> EmbedResult:
     t_max = _strict_int("t_max", t_max)
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    if _group_fold(a, 2, 0)[2].bit_count() <= _group_fold(a, 1, 1)[2].bit_count():
+    layout = _group_layout(a, 2, 0)
+    sums = _group_fold(a, 2, 0, layout)[2].bit_count()
+    if sums <= _group_fold(a, 1, 1, layout)[2].bit_count():
         raise ValueError("input is not an MSTD subset of its group")
     cols = _psi_columns(a)
     try:

@@ -26,19 +26,38 @@ since every h exceeds every element of L.  L + h is L << h, and h - L is
 the bit-reversed L (bit w-1-x for each x in L) shifted by h - w + 1.  The
 tables over L (L, L+L, L-L, reversed L, the top bit of L and L's part of
 the witness key) are built on first use for each width, cached and
-read-only; H+H and H-H are scalars.  Their rows come in two blocks, the
-masks with bit 1 set (block 1) and then those without it (block 0).
-Within a block rows run by size |L|, ascending within each size, and
-``starts[b][s]`` is the first row of size s in block b, so the sizes of L
-that the band leaves for a chunk are one contiguous slice of rows per
-block.  A chunk takes those slices before it shifts or counts anything,
-and costs 2 popcount(H) shifts of each.  In a full band the two slices
-are adjacent, the whole table as a view, and a chunk makes one pass; a
-band cut below or above makes two.  Chunks whose |H| leaves no size of L
-in the band are skipped.  In the chunk with H = 0, the weight and the
-key's top digit follow the top bit of L, which the ``top`` table gives
-per row.  The key table shifted into place and the top keys are built
-once per scan.
+read-only.  L-L and reversed L are uint32, since no difference exceeds
+range_max <= 24.
+
+Depth-first walk.  The chunks are the nodes of a tree: the root is H = 0,
+and the children of H are H | {h} for each h > max H.  By the split
+above, a child's arrays are its parent's with one shifted table and one
+scalar ORed in:
+
+    sums(H | {h})  = sums(H)  | (L << h) | OR_{x in H | {h}} bit x + h
+    diffs(H | {h}) = diffs(H) | (rev << (h - w + 1)) | OR_{x in H | {h}} bit h - x
+
+The root's arrays are the L+L and L-L tables, so every node's arrays are
+final and are counted as they stand.  The walk visits the children in
+descending h.  The last, h = max H + 1, folds into its parent's buffers
+in place, since the parent is done with them; every other child takes a
+buffer pair from a free list and gives it back after its subtree.  So a
+scan holds at most one pair per level of the tree, plus the count
+buffers (popcounts, delta and keys), each allocated once per scan.
+
+Row order.  The table rows come in two blocks, the masks with bit 1 set
+(block 1) and then those without it (block 0).  Block 1 runs by size |L|
+descending and block 0 by size ascending, L ascending within each size,
+so the rows of size at most s are one slice around the split between the
+blocks, ``edges[s]``.  A node keeps the rows with |L| <= max_size - |H|,
+and its children's rows are a slice of those.  The rows it counts, those
+with |L| in the band, are a slice of each block; when the band reaches
+size 1, as a full band does, the two are adjacent and the node makes one
+pass, and a band cut below makes two.  A subtree in which no node leaves
+a size of L in the band is not built.  In the node with H = 0, the weight
+and the key's top digit follow the top bit of L, which the ``top`` table
+gives per row.  The key table shifted into place and the top keys are
+built once per scan.
 
 Mirror pairs.  The reflection R(A) = T - A, with T = max A, maps the
 masks with bit 0 and top T onto themselves and keeps the size, the
@@ -69,9 +88,15 @@ The key is 2 at every digit up to the top, less 1 at each element's
 digit.  With H not empty, every position of L lies below the top, so the
 key of L | H is the key of H less L's table part (1 at each element's
 digit) shifted into place.  With H = 0 and top t, it is the key of {t},
-with the digit at t raised to 2, less the same.  One ``np.minimum.at``
-per pass keeps the smallest key for each delta, and the witness mask is
-decoded from it.
+with the digit at t raised to 2, less the same.  The key of H is
+G[max H] - sum_{p in H} 4^(range_max - p), where G[t] has digit 2 at
+every position through t; the walk keeps the sum as it adds bits.  One
+``np.minimum.at`` per pass keeps the smallest key for each delta, and
+the witness mask is decoded from it.  The counts and the keys are kept
+in ``_LANES`` copies that successive rows take in turn, since
+``np.bincount`` and ``np.minimum.at`` run about 1.3-1.8x faster when
+neighbouring rows rarely hit one entry; the copies are summed and
+minimized once, at the end.
 
 Witness selection per delta is restricted to masks containing 0: every
 subset's normalized form (translate to 0, divide by the gcd) lies in the
@@ -151,6 +176,11 @@ MAX_RANGE = 24
 # log2 of the masks per chunk; the tables then have 2^14 entries each
 _CHUNK_BITS = 14
 
+# copies of the spectrum's counts and witness keys that successive rows take
+# in turn, so that np.bincount and np.minimum.at rarely update one entry twice
+# in a row
+_LANES = 4
+
 # the samples on which _replays_sample compares the replay with rng.sample
 _PROBE_SEED = 20260809
 _PROBE_SAMPLES = 8
@@ -186,36 +216,44 @@ class SearchReport:
 
 
 def _lex_key(mask: int, range_max: int) -> int:
-    """Witness key of a mask over positions 0..range_max (module docstring)."""
-    key = 0
-    for p in range(range_max + 1):
-        rest = mask >> p
-        key = 4 * key + (2 if rest else 0) - (rest & 1)
-    return key
+    """Witness key of a mask over positions 0..range_max (module docstring):
+    digit 2 at every position through the top, less 1 at each element."""
+    # 2 (4^(range_max + 1) - 4^(range_max - top)) / 3 has digit 2 at positions
+    # 0..top; the mask's binary digits reversed, read in base 4, have digit 1
+    # at each element
+    top = mask.bit_length() - 1
+    through_top = 2 * ((4 << 2 * range_max) - (1 << 2 * (range_max - top))) // 3
+    return through_top - int(f"{mask:0{range_max + 1}b}"[::-1], 4)
 
 
 def _key_mask(key: int, range_max: int) -> int:
     """The mask that ``_lex_key`` maps to ``key``: digit 1 marks an element."""
-    return sum(1 << p for p in range(range_max + 1) if key >> 2 * (range_max - p) & 3 == 1)
+    # the low bit of each digit that is 1 (no digit is 3); the low bit of
+    # position p's digit is bit 2 (range_max - p), character 2 p + 1 of the
+    # key in 2 range_max + 2 binary digits, so the odd characters reversed
+    # are the mask
+    ones = key & ~(key >> 1) & ((4 << 2 * range_max) - 1) // 3
+    return int(format(ones, f"0{2 * range_max + 2}b")[-1::-2], 2)
 
 
 @dataclass(frozen=True)
 class _LowTables:
     """Read-only tables over L, the masks below 2^width with bit 0.
 
-    The rows with bit 1 set come first (block 1), then the rows with bit 1
-    clear (block 0); within each block rows run by size |L|, ascending
-    within each size.  The rows of block b with size s are
-    ``starts[b][s]:starts[b][s + 1]`` for 1 <= s <= width.
+    The rows with bit 1 set come first (block 1), by size |L| descending,
+    then the rows with bit 1 clear (block 0), by size ascending; L ascends
+    within each size.  So the rows of size at most s are one slice around
+    the split between the blocks, ``slice(*edges[s])`` for 0 <= s <= width:
+    block 1 ends at the split and block 0 starts there.
     """
 
     low: np.ndarray  # L
     sums: np.ndarray  # L+L: bit x + y
-    diffs: np.ndarray  # L-L: bit x - y for x >= y
-    rev: np.ndarray  # bit width - 1 - x for each x in L
+    diffs: np.ndarray  # L-L: bit x - y for x >= y, as uint32
+    rev: np.ndarray  # bit width - 1 - x for each x in L, as uint32
     top: np.ndarray  # max L, as uint8
     key: np.ndarray  # 1 at the key digit of each x in L: bits 2 (width - 1 - x)
-    starts: tuple  # per block b: first row of each size 0..width + 1
+    edges: tuple  # per size s: (first, stop) of the rows of size at most s
 
 
 @lru_cache(maxsize=None)
@@ -224,10 +262,10 @@ def _low_tables(width: int) -> _LowTables:
 
     one = np.uint64(1)
     low = (np.arange(1 << (width - 1), dtype=np.uint64) << one) | one
-    size = np.bitwise_count(low)
-    bit1 = (low >> one) & one
-    # block 1 before block 0, each by size
-    order = np.argsort(size + (width + 2) * (1 - bit1), kind="stable")
+    size = np.bitwise_count(low).astype(np.int64)
+    bit1 = ((low >> one) & one).astype(np.int64)
+    # block 1 by size descending, then block 0 by size ascending
+    order = np.argsort(np.where(bit1 == 1, width - size, width + size), kind="stable")
     low, size = low[order], size[order]
     sums = np.zeros_like(low)
     diffs = np.zeros_like(low)
@@ -243,99 +281,158 @@ def _low_tables(width: int) -> _LowTables:
         key |= bit << np.uint64(2 * (width - 1 - b))
         top[bit == one] = b
     split = int(np.count_nonzero(bit1))
-    sizes = np.arange(width + 2)
-    starts = (
-        tuple((split + np.searchsorted(size[split:], sizes)).tolist()),
-        tuple(np.searchsorted(size[:split], sizes).tolist()),
+    edges = tuple(
+        (
+            split - int(np.count_nonzero(size[:split] <= s)),
+            split + int(np.count_nonzero(size[split:] <= s)),
+        )
+        for s in range(width + 1)
     )
-    tables = _LowTables(low, sums, diffs, rev, top, key, starts)
-    for arr in (low, sums, diffs, rev, top, key):
-        arr.flags.writeable = False
+    tables = _LowTables(
+        low, sums, diffs.astype(np.uint32), rev.astype(np.uint32), top, key, edges
+    )
+    for arr in vars(tables).values():
+        if arr is not edges:
+            arr.flags.writeable = False
     return tables
 
 
-def _scan_chunk(
-    high: int,
-    width: int,
-    range_max: int,
-    min_size: int,
-    max_size: int,
-    low_digits: np.ndarray,
-    top_keys: np.ndarray,
-    counts: np.ndarray,
-    best: np.ndarray,
-) -> None:
-    """Add the masks high | L in the size band to the weighted delta counts
-    and the least witness keys, both indexed by delta + 2 range_max.
+@dataclass(frozen=True)
+class _Walk:
+    """One exhaustive scan: its band, its tables and the buffers its nodes
+    share.  ``counts`` and ``best`` hold ``_LANES`` copies of the weighted
+    delta counts and the least witness keys, each indexed by
+    delta + 2 range_max.  The rows of a pass take the copies in turn
+    (``lanes``), so that successive rows with one delta update different
+    entries; the copies are summed and minimized at the end."""
 
-    ``low_digits`` is the key table shifted to L's digits and ``top_keys``
-    the key of each top t of L when H = 0 (``exhaustive_spectrum``)."""
+    range_max: int
+    width: int
+    min_size: int
+    max_size: int
+    tables: _LowTables
+    low_digits: np.ndarray  # the key table shifted to L's digits
+    ground: tuple  # per t: the key with digit 2 at every position 0..t
+    counts: np.ndarray
+    best: np.ndarray
+    lanes: np.ndarray  # per row of a pass: its copy's offset into counts and best
+    # per row of a pass: the bits of A+A and of (A-A) ∩ N, then the index
+    sum_card: np.ndarray
+    diff_card: np.ndarray
+    index: np.ndarray
+    # the witness keys of a pass, and L << h while a child is built
+    scratch: np.ndarray
+    shifted_rev: np.ndarray  # rev << (h - width + 1) while a child is built
+    free: list  # spare (sums, diffs) buffer pairs
+
+
+def _walk(
+    walk: _Walk, high: int, digits: int, sums: np.ndarray, diffs: np.ndarray, owned: bool
+) -> None:
+    """Count the node H = ``high``, then build and walk each child
+    H | {h}, h > max H, in descending h (module docstring).  ``sums`` and
+    ``diffs`` hold H's A+A and (A-A) ∩ N on the rows of its L, indexed
+    by table row; ``digits`` is the sum of 4^(range_max - p) over p in H.
+    The last child folds into H's buffers when H ``owned`` them, and
+    every other child takes a pair from the free list and gives it back."""
     import numpy as np
 
-    hs = [h for h in range(width, range_max + 1) if high >> h & 1]
-    lo_size, hi_size = min_size - len(hs), max_size - len(hs)
-    if hi_size < 1 or lo_size > width:
+    n, width, tables = walk.range_max, walk.width, walk.tables
+    top = high.bit_length() - 1 if high else width - 1
+    _count_node(walk, high, walk.ground[top] - digits, sums, diffs)
+    size = high.bit_count()
+    most = walk.max_size - size - 1  # the largest |L| a child keeps
+    if most < 1:
         return
-    tables = _low_tables(width)
-    # per block: the rows whose size |L| lies in [lo_size, hi_size]
-    band = [(s[max(lo_size, 1)], s[min(hi_size, width) + 1]) for s in tables.starts]
-    weight = range_max - hs[-1] + 1 if hs else None  # None: by the top of L
-    if hs and hs[-1] - 1 >= width:
-        # mirror pairs (module docstring): bit T-1 is a high bit
-        if high >> (hs[-1] - 1) & 1:
-            passes = [(band[1], weight)]
+    rows = slice(*tables.edges[min(most, width)])
+    parent_sums, parent_diffs, low, rev = sums[rows], diffs[rows], tables.low[rows], tables.rev[rows]
+    shifted, shifted_rev = walk.scratch[rows], walk.shifted_rev[rows]
+    # bit range_max - x for each x in H, so that h - x is a shift away
+    mirrored = sum(1 << n - x for x in range(width, top + 1) if high >> x & 1)
+    # a child above this h would need |L| > width to reach min_size, even with every bit above h
+    first = min(n, n + width + size + 1 - walk.min_size)
+    for h in range(first, top, -1):
+        if owned and h == top + 1:
+            child_sums, child_diffs = sums, diffs
+        elif walk.free:
+            child_sums, child_diffs = walk.free.pop()
         else:
-            passes = [(band[1], 2 * weight), (band[0], weight)]
+            child_sums = np.empty(len(tables.low), dtype=np.uint64)
+            child_diffs = np.empty(len(tables.low), dtype=np.uint32)
+        child = high | 1 << h
+        # x + h and h - x for x in H | {h}; every x >= width exceeds every bit of L
+        into = child_sums[rows]
+        np.bitwise_or(parent_sums, child << h, out=into)
+        np.left_shift(low, h, out=shifted)
+        into |= shifted
+        into = child_diffs[rows]
+        np.bitwise_or(parent_diffs, mirrored >> n - h | 1, out=into)
+        np.left_shift(rev, h - width + 1, out=shifted_rev)
+        into |= shifted_rev
+        _walk(walk, child, digits + (1 << 2 * (n - h)), child_sums, child_diffs, True)
+        if child_sums is not sums:
+            walk.free.append((child_sums, child_diffs))
+
+
+def _count_node(
+    walk: _Walk, high: int, key: int, sums: np.ndarray, diffs: np.ndarray
+) -> None:
+    """Add the masks high | L in the size band to the weighted delta counts
+    and the least witness keys.  ``key`` is the witness key of H, unused
+    when H is empty; ``sums`` and ``diffs`` are H's arrays."""
+    import numpy as np
+
+    n, width, tables, counts = walk.range_max, walk.width, walk.tables, walk.counts
+    size = high.bit_count()
+    lo, hi = max(walk.min_size - size, 1), min(walk.max_size - size, width)
+    if lo > hi:
+        return
+    # the rows whose size |L| lies in [lo, hi]: start1:stop1 in block 1, start0:stop0 in block 0
+    (start1, stop0), (stop1, start0) = tables.edges[hi], tables.edges[lo - 1]
+    top = high.bit_length() - 1
+    weight1 = weight0 = n - top + 1 if high else None  # None: by the top of L
+    if high and top - 1 >= width:
+        # mirror pairs (module docstring): bit T-1 is a high bit
+        if high >> (top - 1) & 1:
+            stop0 = start0
+        else:
+            weight1 = 2 * weight0
+    # one scan per run of adjacent slices: (start, stop, ((stop, weight)...))
+    if stop1 != start0:
+        scans = ((start1, stop1, ((stop1, weight1),)), (start0, stop0, ((stop0, weight0),)))
+    elif weight1 != weight0:
+        scans = ((start1, stop0, ((stop1, weight1), (stop0, weight0))),)
     else:
-        passes = [(band[1], weight), (band[0], weight)]
-    # one scan per run of adjacent slices: (start, stop, [(stop, weight)...])
-    scans: list = []
-    for (start, stop), w in passes:
+        scans = ((start1, stop0, ((stop0, weight0),)),)
+    for start, stop, parts in scans:
         if start == stop:
             continue
-        if scans and scans[-1][1] == start:
-            scans[-1][1] = stop
-            scans[-1][2].append((stop, w))
-        else:
-            scans.append([start, stop, [(stop, w)]])
-    hh = hd = 0
-    for a in hs:
-        for b in hs:
-            hh |= 1 << (a + b)
-            hd |= 1 << abs(a - b)
-    for start, stop, parts in scans:
-        rows = slice(start, stop)
-        low, rev = tables.low[rows], tables.rev[rows]
-        sums = tables.sums[rows] | np.uint64(hh)
-        diffs = tables.diffs[rows] | np.uint64(hd)
-        for h in hs:
-            sums |= low << np.uint64(h)
-            diffs |= rev << np.uint64(h - width + 1)  # h - x for x in L
-        # |A-A| = 2 |diffs| - 1, so delta + 2 range_max fits uint8 at every step
-        delta = np.bitwise_count(sums)
-        delta += 2 * range_max + 1
-        diff_card = np.bitwise_count(diffs)
-        delta -= diff_card
-        delta -= diff_card
-        # freed before the index and key arrays are built, so the allocator
-        # reuses their memory (n = 21 runs about 1.5x faster in a fresh process)
-        del sums, diffs
-        delta = delta.astype(np.intp)
-        if hs:
+        rows, m = slice(start, stop), stop - start
+        sum_card = np.bitwise_count(sums[rows], out=walk.sum_card[:m])
+        diff_card = np.bitwise_count(diffs[rows], out=walk.diff_card[:m])
+        # |A-A| = 2 |diffs| - 1: uint8 wraps, but delta + 2 range_max ends in [0, 4 range_max]
+        sum_card -= diff_card
+        sum_card -= diff_card
+        sum_card += 2 * n + 1
+        index = np.add(sum_card, walk.lanes[:m], out=walk.index[:m])
+        keys = walk.scratch[:m]
+        if high:
             # every position of L lies below H's top, where H's key has digit 2
-            high_key = np.uint64(_lex_key(high, range_max))
-            np.minimum.at(best, delta, high_key - low_digits[rows])
+            np.subtract(key, walk.low_digits[rows], out=keys)
+            np.minimum.at(walk.best, index, keys)
             done = 0
             for end, w in parts:
-                part = delta[done : end - start]
-                counts += np.bincount(part, minlength=len(counts)) * w
+                counts += np.bincount(index[done : end - start], minlength=len(counts)) * w
                 done = end - start
             continue
-        top = tables.top[rows]
-        np.minimum.at(best, delta, top_keys[top] - low_digits[rows])
-        # masks per (delta, top), each weighted by its range_max - top + 1 translates
-        per_top = np.bincount(delta * width + top, minlength=len(counts) * width)
-        counts += per_top.reshape(len(counts), width) @ (range_max + 1 - np.arange(width))
+        top_row = tables.top[rows]
+        # with H = 0 and top t, L's key is ground[t] less L's digits (module docstring)
+        top_keys = np.array(walk.ground[:width], dtype=np.uint64)
+        np.subtract(top_keys[top_row], walk.low_digits[rows], out=keys)
+        np.minimum.at(walk.best, index, keys)
+        # masks per (index, top), each weighted by its range_max - top + 1 translates
+        per_top = np.bincount(index * width + top_row, minlength=len(counts) * width)
+        counts += per_top.reshape(len(counts), width) @ (n + 1 - np.arange(width))
 
 
 def _band_size(range_max: int, min_size: int, max_size: int) -> int:
@@ -361,20 +458,35 @@ def exhaustive_spectrum(range_max: int, min_size: int, max_size: int) -> SearchR
         raise ValueError("need 0 <= min_size <= max_size <= range_max + 1")
     enumerated = _band_size(range_max, min_size, max_size)
     width = min(_CHUNK_BITS, range_max) + 1
-    # indexed by delta + 2 range_max, for delta in [-2 range_max, 2 range_max]
-    counts = np.zeros(4 * range_max + 1, dtype=np.int64)
-    best = np.full(len(counts), np.iinfo(np.uint64).max, dtype=np.uint64)
-    # L's key digits are positions 0..width-1, above H's in significance
-    low_digits = _low_tables(width).key << np.uint64(2 * (range_max - width + 1))
-    # per top t: the key of {t} with the digit at t raised to 2, as for a gap
-    top_keys = np.array(
-        [_lex_key(1 << t, range_max) + (1 << 2 * (range_max - t)) for t in range(width)],
-        dtype=np.uint64,
+    tables = _low_tables(width)
+    rows = len(tables.low)
+    # delta + 2 range_max lies in [0, 4 range_max]
+    hist = 4 * range_max + 1
+    walk = _Walk(
+        range_max,
+        width,
+        min_size,
+        max_size,
+        tables,
+        # L's key digits are positions 0..width-1, above H's in significance
+        low_digits=tables.key << np.uint64(2 * (range_max - width + 1)),
+        # per t: the key of {t} with the digit at t raised to 2, as for a gap
+        ground=tuple(
+            _lex_key(1 << t, range_max) + (1 << 2 * (range_max - t)) for t in range(range_max + 1)
+        ),
+        counts=np.zeros(_LANES * hist, dtype=np.int64),
+        best=np.full(_LANES * hist, np.iinfo(np.uint64).max, dtype=np.uint64),
+        lanes=(np.arange(rows) % _LANES * hist).astype(np.uint16),
+        sum_card=np.empty(rows, dtype=np.uint8),
+        diff_card=np.empty(rows, dtype=np.uint8),
+        index=np.empty(rows, dtype=np.intp),
+        scratch=np.empty(rows, dtype=np.uint64),
+        shifted_rev=np.empty(rows, dtype=np.uint32),
+        free=[],
     )
-    for high in range(0, 2 << range_max, 1 << width):
-        _scan_chunk(
-            high, width, range_max, min_size, max_size, low_digits, top_keys, counts, best
-        )
+    _walk(walk, 0, 0, tables.sums, tables.diffs, False)
+    counts = walk.counts.reshape(_LANES, hist).sum(axis=0)
+    best = walk.best.reshape(_LANES, hist).min(axis=0)
     spectrum: dict = {0: 1} if min_size == 0 else {}
     witnesses = {}
     for i in np.flatnonzero(counts).tolist():

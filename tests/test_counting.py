@@ -15,6 +15,7 @@ from mstdkit import (
     find_group_mstd,
     miss_count,
 )
+from mstdkit import counting
 from mstdkit.counting import MAX_COUNT_N
 from mstdkit.grouplattice import _group_fold
 from oracles import brute_group_fold, enumerate_covering
@@ -285,6 +286,20 @@ class TestFindGroupMstd:
         b = find_group_mstd(9, strategy="random", seed=123)
         assert a == b
         assert len(group_fold(a, 2, 0)) == 18
+
+    def test_recheck_builds_one_layout(self, monkeypatch):
+        layouts = []
+        group_layout = counting._group_layout
+
+        def counted(*args):
+            layouts.append(args[1:])
+            return group_layout(*args)
+
+        monkeypatch.setattr(counting, "_group_layout", counted)
+        for n in (7, 64):
+            find_group_mstd(n)
+        find_group_mstd(9, strategy="random", seed=123)
+        assert layouts == [(2, 0)] * 3
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_first_rejects_a_seed(self, seed):

@@ -178,6 +178,37 @@ class TestGroupFold:
                 want = brute_group_fold(b.elements, b.spec.moduli, h, k)
                 assert group_sum_diff(b, h, k).elements == want
 
+    def test_pairs_share_one_layout(self):
+        # every pair with the same h + k folds on one layout, as the callers that
+        # compare two pairs do; each fold matches the oracle and the unshared fold
+        rng = random.Random(23)
+        for _ in range(30):
+            a = random_subset(rng)
+            for total in (1, 2, 3):
+                layout = grouplattice._group_layout(a, total, 0)
+                for h in range(total + 1):
+                    k = total - h
+                    got = grouplattice._group_fold(a, h, k, layout)
+                    assert got == grouplattice._group_fold(a, h, k)
+                    assert got[2].bit_count() == len(
+                        brute_group_fold(a.elements, a.spec.moduli, h, k)
+                    )
+
+    def test_one_layout_per_pair_comparison(self, monkeypatch):
+        layouts = []
+        group_layout = grouplattice._group_layout
+
+        def counted(*args):
+            layouts.append(args[1:])
+            return group_layout(*args)
+
+        monkeypatch.setattr(grouplattice, "_group_layout", counted)
+        a = covering_pair_subset()
+        find_thickness(a, (2, 0), (1, 1), 4)
+        assert layouts == [(2, 0)]
+        embed_report(a, t_max=4)
+        assert layouts == [(2, 0), (2, 0)]
+
     def test_layout_over_span_refused_before_any_fold(self, monkeypatch):
         def no_fold(*args):
             raise AssertionError("folded past the span check")
@@ -359,6 +390,21 @@ class TestLatticeFold:
             want = brute_lattice_fold(pts, h, k)
             assert lattice_sum_diff(s, h, k).points == want
             assert lattice_sum_diff_card(s, h, k) == len(want)
+
+    def test_card_decodes_nothing(self, monkeypatch):
+        def no_decode(*args):
+            raise AssertionError("decoded a fold")
+
+        monkeypatch.setattr(setops, "_bit_positions", no_decode)
+        monkeypatch.setattr(grouplattice, "_bit_positions", no_decode)
+        rng = random.Random(60)
+        pts = frozenset((rng.randrange(60), rng.randrange(60)) for _ in range(300))
+        s = LatticeSet(2, pts)
+        cards = {hk: lattice_sum_diff_card(s, *hk) for hk in ((2, 2), (1, 1), (2, 0), (1, 0))}
+        monkeypatch.undo()
+        for (h, k), card in cards.items():
+            assert card == len(lattice_sum_diff(s, h, k).points)
+        assert cards[(1, 0)] == len(pts)
 
     def test_matches_brute(self):
         rng = random.Random(9)

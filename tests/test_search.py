@@ -1,9 +1,11 @@
 import collections
 import functools
+import gc
 import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,25 +65,25 @@ class TestExhaustive:
     @pytest.mark.parametrize("range_max", range(5, 12))
     def test_matches_brute_mirror_grid(self, monkeypatch, range_max):
         # every chunk size from 1 to 4 bits on full, cut and one-size bands,
-        # with each chunk sorted by how the mirror pairs treat it
+        # with each node of the walk sorted by how the mirror pairs treat it
         n = range_max
         bands = [(0, n + 1), (1, n + 1), (2, n - 1)] + [(k, k) for k in range(1, n + 2)]
         seen = collections.Counter()
-        scan_chunk = search._scan_chunk
+        count_node = search._count_node
 
-        def counted(high, width, range_max, min_size, max_size, *rest):
-            hs = [h for h in range(width, range_max + 1) if high >> h & 1]
-            if min_size - len(hs) <= width and max_size - len(hs) >= 1:
+        def counted(walk, high, *rest):
+            size = bin(high).count("1")
+            if walk.min_size - size <= walk.width and walk.max_size - size >= 1:
                 top = high.bit_length() - 1
-                if not hs:
+                if not high:
                     seen["no high bits"] += 1
-                elif top - 1 < width:
+                elif top - 1 < walk.width:
                     seen["top at the width"] += 1
                 else:
                     seen["top - 1 in H" if high >> (top - 1) & 1 else "top - 1 not in H"] += 1
-            scan_chunk(high, width, range_max, min_size, max_size, *rest)
+            count_node(walk, high, *rest)
 
-        monkeypatch.setattr(search, "_scan_chunk", counted)
+        monkeypatch.setattr(search, "_count_node", counted)
         for chunk_bits in range(1, 5):
             monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)
             for band in bands:
@@ -252,16 +254,47 @@ def test_mirror_keeps_delta_and_leads_its_class(pair):
 
 def test_low_tables_read_only():
     tables = search._low_tables(4)
-    # the rows with bit 1 set, then those without, each by size, ascending
-    # within each size; starts[b] is the size starts of the block with bit 1 = b
-    assert list(tables.low) == [3, 7, 11, 15, 1, 5, 9, 13]
-    assert tables.starts == ((4, 4, 5, 7, 8, 8), (0, 0, 0, 1, 3, 4))
-    assert list(tables.top) == [1, 2, 3, 3, 0, 2, 3, 3]
+    # the rows with bit 1 set by size descending, then those without by size
+    # ascending, L ascending within each size; edges[s] bounds the rows of
+    # size at most s, one slice around the split at row 4
+    assert list(tables.low) == [15, 7, 11, 3, 1, 5, 9, 13]
+    assert tables.edges == ((4, 4), (4, 5), (3, 7), (1, 8), (0, 8))
+    assert list(tables.top) == [3, 2, 3, 1, 0, 2, 3, 3]
     assert tables.top.dtype == np.uint8
+    assert tables.diffs.dtype == tables.rev.dtype == np.uint32
+    assert list(tables.rev) == [15, 14, 13, 12, 8, 10, 9, 11]
     for name, arr in vars(tables).items():
-        if name != "starts":
+        if name != "edges":
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+
+def test_scan_leaves_no_reference_cycles():
+    # the walk's buffers are freed when the scan returns, not by the collector
+    gc.collect()
+    gc.disable()
+    try:
+        exhaustive_spectrum(18, 1, 19)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# tracemalloc peak of exhaustive_spectrum(21, 1, 22) with its tables cached:
+# 1.36e6 bytes measured (numpy 2.4.6), most of it the count buffers and four
+# node buffer pairs; the budget allows 10% more
+PEAK_BUDGET = 1_500_000
+
+
+def test_scan_memory_budget():
+    search._low_tables(min(search._CHUNK_BITS, 21) + 1)  # cached tables are not counted
+    tracemalloc.start()
+    try:
+        exhaustive_spectrum(21, 1, 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BUDGET
 
 
 # sha256 of the spectrum reports of every band of [0, n] for n = 0..12 and of
