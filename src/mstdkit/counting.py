@@ -30,10 +30,10 @@ Translating by one conjugates R(b, c) to R(b + 2, c) and commutes with
 S(e, u), so T depends on b only through b mod gcd(2, n): the inner sum
 has at most two distinct terms.
 
-Witnesses are re-checked by a different mechanism: the one group fold,
-``grouplattice._group_fold``, counts |A+A| and |A-A| of the witness as
-the set bits of its masks, with no reference to reflections.  Both folds
-have h + k = 2, so they share one layout (``grouplattice._group_layout``).
+Witnesses are re-checked by a different mechanism: the one group fold
+counts |A+A| and |A-A| of the witness as the set bits of its masks, with
+no reference to reflections.  Both folds have h + k = 2, so
+``grouplattice._group_cards`` folds them on one layout.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .grouplattice import GroupSpec, GroupSubset, _group_fold, _group_layout
+from .grouplattice import GroupSpec, GroupSubset, _group_cards
 from .setops import _strict_int, _strict_ints
 
 # 2^4096 has 1,234 decimal digits: far below the 4,300-digit int-to-str
@@ -232,9 +232,9 @@ def find_group_mstd(n: int, strategy: str = "first", seed: int | None = None) ->
     if mask is None:
         raise RuntimeError(f"no covering parity graph found for n={n}")
     subset = ParityGraph.from_mask(n, mask).to_subset()
-    layout = _group_layout(subset, 2, 0)
-    if _group_fold(subset, 2, 0, layout)[2].bit_count() != 2 * n:
+    sums, diffs = _group_cards(subset, (2, 0), (1, 1))
+    if sums != 2 * n:
         raise RuntimeError("internal error: witness sumset does not cover the group")
-    if _group_fold(subset, 1, 1, layout)[2].bit_count() > 2 * n - 1:
+    if diffs > 2 * n - 1:
         raise RuntimeError("internal error: witness difference set too large")
     return subset

@@ -41,8 +41,9 @@ and the digit x on axis i stands for the residue
 of hA - kA, one each: ``group_sum_diff`` decodes them, and
 ``find_thickness``, ``thickening_bounds`` and ``embed_report`` only count
 them.  The layout (``_group_layout``: lo_i, s_i, the widths, the strides
-and the codes of D and s) depends on h and k only through h + k, so the
-callers that compare two pairs of equal total build it once.  It depends
+and the codes of D and s) depends on h and k only through h + k, so
+``_group_cards`` counts every pair of one total on one layout, for the
+callers that compare two pairs or need only a count.  It depends
 on A's cyclic spread s_i, not on the moduli, so a subset of a large
 group that sits in a short arc of each axis, wrapping round the modulus
 or not, stays small.  Its envelope is the ``setops``
@@ -65,11 +66,13 @@ So psi(hB_t - kB_t) = h psi(phi(A)) - k psi(phi(A)) + sum_i P_i, where P_i
 is the progression {q m_i radix^i : -k(t-1) <= q <= h(t-1)}: d folds of
 the image's mask, each over one run of (h + k)(t - 1) + 1 shifts
 (``_fold_box``, O(log t) big-int shifts), instead of |A| t^d points;
-``_thickened_psi`` gives the radix, psi(A) and the steps m_i radix^i once
-per thickness for both pairs of a scan, from A sorted once by
-``_psi_columns``: the radix exceeds every coordinate, so psi orders A by
-its reversed tuples whatever the radix.  ``embed_report`` sorts A once for
-the scan, the final fold and the re-check, which reuses that fold's psi(A).  Every coordinate of B_t
+``_thickened_psi`` gives the radix, psi(A) (by ``_psi``, the map
+``linearize`` uses) and the steps m_i radix^i once per thickness for both
+pairs of a scan, from A sorted once by ``_psi_columns``: the radix
+exceeds every coordinate, so psi orders A by its reversed tuples whatever
+the radix.  The scan returns the t it found with that t's radix, psi(A)
+and steps, and ``embed_report`` folds B_t itself and re-checks it from
+them: one ``_thickened_psi`` per thickness.  Every coordinate of B_t
 lies in [0, maxnorm], so with fold budget h + k the argument above makes
 psi injective on hB_t - kB_t and the image has |hB_t - kB_t| elements,
 without a corner translation.
@@ -238,14 +241,10 @@ class _GroupLayout:
 
 
 def _group_layout(a: GroupSubset, h: int, k: int) -> _GroupLayout:
-    """The layout ``_group_fold`` folds A on, for every pair with total h + k.
+    """The layout A is folded on for every pair with total h + k.
 
-    ``h`` and ``k`` are ints; A must be nonempty, and the layout must fit
+    ``h`` and ``k`` are checked by ``_check_fold``; the layout must fit
     ``MAX_SPAN_BITS`` (module docstring)."""
-    if not a.elements:
-        raise ValueError("subset must be nonempty")
-    if h < 0 or k < 0 or h + k < 1:
-        raise ValueError("fold counts must be nonnegative with h + k >= 1")
     moduli = a.spec.moduli
     cols = list(zip(*a.elements))
     lows, spreads = [], []
@@ -266,21 +265,8 @@ def _group_layout(a: GroupSubset, h: int, k: int) -> _GroupLayout:
     return _GroupLayout(lows, spreads, widths, strides, digits, top)
 
 
-def _group_fold(
-    a: GroupSubset, h: int, k: int, layout: _GroupLayout | None = None
-) -> tuple[list[int], list[int], int]:
-    """(widths, offsets, mask) of hA - kA in the group's mixed-radix layout.
-
-    Axis i has a field of ``widths[i]`` values, with stride the product of
-    the widths below it; a set bit whose digit on axis i is x stands for
-    the residue (x + offsets[i]) mod m_i.  The mask has |hA - kA| set bits
-    (module docstring).  ``layout`` is ``_group_layout`` of A for a pair
-    with total h + k, so that two pairs share one; without it, ``h`` and
-    ``k`` are checked and the layout is built here.
-    """
-    if layout is None:
-        h, k = _strict_int("h", h), _strict_int("k", k)
-        layout = _group_layout(a, h, k)
+def _group_mask(a: GroupSubset, layout: _GroupLayout, h: int, k: int) -> int:
+    """The mask of hA - kA on ``layout``, with |hA - kA| set bits."""
     widths, strides = layout.widths, layout.strides
     size = widths[-1] * strides[-1]
     mask = _fold_sum_diff(layout.digits, layout.top, h, k)
@@ -294,8 +280,30 @@ def _group_fold(
             slab = _fold_runs(block, [(j * stride, stride * w, outer)])
             reduced |= (mask & slab) >> (j * stride)
         mask = reduced
+    return mask
+
+
+def _group_fold(a: GroupSubset, h: int, k: int) -> tuple[list[int], list[int], int]:
+    """(widths, offsets, mask) of hA - kA in the group's mixed-radix layout.
+
+    Axis i has a field of ``widths[i]`` values, with stride the product of
+    the widths below it; a set bit whose digit on axis i is x stands for
+    the residue (x + offsets[i]) mod m_i.  The mask has |hA - kA| set bits
+    (module docstring).
+    """
+    h, k = _check_fold("subset", a.elements, h, k)
+    layout = _group_layout(a, h, k)
     offsets = [h * low - k * (low + s) for low, s in zip(layout.lows, layout.spreads)]
-    return widths, offsets, mask
+    return layout.widths, offsets, _group_mask(a, layout, h, k)
+
+
+def _group_cards(a: GroupSubset, *pairs: tuple[int, int]) -> list[int]:
+    """|hA - kA| for each pair (h, k), folded on one layout.
+
+    The pairs are ints of one total h + k; the first is checked as
+    ``_group_fold`` checks its counts."""
+    layout = _group_layout(a, *_check_fold("subset", a.elements, *pairs[0]))
+    return [_group_mask(a, layout, h, k).bit_count() for h, k in pairs]
 
 
 # -- lattice embeddings ---------------------------------------------------------
@@ -350,11 +358,12 @@ def _check_points(count: int) -> None:
 # -- folds on the linearized image ------------------------------------------------
 
 
-def _check_fold(s: LatticeSet, h: int, k: int) -> tuple[int, int]:
-    """``h`` and ``k`` as ints, once they and ``s`` are checked for a lattice fold."""
+def _check_fold(what: str, points: frozenset, h: int, k: int) -> tuple[int, int]:
+    """``h`` and ``k`` as ints, once they and the set ``points`` are checked
+    for a fold; ``what`` names the set in the message for an empty one."""
     h, k = _strict_int("h", h), _strict_int("k", k)
-    if not s.points:
-        raise ValueError("lattice set must be nonempty")
+    if not points:
+        raise ValueError(f"{what} must be nonempty")
     if h < 0 or k < 0 or h + k < 1:
         raise ValueError("fold counts must be nonnegative with h + k >= 1")
     return h, k
@@ -372,7 +381,7 @@ def _corner_image(s: LatticeSet, budget: int) -> tuple[tuple[int, ...], LinearIm
 
 def lattice_sum_diff(s: LatticeSet, h: int, k: int) -> LatticeSet:
     """hS - kS by exact vector arithmetic, folded on the linearized image."""
-    h, k = _check_fold(s, h, k)
+    h, k = _check_fold("lattice set", s.points, h, k)
     corner, lin = _corner_image(s, h + k)
     radix, half = lin.radix, lin.radix // 2
     offset = [(h - k) * c for c in corner]
@@ -390,7 +399,7 @@ def lattice_sum_diff(s: LatticeSet, h: int, k: int) -> LatticeSet:
 def lattice_sum_diff_card(s: LatticeSet, h: int, k: int) -> int:
     """|hS - kS| without materializing the points: the bit count of the
     folded image, after the checks ``sum_diff`` makes on it."""
-    h, k = _check_fold(s, h, k)
+    h, k = _check_fold("lattice set", s.points, h, k)
     image = _corner_image(s, h + k)[1].image
     if (h, k) == (1, 0):  # S itself, as in sum_diff: no span check
         return len(image)
@@ -434,9 +443,8 @@ def _thickened_psi(
     """
     moduli = a.spec.moduli
     _check_points(len(a) * t ** len(moduli))
-    maxnorm = max(max(c) + m * (t - 1) for c, m in zip(cols, moduli))
-    radix = _check_i64(2 * budget * maxnorm + 1)
-    return (radix, *_psi(cols, moduli, radix))
+    radix = _radix(budget, max(max(c) + m * (t - 1) for c, m in zip(cols, moduli)))
+    return radix, _psi(cols, radix), [m * radix**i for i, m in enumerate(moduli)]
 
 
 def _thickened_mask(
@@ -461,17 +469,6 @@ def _thickened_mask(
         _check_span(end - base)
     mask = _fold_sum_diff([e - lo for e in images], hi - lo, h, k)
     return base, _fold_box(mask, steps, (h + k) * (t - 1) + 1)
-
-
-def _thickened_fold(
-    a: GroupSubset, cols: list[tuple[int, ...]], t: int, h: int, k: int, budget: int
-) -> tuple[LinearImage, list[int], list[int]]:
-    """The image of hB_t - kB_t under ``linearize(thicken(a, t), budget)`` as a
-    set, with the psi(A) and steps it was folded from (``_thickened_psi``)."""
-    radix, images, steps = _thickened_psi(a, cols, t, budget)
-    lo, mask = _thickened_mask(images, steps, t, h, k)
-    image = IntSet._from_sorted(_bit_positions(mask, lo), mask)
-    return LinearImage(radix=radix, image=image), images, steps
 
 
 @dataclass(frozen=True)
@@ -533,14 +530,12 @@ def find_thickness(
         raise ValueError("need h1, h2 >= 1 and k1, k2 >= 0")
     if h1 + k1 != h2 + k2:
         raise ValueError("fold totals must match: h1 + k1 == h2 + k2")
-    layout = _group_layout(a, h1, k1)
-    c1 = _group_fold(a, h1, k1, layout)[2].bit_count()
-    c2 = _group_fold(a, h2, k2, layout)[2].bit_count()
+    c1, c2 = _group_cards(a, pair1, pair2)
     if c1 <= c2:
         raise ValueError(
             f"group inequality fails: |{h1}A-{k1}A| = {c1} <= |{h2}A-{k2}A| = {c2}"
         )
-    return _thickness_scan(a, _psi_columns(a), pair1, pair2, t_max)
+    return _thickness_scan(a, _psi_columns(a), pair1, pair2, t_max)[0]
 
 
 def _thickness_scan(
@@ -549,16 +544,17 @@ def _thickness_scan(
     pair1: tuple[int, int],
     pair2: tuple[int, int],
     t_max: int,
-) -> int:
+) -> tuple[int, int, list[int], list[int]]:
     """``find_thickness`` for pairs and a group inequality it has checked;
-    ``cols`` is ``_psi_columns(a)``."""
+    ``cols`` is ``_psi_columns(a)``.  Returns the t found with its radix,
+    psi(A) and steps (``_thickened_psi``)."""
     (h1, k1), (h2, k2) = pair1, pair2
     for t in range(1, t_max + 1):
         # both pairs have the fold budget h1 + k1, so they share radix and psi(A)
-        _, images, steps = _thickened_psi(a, cols, t, h1 + k1)
+        radix, images, steps = _thickened_psi(a, cols, t, h1 + k1)
         card1 = _thickened_mask(images, steps, t, h1, k1)[1].bit_count()
         if card1 > _thickened_mask(images, steps, t, h2, k2)[1].bit_count():
-            return t
+            return t, radix, images, steps
     raise RuntimeError(f"no thickness up to {t_max} transfers the inequality")
 
 
@@ -583,7 +579,7 @@ def thickening_bounds(a: GroupSubset, h: int, k: int, t: int) -> ThickeningBound
     if h < 1 or k < 0 or t < 1:
         raise ValueError("need h >= 1, k >= 0, t >= 1")
     d = a.spec.dim
-    group_card = _group_fold(a, h, k)[2].bit_count()
+    (group_card,) = _group_cards(a, (h, k))
     _, images, steps = _thickened_psi(a, _psi_columns(a), t, h + k)
     lat_card = _thickened_mask(images, steps, t, h, k)[1].bit_count()
     upper_ok = lat_card <= group_card * ((h + k) * t) ** d
@@ -615,12 +611,16 @@ def linearize(s: LatticeSet, cap_l: int) -> LinearImage:
         raise ValueError("lattice set must be nonempty")
     if cap_l < 1:
         raise ValueError("fold budget must be at least 1")
-    maxnorm = max((abs(c) for p in s.points for c in p), default=0)
-    radix = _check_i64(2 * cap_l * maxnorm + 1)
-    powers = [radix**i for i in range(s.dim)]
+    cols = list(zip(*s.points))
+    radix = _radix(cap_l, max(max(map(abs, col)) for col in cols))
     # IntSet raises OverflowError for an image outside the signed 64-bit range
-    images = [sum(c * w for c, w in zip(p, powers)) for p in s.points]
-    return LinearImage(radix=radix, image=IntSet(images))
+    return LinearImage(radix=radix, image=IntSet(_psi(cols, radix)))
+
+
+def _radix(budget: int, maxnorm: int) -> int:
+    """``linearize``'s radix for fold budget ``budget`` and max-norm
+    ``maxnorm``; ``OverflowError`` outside signed 64 bits."""
+    return _check_i64(2 * budget * maxnorm + 1)
 
 
 # -- full pipeline -------------------------------------------------------------------
@@ -645,24 +645,21 @@ def embed_report(a: GroupSubset, t_max: int = 32) -> EmbedResult:
     t_max = _strict_int("t_max", t_max)
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    layout = _group_layout(a, 2, 0)
-    sums = _group_fold(a, 2, 0, layout)[2].bit_count()
-    if sums <= _group_fold(a, 1, 1, layout)[2].bit_count():
+    sums, diffs = _group_cards(a, (2, 0), (1, 1))
+    if sums <= diffs:
         raise ValueError("input is not an MSTD subset of its group")
-    cols = _psi_columns(a)
     try:
-        t = _thickness_scan(a, cols, (2, 0), (1, 1), t_max)
+        t, radix, images, steps = _thickness_scan(a, _psi_columns(a), (2, 0), (1, 1), t_max)
     except (ValueError, RuntimeError) as e:
         raise EmbedError(f"thickness search: {e}") from e
-    try:
-        # B_t itself, linearized with the fold budget 2 that |2B| vs |B - B| needs
-        lin, images, steps = _thickened_fold(a, cols, t, 1, 0, 2)
-    except (ValueError, OverflowError) as e:
-        raise EmbedError(f"linearization: {e}") from e
-    d = _image_delta(images, steps, t, lin.image.min, lin.image.mask)
+    # B_t itself, linearized with the fold budget 2 that |2B| vs |B - B| needs;
+    # the scan has checked 2B_t's range and span, which contain B_t's
+    lo, mask = _thickened_mask(images, steps, t, 1, 0)
+    d = _image_delta(images, steps, t, lo, mask)
     if d.delta < 1:
         raise EmbedError(f"verification: image delta = {d.delta}, expected >= 1")
-    return EmbedResult(t=t, radix=lin.radix, image=lin.image, delta=d.delta)
+    image = IntSet._from_sorted(_bit_positions(mask, lo), mask)
+    return EmbedResult(t=t, radix=radix, image=image, delta=d.delta)
 
 
 def _image_delta(
@@ -688,16 +685,13 @@ def _image_delta(
     return _fold_delta(spread, shifts, shifts[-1])
 
 
-def _psi(
-    cols: list[tuple[int, ...]], moduli: tuple[int, ...], radix: int
-) -> tuple[list[int], list[int]]:
-    """psi of the points with coordinates ``cols`` (one tuple per axis), in
-    their order, and the axis steps m_i radix^i."""
+def _psi(cols: list[tuple[int, ...]], radix: int) -> list[int]:
+    """psi(p) = sum_i p_i radix^i of the points with coordinates ``cols``
+    (one tuple per axis), in their order."""
     images = list(cols[-1])
     for col in reversed(cols[:-1]):  # Horner's rule, a column at a time
         images = list(map(add, map(radix.__mul__, images), col))
-    powers = [radix**i for i in range(len(moduli))]
-    return images, [m * w for m, w in zip(moduli, powers)]
+    return images
 
 
 def _fold_box(mask: int, steps: list[int], length: int) -> int:

@@ -26,7 +26,6 @@ from mstdkit import (
     gap_base_recipe,
     gap_family,
     hegarty_roesler_family,
-    interval,
     interval_with_gap,
     lattice_sum_diff_card,
     linearize,

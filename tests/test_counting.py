@@ -15,7 +15,7 @@ from mstdkit import (
     find_group_mstd,
     miss_count,
 )
-from mstdkit import counting
+from mstdkit import grouplattice
 from mstdkit.counting import MAX_COUNT_N
 from mstdkit.grouplattice import _group_fold
 from oracles import brute_group_fold, enumerate_covering
@@ -289,13 +289,13 @@ class TestFindGroupMstd:
 
     def test_recheck_builds_one_layout(self, monkeypatch):
         layouts = []
-        group_layout = counting._group_layout
+        group_layout = grouplattice._group_layout
 
         def counted(*args):
             layouts.append(args[1:])
             return group_layout(*args)
 
-        monkeypatch.setattr(counting, "_group_layout", counted)
+        monkeypatch.setattr(grouplattice, "_group_layout", counted)
         for n in (7, 64):
             find_group_mstd(n)
         find_group_mstd(9, strategy="random", seed=123)

@@ -29,8 +29,9 @@ from mstdkit import (
     to_lattice,
 )
 from mstdkit import ParityGraph, grouplattice, mstd_delta, setops
-from mstdkit.grouplattice import MAX_LATTICE_POINTS, _image_delta, _psi, _psi_columns
-from mstdkit.grouplattice import _thickened_fold
+from mstdkit.grouplattice import MAX_LATTICE_POINTS, LinearImage, _image_delta, _psi
+from mstdkit.grouplattice import _psi_columns, _thickened_mask, _thickened_psi
+from mstdkit.setops import IntSet, _bit_positions
 from oracles import brute_group_fold, brute_lattice_fold, brute_sum_diff, pair_delta
 
 
@@ -180,19 +181,15 @@ class TestGroupFold:
 
     def test_pairs_share_one_layout(self):
         # every pair with the same h + k folds on one layout, as the callers that
-        # compare two pairs do; each fold matches the oracle and the unshared fold
+        # compare two pairs do; each count matches the oracle and the unshared fold
         rng = random.Random(23)
         for _ in range(30):
             a = random_subset(rng)
             for total in (1, 2, 3):
-                layout = grouplattice._group_layout(a, total, 0)
-                for h in range(total + 1):
-                    k = total - h
-                    got = grouplattice._group_fold(a, h, k, layout)
-                    assert got == grouplattice._group_fold(a, h, k)
-                    assert got[2].bit_count() == len(
-                        brute_group_fold(a.elements, a.spec.moduli, h, k)
-                    )
+                pairs = [(h, total - h) for h in range(total + 1)]
+                for (h, k), got in zip(pairs, grouplattice._group_cards(a, *pairs)):
+                    assert got == grouplattice._group_fold(a, h, k)[2].bit_count()
+                    assert got == len(brute_group_fold(a.elements, a.spec.moduli, h, k))
 
     def test_one_layout_per_pair_comparison(self, monkeypatch):
         layouts = []
@@ -562,6 +559,14 @@ class TestThickenedFold:
     PAIRS = [(h, k) for h in range(4) for k in range(4) if 1 <= h + k <= 3]
 
     @staticmethod
+    def fold(a, t, h, k, budget):
+        """The image of hB_t - kB_t under ``linearize(thicken(a, t), budget)``,
+        folded from ``_thickened_psi`` by ``_thickened_mask``."""
+        radix, images, steps = _thickened_psi(a, _psi_columns(a), t, budget)
+        lo, mask = _thickened_mask(images, steps, t, h, k)
+        return LinearImage(radix=radix, image=IntSet(_bit_positions(mask, lo)))
+
+    @staticmethod
     def odd_parity_subsets():
         # every element has last coordinate 1, so the minimum corner is nonzero
         yield GroupSubset(GroupSpec((5, 2)), frozenset({(0, 1), (2, 1), (3, 1)}))
@@ -575,7 +580,7 @@ class TestThickenedFold:
             for t in range(1, 5):
                 points = thicken(a, t).points
                 for h, k in self.PAIRS:
-                    got = _thickened_fold(a, _psi_columns(a), t, h, k, h + k)[0].image
+                    got = self.fold(a, t, h, k, h + k).image
                     assert len(got) == len(brute_lattice_fold(points, h, k))
 
     def test_is_linearized_thickening(self):
@@ -583,19 +588,19 @@ class TestThickenedFold:
         subsets = [random_subset(rng, max_mod=5) for _ in range(20)]
         for a in subsets + list(self.odd_parity_subsets()):
             for t in range(1, 5):
-                lin = _thickened_fold(a, _psi_columns(a), t, 1, 0, 2)[0]
+                lin = self.fold(a, t, 1, 0, 2)
                 assert lin == linearize(thicken(a, t), 2)
 
     def test_point_budget_checked_first(self):
         a = GroupSubset(GroupSpec((2,) * 21), frozenset({(0,) * 21}))
         with pytest.raises(ValueError, match="budget"):
-            _thickened_fold(a, _psi_columns(a), 2, 1, 0, 2)
+            self.fold(a, 2, 1, 0, 2)
 
     def test_span_checked_per_axis(self):
         # the fold of A spans 2 bits; the second axis's progression about 6.7e9
         a = GroupSubset(GroupSpec((2, 1000)), frozenset({(0, 0), (1, 0)}))
         with pytest.raises(ValueError, match="dense-kernel limit"):
-            _thickened_fold(a, _psi_columns(a), 30, 1, 1, 2)
+            self.fold(a, 30, 1, 1, 2)
 
 
 class TestThicknessSearch:
@@ -614,6 +619,21 @@ class TestThicknessSearch:
             assert (res.t, res.radix, res.image, res.delta) == (
                 t, lin.radix, lin.image, sums - diffs
             )
+
+    def test_embed_computes_psi_once_per_thickness(self, monkeypatch):
+        # the scan's radix, psi(A) and steps at the t it finds build the image
+        calls = []
+        thickened_psi = grouplattice._thickened_psi
+
+        def counted(*args):
+            calls.append(args[2])
+            return thickened_psi(*args)
+
+        monkeypatch.setattr(grouplattice, "_thickened_psi", counted)
+        for n in range(7, 13):
+            calls.clear()
+            res = embed_report(find_group_mstd(n, strategy="first"))
+            assert calls == list(range(1, res.t + 1))
 
     def test_finds_small_thickness(self):
         a = covering_pair_subset()
@@ -658,7 +678,7 @@ class TestPipeline:
             raise AssertionError("group fold computed")
 
         monkeypatch.setattr(grouplattice, "group_sum_diff", no_fold)
-        monkeypatch.setattr(grouplattice, "_group_fold", no_fold)
+        monkeypatch.setattr(grouplattice, "_group_layout", no_fold)
         a = covering_pair_subset()
         with pytest.raises(ValueError, match="^t_max must be at least 1$"):
             embed_report(a, t_max=t_max)
@@ -668,7 +688,8 @@ class TestPipeline:
 
 def psi_of(a, radix):
     """psi(A) in ascending order and the axis steps, for a radix above A's coordinates."""
-    return _psi(_psi_columns(a), a.spec.moduli, radix)
+    steps = [m * radix**i for i, m in enumerate(a.spec.moduli)]
+    return _psi(_psi_columns(a), radix), steps
 
 
 class TestImageDelta:
