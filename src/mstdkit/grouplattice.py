@@ -9,10 +9,15 @@ cardinalities eventually order the same way as in the group, and a base-m
 positional map (``linearize``) flattens lattice sets into integer sets
 while preserving those cardinalities up to a chosen fold budget.
 
-``linearize`` is the only map from Z^d to Z, and lattice folds run on it:
-with c the minimum corner of S, hS - kS = h(S - c) - k(S - c) + (h - k)c,
-and fold budget h + k makes the radix exceed twice the magnitude of every
-coordinate of h(S - c) - k(S - c).  The map is then injective there and
+Two layouts encode Z^d into Z.  Lattice and embed folds run on
+``linearize``'s base-radix map psi, because embed's output is
+``linearize(B_t, 2)`` itself.  Group folds run on a mixed-radix layout
+sized by A's cyclic spread (below), because they are reduced mod m_i axis
+by axis and a per-axis field keeps a short arc of a huge cyclic factor
+small.  For the lattice folds: with c the minimum corner of S,
+hS - kS = h(S - c) - k(S - c) + (h - k)c, and fold budget h + k makes the
+radix exceed twice the magnitude of every coordinate of
+h(S - c) - k(S - c).  The map is then injective there and
 carries sums and differences, so folding the integer image with ``setops``
 gives |hS - kS| exactly, and its balanced base-radix digits give the
 points.  The envelope is the one ``linearize`` and ``setops`` share: image
@@ -70,8 +75,8 @@ the image's mask, each over one run of (h + k)(t - 1) + 1 shifts
 ``linearize`` uses) and the steps m_i radix^i once per thickness for both
 pairs of a scan, from A sorted once by ``_psi_columns``: the radix
 exceeds every coordinate, so psi orders A by its reversed tuples whatever
-the radix.  The scan returns the t it found with that t's radix, psi(A)
-and steps, and ``embed_report`` folds B_t itself and re-checks it from
+the radix.  The scan returns the t it found with its two counts and that
+t's radix, psi(A) and steps, and ``embed_report`` folds B_t itself from
 them: one ``_thickened_psi`` per thickness.  Every coordinate of B_t
 lies in [0, maxnorm], so with fold budget h + k the argument above makes
 psi injective on hB_t - kB_t and the image has |hB_t - kB_t| elements,
@@ -84,22 +89,14 @@ image outside signed 64 bits or ``MAX_SPAN_BITS`` raises and never
 answers wrongly.  Each P_i contains 0, so each step's result lies
 inside the final set's range and cannot raise when the final set fits.
 
-``embed_report`` re-checks its output, the image X of B_t, without a
-shift per element of X, which ``mstd_delta`` would make: in sorted order
-the translates of psi(A) interleave, so X has almost no runs.  With P_i
-now {q m_i radix^i : 0 <= q < t}, X should be psi(A) + P_1 + ... + P_d.
-``_image_delta`` first makes ``mstd_delta``'s range and span checks on X,
-then proves that factorization on the built mask: the mask must have X's
-ends and equal 1 folded by psi(A) - min psi(A), then by each P_i as one
-run, or ``EmbedError`` is raised.  This is what makes the count sound:
-it holds for the set the mask encodes, whatever built it, so
-X + X = X + psi(A) + P_1 + ... + P_d as sets of integers.  The mask
-folded by each P_i and then by psi(A) - min psi(A) therefore has
-|X + X| bits, and, as P_i - P_i = P_i - (t-1) m_i radix^i, the same
-fold by max psi(A) - psi(A) is X - X moved up by max X - min X and has
-|X - X| bits; ``setops._fold_delta``, ``mstd_delta``'s count, folds both.
-That is about 2(|A| + d log2 t) big-int shifts instead of about 2|X|,
-and it reads only the mask and the group data.
+``embed_report`` counts its output X = psi(B_t) without folding it again.
+With P_i = {q m_i radix^i : 0 <= q < t}, X = psi(A) + P_1 + ... + P_d, and
+at the t the scan returns its two masks are X + X and X - X themselves:
+the (2, 0) mask is 2 psi(A) + sum_i {q m_i radix^i : 0 <= q <= 2(t-1)}, and
+the (1, 1) mask is psi(A) - psi(A) + sum_i {q m_i radix^i : |q| <= t-1}.
+These are Minkowski sums of integer sets, so the scan's two counts are
+|X + X| and |X - X| for the X that was built, whatever the radix, and the
+scan returns only when the first exceeds the second.
 """
 
 from __future__ import annotations
@@ -110,9 +107,8 @@ import math
 from dataclasses import dataclass
 from operator import add, mul, sub
 
-from .setops import I64_MAX, IntSet, MstdDelta, _bit_positions, _check_i64, _check_span
-from .setops import _check_sum_diff, _fold_delta, _fold_runs, _fold_sum_diff, _load_json
-from .setops import _shift_or, _strict_int, _strict_ints, sum_diff
+from .setops import I64_MAX, IntSet, _bit_positions, _check_i64, _check_span, _check_sum_diff
+from .setops import _fold_runs, _fold_sum_diff, _load_json, _strict_int, _strict_ints, sum_diff
 
 # Most points ``thicken`` or ``sublattice_box`` may build.  A 2-d point costs
 # about 230 bytes (tuple, ints, set entry), so one set stays near 240 MB.
@@ -544,17 +540,19 @@ def _thickness_scan(
     pair1: tuple[int, int],
     pair2: tuple[int, int],
     t_max: int,
-) -> tuple[int, int, list[int], list[int]]:
+) -> tuple[int, int, int, int, list[int], list[int]]:
     """``find_thickness`` for pairs and a group inequality it has checked;
-    ``cols`` is ``_psi_columns(a)``.  Returns the t found with its radix,
-    psi(A) and steps (``_thickened_psi``)."""
+    ``cols`` is ``_psi_columns(a)``.  Returns the t found with its counts
+    |h1 B_t - k1 B_t| and |h2 B_t - k2 B_t|, radix, psi(A) and steps
+    (``_thickened_psi``)."""
     (h1, k1), (h2, k2) = pair1, pair2
     for t in range(1, t_max + 1):
         # both pairs have the fold budget h1 + k1, so they share radix and psi(A)
         radix, images, steps = _thickened_psi(a, cols, t, h1 + k1)
         card1 = _thickened_mask(images, steps, t, h1, k1)[1].bit_count()
-        if card1 > _thickened_mask(images, steps, t, h2, k2)[1].bit_count():
-            return t, radix, images, steps
+        card2 = _thickened_mask(images, steps, t, h2, k2)[1].bit_count()
+        if card1 > card2:
+            return t, card1, card2, radix, images, steps
     raise RuntimeError(f"no thickness up to {t_max} transfers the inequality")
 
 
@@ -641,7 +639,10 @@ class EmbedResult:
 
 
 def embed_report(a: GroupSubset, t_max: int = 32) -> EmbedResult:
-    """Run group -> thickened lattice set -> integers, verifying MSTD at the end."""
+    """Run group -> thickened lattice set -> integers.
+
+    ``delta`` is |X + X| - |X - X| for the output X, as the thickness scan
+    counted it (module docstring)."""
     t_max = _strict_int("t_max", t_max)
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -649,40 +650,17 @@ def embed_report(a: GroupSubset, t_max: int = 32) -> EmbedResult:
     if sums <= diffs:
         raise ValueError("input is not an MSTD subset of its group")
     try:
-        t, radix, images, steps = _thickness_scan(a, _psi_columns(a), (2, 0), (1, 1), t_max)
+        # the scan's counts are |X + X| and |X - X| of the image X of B_t
+        t, sums, diffs, radix, images, steps = _thickness_scan(
+            a, _psi_columns(a), (2, 0), (1, 1), t_max
+        )
     except (ValueError, RuntimeError) as e:
         raise EmbedError(f"thickness search: {e}") from e
     # B_t itself, linearized with the fold budget 2 that |2B| vs |B - B| needs;
     # the scan has checked 2B_t's range and span, which contain B_t's
     lo, mask = _thickened_mask(images, steps, t, 1, 0)
-    d = _image_delta(images, steps, t, lo, mask)
-    if d.delta < 1:
-        raise EmbedError(f"verification: image delta = {d.delta}, expected >= 1")
     image = IntSet._from_sorted(_bit_positions(mask, lo), mask)
-    return EmbedResult(t=t, radix=radix, image=image, delta=d.delta)
-
-
-def _image_delta(
-    images: list[int], steps: list[int], t: int, lo: int, mask: int
-) -> MstdDelta:
-    """``mstd_delta`` of the embed image X with minimum ``lo`` and mask ``mask``.
-
-    ``images`` is psi(A) in ascending order and ``steps`` the axis steps
-    m_i radix^i, as ``_thickened_psi`` gives them.  X should be
-    psi(A) + P_1 + ... + P_d, with P_i = {q m_i radix^i : 0 <= q < t}.
-    After ``mstd_delta``'s range and span checks on X, this proves that on
-    the mask, or raises ``EmbedError``, and counts X + X and X - X through it
-    (module docstring).
-    """
-    hi = lo + mask.bit_length() - 1
-    _check_sum_diff(lo, hi, 2, 0)
-    # matching the ends first keeps every fold below within X's checked span
-    ends = (images[0], images[-1] + (t - 1) * sum(steps))
-    shifts = [e - images[0] for e in images]
-    if ends != (lo, hi) or _fold_box(_shift_or(1, shifts), steps, t) != mask:
-        raise EmbedError("verification: the image is not psi(A) + P_1 + ... + P_d")
-    spread = _fold_box(mask, steps, t)  # X + P_1 + ... + P_d, less min X
-    return _fold_delta(spread, shifts, shifts[-1])
+    return EmbedResult(t=t, radix=radix, image=image, delta=sums - diffs)
 
 
 def _psi(cols: list[tuple[int, ...]], radix: int) -> list[int]:

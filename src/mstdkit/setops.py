@@ -119,11 +119,23 @@ def _strict_ints(name: str, values: Iterable) -> tuple[int, ...]:
 
 
 def _load_json(text: str):
-    """``json.loads``; input nested too deeply for the parser raises ``ValueError``."""
+    """``json.loads``; input nested too deeply for the parser, or an object
+    with a repeated key, raises ``ValueError``."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; ``json.loads`` alone keeps the last
+    of repeated keys."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate JSON key {json.dumps(key)}")
+        obj[key] = value
+    return obj
 
 
 def _bit_positions(mask: int, base: int = 0) -> list[int]:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import runpy
 import shlex
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mstdkit
-from mstdkit import IntSet, find_group_mstd, mstd_delta
+from mstdkit import GroupSubset, IntSet, find_group_mstd, mstd_delta
 from mstdkit import cli
 from mstdkit.cli import main
 
@@ -278,6 +279,28 @@ def test_integer_flags_take_only_decimal_integers(capsys, argv, value):
         main([value if a == "{}" else a for a in argv])
     assert exc.value.code == 2
     assert f"{value!r} is not a decimal integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "parse, text, key, argv",
+    [
+        (IntSet.from_json, '{"elements": [1, 2], "elements": [5]}', "elements", None),
+        (GroupSubset.from_json, '{"moduli": [7, 2], "elements": [[0, 0]], "moduli": [5, 2]}',
+         "moduli", ["embed", "--input", "-"]),
+        (cli._parse_params, '{"m": 4, "d": 1, "k": 3, "k": 4}', "k",
+         ["construct", "--family", "t1", "--params", "{}"]),
+    ],
+    ids=["intset", "group-subset", "params"],
+)
+def test_duplicate_json_keys_rejected(capsys, monkeypatch, parse, text, key, argv):
+    # json.loads alone keeps the last of repeated keys
+    message = f'duplicate JSON key "{key}"'
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse(text)
+    if argv is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, *[text if a == "{}" else a for a in argv])
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
 def test_version_flag_prints_the_package_version(capsys):

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from mstdkit import (
     to_lattice,
 )
 from mstdkit import ParityGraph, grouplattice, mstd_delta, setops
-from mstdkit.grouplattice import MAX_LATTICE_POINTS, LinearImage, _image_delta, _psi
-from mstdkit.grouplattice import _psi_columns, _thickened_mask, _thickened_psi
+from mstdkit.grouplattice import MAX_LATTICE_POINTS, LinearImage, _psi_columns
+from mstdkit.grouplattice import _thickened_mask, _thickened_psi, _thickness_scan
 from mstdkit.setops import IntSet, _bit_positions
 from oracles import brute_group_fold, brute_lattice_fold, brute_sum_diff, pair_delta
 
@@ -210,7 +211,8 @@ class TestGroupFold:
         def no_fold(*args):
             raise AssertionError("folded past the span check")
 
-        monkeypatch.setattr(grouplattice, "_shift_or", no_fold)
+        # _fold_sum_diff folds with setops' _shift_or, the reduction with _fold_runs
+        monkeypatch.setattr(setops, "_shift_or", no_fold)
         monkeypatch.setattr(grouplattice, "_fold_runs", no_fold)
         # widest cyclic gaps about m/3, so spreads about 2m/3 on both axes:
         # about (4m/3)^2 = 2^41 bits for h + k = 2
@@ -686,14 +688,8 @@ class TestPipeline:
             find_thickness(a, (2, 0), (1, 1), t_max)
 
 
-def psi_of(a, radix):
-    """psi(A) in ascending order and the axis steps, for a radix above A's coordinates."""
-    steps = [m * radix**i for i, m in enumerate(a.spec.moduli)]
-    return _psi(_psi_columns(a), radix), steps
-
-
 class TestImageDelta:
-    """``embed_report``'s re-check through the image's factorization."""
+    """``embed_report``'s delta: the thickness scan's own counts of X + X and X - X."""
 
     @staticmethod
     def witnesses():
@@ -707,22 +703,24 @@ class TestImageDelta:
         for a in self.witnesses():
             res = embed_report(a)
             image = res.image
-            d = _image_delta(*psi_of(a, res.radix), res.t, image.min, image.mask)
-            assert d == mstd_delta(image), a.to_json()
-            assert d.delta == res.delta == pair_delta(image), a.to_json()
+            scan = _thickness_scan(a, _psi_columns(a), (2, 0), (1, 1), 32)
+            assert scan[:3] == (res.t, *astuple(mstd_delta(image))), a.to_json()
+            assert res.delta == pair_delta(image), a.to_json()
 
-    @pytest.mark.parametrize("n", [7, 8, 12])
-    def test_wrong_mask_or_thickness_refused(self, n):
-        a = find_group_mstd(n)
-        res = embed_report(a)
-        lo, mask = res.image.min, res.image.mask
-        images, steps = psi_of(a, res.radix)
-        for bit in (0, 1, mask.bit_length() // 2, mask.bit_length() - 1, mask.bit_length()):
-            with pytest.raises(EmbedError, match="not psi"):
-                _image_delta(images, steps, res.t, lo, mask ^ (1 << bit))
-        for t in (res.t - 1, res.t + 1):
-            with pytest.raises(EmbedError, match="not psi"):
-                _image_delta(images, steps, t, lo, mask)
+    def test_folds_the_image_once_after_the_scan(self, monkeypatch):
+        # two thickened masks per scanned t, then B_t itself
+        calls = []
+        fold_box = grouplattice._fold_box
+
+        def counted(*args):
+            calls.append(args)
+            return fold_box(*args)
+
+        monkeypatch.setattr(grouplattice, "_fold_box", counted)
+        for n in (7, 9, 12):
+            calls.clear()
+            res = embed_report(find_group_mstd(n))
+            assert len(calls) == 2 * res.t + 1, n
 
     def test_embed_never_calls_mstd_delta(self, monkeypatch):
         want = embed_report(find_group_mstd(9))
