@@ -108,14 +108,12 @@ def _negate(mask: int, n: int) -> int:
 
 
 def _mask_covers(mask: int, n: int) -> bool:
-    """True iff no b-reflection of the mask equals the mask or its complement."""
-    full = (1 << n) - 1
-    r = _negate(mask, n)
-    for b in range(n):
-        w = ((r << b) | (r >> (n - b))) & full
-        if mask == w or mask == w ^ full:
-            return False
-    return True
+    """True iff no b-reflection of the mask equals the mask or its complement.
+
+    The b-reflections are the rotations of -E, and an n-bit string is a
+    rotation of r exactly when it occurs in r's string written twice."""
+    r = format(_negate(mask, n), f"0{n}b") * 2
+    return format(mask, f"0{n}b") not in r and format(mask ^ ((1 << n) - 1), f"0{n}b") not in r
 
 
 @dataclass(frozen=True)

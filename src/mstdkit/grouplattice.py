@@ -9,52 +9,50 @@ cardinalities eventually order the same way as in the group, and a base-m
 positional map (``linearize``) flattens lattice sets into integer sets
 while preserving those cardinalities up to a chosen fold budget.
 
-Two layouts encode Z^d into Z.  Lattice and embed folds run on
-``linearize``'s base-radix map psi, because embed's output is
-``linearize(B_t, 2)`` itself.  Group folds run on a mixed-radix layout
-sized by A's cyclic spread (below), because they are reduced mod m_i axis
-by axis and a per-axis field keeps a short arc of a huge cyclic factor
-small.  For the lattice folds: with c the minimum corner of S,
-hS - kS = h(S - c) - k(S - c) + (h - k)c, and fold budget h + k makes the
-radix exceed twice the magnitude of every coordinate of
-h(S - c) - k(S - c).  The map is then injective there and
-carries sums and differences, so folding the integer image with ``setops``
-gives |hS - kS| exactly, and its balanced base-radix digits give the
-points.  The envelope is the one ``linearize`` and ``setops`` share: image
-values within signed 64 bits and a folded span of at most
-``MAX_SPAN_BITS``; inputs outside it raise instead of answering wrongly.
-``thicken`` and ``sublattice_box`` check their size against
-``MAX_LATTICE_POINTS`` first.
+Every fold hS - kS of a point set runs on one mixed-radix layout
+(``_layout``) and one decoder (``_decode``): a group subset takes each
+axis's low coordinate just after its widest cyclic gap and reduces the
+fold mod m, and a lattice set takes each axis's least coordinate and
+skips the reduction.  ``linearize``'s base-radix map psi is used only
+where the output is psi: ``linearize`` itself, the thickness scan and
+embed's image (below).
 
-Group folds run on the same kernel (``_group_fold``).  On axis i, let lo_i
-be the coordinate of A just after its widest cyclic gap (the largest step
-from one coordinate to the next, the last wrapping round to the first),
-write each coordinate c as the digit (c - lo_i) mod m_i, and let s_i be the
-largest digit.  Every point of hD + k(s - D), for D the digit vectors of
-A, has i-th coordinate in [0, (h+k) s_i], so a mixed-radix layout with a
-field of w_i = (h+k) s_i + 1 values per axis (stride w_1 ... w_(i-1))
-encodes it without carries.  The mirrored copy s - D stands in for -A,
-and hA - kA = hD + k(s - D) + h lo - k(lo + s) coordinatewise, mod m.
-``setops._fold_sum_diff`` folds the mask 1 h times by the codes of D
-and k times by those of s - D, then each axis with w_i > m_i is reduced
-mod m_i: the slabs of digits [j m_i, (j+1) m_i), each picked by a mask
-that ``_fold_runs`` lays over every other axis, are shifted down to
-[0, m_i) and ORed.  A field of
+On axis i, let lo_i be the low coordinate, write each coordinate c as the
+digit c - lo_i (for a group, (c - lo_i) mod m_i, with lo_i just after the
+widest cyclic gap: the largest step from one coordinate to the next, the
+last wrapping round to the first), and let s_i be the largest digit.
+Every point of hD + k(s - D), for D the digit vectors of S, has i-th
+coordinate in [0, (h+k) s_i], so a field of w_i = (h+k) s_i + 1 values per
+axis (stride w_1 ... w_(i-1)) encodes it without carries.  The mirrored
+copy s - D stands in for -S, and hS - kS = hD + k(s - D) + h lo - k(lo + s)
+coordinatewise (mod m for a group).  ``setops._fold_sum_diff`` folds the
+mask 1 h times by the codes of D and k times by those of s - D; for a
+lattice set its set bits are then the points of hS - kS, one each.  A
+group fold reduces each axis with w_i > m_i mod m_i: the slabs of digits
+[j m_i, (j+1) m_i), each picked by a mask that ``_fold_runs`` lays over
+every other axis, are shifted down to [0, m_i) and ORed.  A field of
 w_i <= m_i digits is already distinct mod m_i, so it is left as it is,
 and the digit x on axis i stands for the residue
 (x + h lo_i - k(lo_i + s_i)) mod m_i.  The set bits are then the elements
-of hA - kA, one each: ``group_sum_diff`` decodes them, and
+of hA - kA, one each.  ``_decode`` turns a set bit with digit vector x into
+the point x + h lo - k(lo + s): ``lattice_sum_diff`` keeps it and
+``group_sum_diff`` reduces it mod m, while ``lattice_sum_diff_card``,
 ``find_thickness``, ``thickening_bounds`` and ``embed_report`` only count
-them.  The layout (``_group_layout``: lo_i, s_i, the widths, the strides
-and the codes of D and s) depends on h and k only through h + k, so
-``_group_cards`` counts every pair of one total on one layout, for the
-callers that compare two pairs or need only a count.  It depends
-on A's cyclic spread s_i, not on the moduli, so a subset of a large
-group that sits in a short arc of each axis, wrapping round the modulus
-or not, stays small.  Its envelope is the ``setops``
-one: a layout of more than ``MAX_SPAN_BITS`` bits, such as that of a
-2-fold of a set spread round the whole of a cyclic factor of order above
-2^26, raises ``ValueError`` before any fold.
+the bits.  The layout (``_group_layout`` for a group: lo_i, s_i, the
+widths, the strides and the codes of D and s) depends on h and k only
+through h + k, so ``_group_cards`` counts every pair of one total on one
+layout, for the callers that compare two pairs or need only a count.  It
+depends on the spread s_i, not on the moduli or on where S lies, so a
+subset of a large group that sits in a short arc of each axis, wrapping
+round the modulus or not, and a small lattice set far from the origin
+stay small.  Its envelope is the ``setops`` one: a layout of more than
+``MAX_SPAN_BITS`` bits, such as that of a 2-fold of a set spread round
+the whole of a cyclic factor of order above 2^26, raises ``ValueError``
+before any fold.  ``lattice_sum_diff`` raises ``OverflowError`` (from
+``LatticeSet``) for a point outside signed 64 bits, which
+``lattice_sum_diff_card`` counts.  The lattice folds return S for
+(1, 0) without a span check.  ``thicken`` and ``sublattice_box`` check
+their size against ``MAX_LATTICE_POINTS`` first.
 
 The thickness search never builds B_t = phi(A) + box(0, t), where
 box(s, t) = {(q_1 m_1, ..., q_d m_d) : s <= q_i < t}.  It rests on two facts:
@@ -79,8 +77,7 @@ the radix.  The scan returns the t it found with its two counts and that
 t's radix, psi(A) and steps, and ``embed_report`` folds B_t itself from
 them: one ``_thickened_psi`` per thickness.  Every coordinate of B_t
 lies in [0, maxnorm], so with fold budget h + k the argument above makes
-psi injective on hB_t - kB_t and the image has |hB_t - kB_t| elements,
-without a corner translation.
+psi injective on hB_t - kB_t and the image has |hB_t - kB_t| elements.
 The thickness search compares the bit counts of the final masks and
 builds no set.  The envelope is the ``setops`` one: ``_check_sum_diff``
 on psi(A), then the range and span checks ``sumset`` makes for each
@@ -105,10 +102,10 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from operator import add, mul, sub
+from operator import add, mod, mul, sub
 
 from .setops import I64_MAX, IntSet, _bit_positions, _check_i64, _check_span, _check_sum_diff
-from .setops import _fold_runs, _fold_sum_diff, _load_json, _strict_int, _strict_ints, sum_diff
+from .setops import _fold_runs, _fold_sum_diff, _load_json, _strict_int, _strict_ints
 
 # Most points ``thicken`` or ``sublattice_box`` may build.  A 2-d point costs
 # about 230 bytes (tuple, ints, set entry), so one set stays near 240 MB.
@@ -211,61 +208,74 @@ class LatticeSet:
 
 
 def group_sum_diff(a: GroupSubset, h: int, k: int) -> GroupSubset:
-    """hA - kA inside the group, decoded from ``_group_fold``'s mask."""
-    widths, offsets, mask = _group_fold(a, h, k)
-    moduli = a.spec.moduli
-    elements = []
-    for pos in _bit_positions(mask):
-        e = []
-        for w, o, m in zip(widths, offsets, moduli):
-            pos, x = divmod(pos, w)
-            e.append((x + o) % m)
-        elements.append(tuple(e))
-    return GroupSubset(a.spec, frozenset(elements))
+    """hA - kA inside the group: the decoded points of its fold, reduced mod m."""
+    h, k = _check_fold("subset", a.elements, h, k)
+    layout = _group_layout(a, h + k)
+    points = _decode(_group_mask(a, layout, h, k), layout, h, k)
+    return GroupSubset(a.spec, frozenset(tuple(map(mod, p, a.spec.moduli)) for p in points))
 
 
 @dataclass(frozen=True)
-class _GroupLayout:
-    """A's mixed-radix layout for folds hA - kA with a given h + k."""
+class _Layout:
+    """A point set's mixed-radix layout for folds hS - kS with a given h + k."""
 
-    lows: list[int]  # per axis: the coordinate just after A's widest cyclic gap
-    spreads: list[int]  # per axis: A's largest digit s_i
+    lows: list[int]  # per axis: the coordinate that digit 0 stands for
+    spreads: list[int]  # per axis: the largest digit s_i
     widths: list[int]  # per axis: the field of (h + k) s_i + 1 digits
     strides: list[int]  # per axis: the product of the widths below it
-    digits: list[int]  # the code of each element's digit vector D
+    codes: list[int]  # the code of each point's digit vector D
     top: int  # the code of s
 
 
-def _group_layout(a: GroupSubset, h: int, k: int) -> _GroupLayout:
-    """The layout A is folded on for every pair with total h + k.
+def _layout(lows: list[int], columns: list[list[int]], total: int) -> _Layout:
+    """The layout of the points with digits ``columns`` (one list per axis,
+    each digit at least 0) for every pair with h + k = ``total``.
 
-    ``h`` and ``k`` are checked by ``_check_fold``; the layout must fit
-    ``MAX_SPAN_BITS`` (module docstring)."""
-    moduli = a.spec.moduli
-    cols = list(zip(*a.elements))
-    lows, spreads = [], []
-    for col, m in zip(cols, moduli):
-        vals = sorted(set(col))
-        nexts = vals[1:] + [vals[0] + m]
-        # the field starts just after the widest cyclic gap
-        gap, low = max(zip(map(sub, nexts, vals), nexts))
-        lows.append(low % m)
-        spreads.append(m - gap)
-    widths = [(h + k) * s + 1 for s in spreads]
+    The layout must fit ``MAX_SPAN_BITS`` (module docstring)."""
+    spreads = list(map(max, columns))
+    widths = [total * s + 1 for s in spreads]
     _check_span(math.prod(widths) - 1)
     strides = list(itertools.accumulate(widths[:-1], mul, initial=1))
-    digits = [0] * len(a)
-    for col, low, m, w in zip(cols, lows, moduli, strides):
-        digits = list(map(add, digits, [(c - low) % m * w for c in col]))
-    top = sum(s * w for s, w in zip(spreads, strides))
-    return _GroupLayout(lows, spreads, widths, strides, digits, top)
+    codes = [0] * len(columns[0])
+    for col, stride in zip(columns, strides):
+        codes = list(map(add, codes, map(stride.__mul__, col)))
+    top = sum(map(mul, spreads, strides))
+    return _Layout(lows, spreads, widths, strides, codes, top)
 
 
-def _group_mask(a: GroupSubset, layout: _GroupLayout, h: int, k: int) -> int:
+def _decode(mask: int, layout: _Layout, h: int, k: int) -> list[tuple[int, ...]]:
+    """The points x + h low - k(low + s) of the set bits of a fold's ``mask``,
+    x being a bit's digit vector on ``layout``."""
+    offsets = [h * low - k * (low + s) for low, s in zip(layout.lows, layout.spreads)]
+    points = []
+    for pos in _bit_positions(mask):
+        p = []
+        for w, o in zip(layout.widths, offsets):
+            pos, x = divmod(pos, w)
+            p.append(x + o)
+        points.append(tuple(p))
+    return points
+
+
+def _group_layout(a: GroupSubset, total: int) -> _Layout:
+    """A's layout for every pair with h + k = ``total``: on each axis, digit 0
+    is the coordinate just after A's widest cyclic gap."""
+    moduli = a.spec.moduli
+    lows, columns = [], []
+    for col, m in zip(zip(*a.elements), moduli):
+        vals = sorted(set(col))
+        nexts = vals[1:] + [vals[0] + m]
+        low = max(zip(map(sub, nexts, vals), nexts))[1] % m
+        lows.append(low)
+        columns.append([(c - low) % m for c in col])
+    return _layout(lows, columns, total)
+
+
+def _group_mask(a: GroupSubset, layout: _Layout, h: int, k: int) -> int:
     """The mask of hA - kA on ``layout``, with |hA - kA| set bits."""
     widths, strides = layout.widths, layout.strides
     size = widths[-1] * strides[-1]
-    mask = _fold_sum_diff(layout.digits, layout.top, h, k)
+    mask = _fold_sum_diff(layout.codes, layout.top, h, k)
     for w, m, stride in zip(widths, a.spec.moduli, strides):
         if w <= m:  # at most m consecutive digits: already distinct mod m
             continue
@@ -279,26 +289,12 @@ def _group_mask(a: GroupSubset, layout: _GroupLayout, h: int, k: int) -> int:
     return mask
 
 
-def _group_fold(a: GroupSubset, h: int, k: int) -> tuple[list[int], list[int], int]:
-    """(widths, offsets, mask) of hA - kA in the group's mixed-radix layout.
-
-    Axis i has a field of ``widths[i]`` values, with stride the product of
-    the widths below it; a set bit whose digit on axis i is x stands for
-    the residue (x + offsets[i]) mod m_i.  The mask has |hA - kA| set bits
-    (module docstring).
-    """
-    h, k = _check_fold("subset", a.elements, h, k)
-    layout = _group_layout(a, h, k)
-    offsets = [h * low - k * (low + s) for low, s in zip(layout.lows, layout.spreads)]
-    return layout.widths, offsets, _group_mask(a, layout, h, k)
-
-
 def _group_cards(a: GroupSubset, *pairs: tuple[int, int]) -> list[int]:
     """|hA - kA| for each pair (h, k), folded on one layout.
 
     The pairs are ints of one total h + k; the first is checked as
-    ``_group_fold`` checks its counts."""
-    layout = _group_layout(a, *_check_fold("subset", a.elements, *pairs[0]))
+    ``group_sum_diff`` checks its counts."""
+    layout = _group_layout(a, sum(_check_fold("subset", a.elements, *pairs[0])))
     return [_group_mask(a, layout, h, k).bit_count() for h, k in pairs]
 
 
@@ -351,7 +347,7 @@ def _check_points(count: int) -> None:
         )
 
 
-# -- folds on the linearized image ------------------------------------------------
+# -- lattice folds ---------------------------------------------------------------
 
 
 def _check_fold(what: str, points: frozenset, h: int, k: int) -> tuple[int, int]:
@@ -365,43 +361,29 @@ def _check_fold(what: str, points: frozenset, h: int, k: int) -> tuple[int, int]
     return h, k
 
 
-def _corner_image(s: LatticeSet, budget: int) -> tuple[tuple[int, ...], LinearImage]:
-    """The minimum corner c of S and the image of S - c under ``linearize``."""
-    corner = tuple(map(min, zip(*s.points)))
-    if any(corner):
-        s = LatticeSet(
-            s.dim, frozenset(tuple(x - c for x, c in zip(p, corner)) for p in s.points)
-        )
-    return corner, linearize(s, budget)
+def _lattice_fold(s: LatticeSet, h: int, k: int) -> tuple[_Layout, int]:
+    """(layout, mask) of hS - kS, digit 0 on each axis at S's least coordinate."""
+    cols = list(zip(*s.points))
+    lows = list(map(min, cols))
+    layout = _layout(lows, [[c - low for c in col] for col, low in zip(cols, lows)], h + k)
+    return layout, _fold_sum_diff(layout.codes, layout.top, h, k)
 
 
 def lattice_sum_diff(s: LatticeSet, h: int, k: int) -> LatticeSet:
-    """hS - kS by exact vector arithmetic, folded on the linearized image."""
+    """hS - kS by exact vector arithmetic, decoded from its mixed-radix fold."""
     h, k = _check_fold("lattice set", s.points, h, k)
-    corner, lin = _corner_image(s, h + k)
-    radix, half = lin.radix, lin.radix // 2
-    offset = [(h - k) * c for c in corner]
-    points = set()
-    for v in sum_diff(lin.image, h, k):
-        p = []
-        for o in offset:
-            digit = (v + half) % radix - half  # balanced: in [-half, half]
-            p.append(o + digit)
-            v = (v - digit) // radix
-        points.add(tuple(p))
-    return LatticeSet(s.dim, frozenset(points))
+    if (h, k) == (1, 0):  # S itself: no span check
+        return s
+    layout, mask = _lattice_fold(s, h, k)
+    return LatticeSet(s.dim, frozenset(_decode(mask, layout, h, k)))
 
 
 def lattice_sum_diff_card(s: LatticeSet, h: int, k: int) -> int:
-    """|hS - kS| without materializing the points: the bit count of the
-    folded image, after the checks ``sum_diff`` makes on it."""
+    """|hS - kS| without materializing the points: the bit count of its fold."""
     h, k = _check_fold("lattice set", s.points, h, k)
-    image = _corner_image(s, h + k)[1].image
-    if (h, k) == (1, 0):  # S itself, as in sum_diff: no span check
-        return len(image)
-    lo, hi = image.min, image.max
-    _check_sum_diff(lo, hi, h, k)
-    return _fold_sum_diff([e - lo for e in image.elements], hi - lo, h, k).bit_count()
+    if (h, k) == (1, 0):  # S itself: no span check
+        return len(s)
+    return _lattice_fold(s, h, k)[1].bit_count()
 
 
 # -- thickening and transfer ------------------------------------------------------

@@ -283,6 +283,7 @@ def interval(lo: int, hi: int) -> IntSet:
         return IntSet()
     _check_i64(lo)
     _check_i64(hi)
+    _check_span(hi - lo)
     return IntSet._from_sorted(range(lo, hi + 1))
 
 

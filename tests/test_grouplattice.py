@@ -164,7 +164,7 @@ class TestGroupFold:
         a = GroupSubset(GroupSpec(tuple(moduli)), elements)
         want = brute_group_fold(elements, a.spec.moduli, h, k)
         assert group_sum_diff(a, h, k).elements == want
-        assert grouplattice._group_fold(a, h, k)[2].bit_count() == len(want)
+        assert grouplattice._group_cards(a, (h, k)) == [len(want)]
 
     def test_small_spread_in_a_huge_group(self):
         # the layout is sized by A's spread on each axis, not by the moduli
@@ -189,7 +189,7 @@ class TestGroupFold:
             for total in (1, 2, 3):
                 pairs = [(h, total - h) for h in range(total + 1)]
                 for (h, k), got in zip(pairs, grouplattice._group_cards(a, *pairs)):
-                    assert got == grouplattice._group_fold(a, h, k)[2].bit_count()
+                    assert got == len(group_sum_diff(a, h, k))
                     assert got == len(brute_group_fold(a.elements, a.spec.moduli, h, k))
 
     def test_one_layout_per_pair_comparison(self, monkeypatch):
@@ -203,9 +203,9 @@ class TestGroupFold:
         monkeypatch.setattr(grouplattice, "_group_layout", counted)
         a = covering_pair_subset()
         find_thickness(a, (2, 0), (1, 1), 4)
-        assert layouts == [(2, 0)]
+        assert layouts == [(2,)]
         embed_report(a, t_max=4)
-        assert layouts == [(2, 0), (2, 0)]
+        assert layouts == [(2,), (2,)]
 
     def test_layout_over_span_refused_before_any_fold(self, monkeypatch):
         def no_fold(*args):
@@ -220,9 +220,10 @@ class TestGroupFold:
         thirds = {(0, 0), (m // 3, m // 3), (2 * m // 3, 2 * m // 3)}
         a = GroupSubset(GroupSpec((m, m)), frozenset(thirds))
         start = time.perf_counter()
-        for call in (group_sum_diff, grouplattice._group_fold):
-            with pytest.raises(ValueError, match="dense-kernel limit"):
-                call(a, 1, 1)
+        with pytest.raises(ValueError, match="dense-kernel limit"):
+            group_sum_diff(a, 1, 1)
+        with pytest.raises(ValueError, match="dense-kernel limit"):
+            grouplattice._group_cards(a, (1, 1))
         with pytest.raises(ValueError, match="dense-kernel limit"):
             find_thickness(a, (2, 0), (1, 1), 4)
         assert time.perf_counter() - start < 0.5
@@ -420,6 +421,35 @@ class TestLatticeFold:
             want = brute_lattice_fold(pts, h, k)
             assert lattice_sum_diff(s, h, k).points == want
             assert lattice_sum_diff_card(s, h, k) == len(want)
+
+    def test_fields_sized_per_axis(self):
+        # psi's radix 2(h+k) max|c| + 1 would span 134225920 bits at h + k = 2;
+        # the fields (h+k) s_i + 1 span 8193^2 - 1
+        pts = frozenset({(0, 0), (4096, 0), (0, 4096)})
+        s = LatticeSet(2, pts)
+        for h, k in ((2, 0), (1, 1)):
+            want = brute_lattice_fold(pts, h, k)
+            assert lattice_sum_diff(s, h, k).points == want
+            assert lattice_sum_diff_card(s, h, k) == len(want)
+
+    def test_folds_do_not_linearize(self, monkeypatch):
+        def no_psi(*args):
+            raise AssertionError("folded on psi")
+
+        monkeypatch.setattr(grouplattice, "linearize", no_psi)
+        monkeypatch.setattr(grouplattice, "_psi", no_psi)
+        rng = random.Random(61)
+        for _ in range(20):
+            d = rng.randint(1, 3)
+            pts = frozenset(
+                tuple(rng.randint(-6, 6) for _ in range(d))
+                for _ in range(rng.randint(1, 5))
+            )
+            s = LatticeSet(d, pts)
+            for h, k in ((1, 0), (2, 0), (1, 1), (0, 2), (2, 1)):
+                want = brute_lattice_fold(pts, h, k)
+                assert lattice_sum_diff(s, h, k).points == want
+                assert lattice_sum_diff_card(s, h, k) == len(want)
 
     def test_preconditions(self):
         s = LatticeSet(1, frozenset({(0,)}))

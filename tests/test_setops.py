@@ -398,6 +398,10 @@ class TestIntervalHelper:
     def test_empty(self):
         assert interval(5, 2) == IntSet()
 
+    def test_span_checked_before_building(self):
+        with pytest.raises(ValueError, match="dense-kernel limit"):
+            interval(0, 1 << 62)
+
     def test_numpy_integers_build_plain_ints(self):
         got = interval(np.int64(1), np.uint8(3))
         assert got == IntSet([1, 2, 3])
