@@ -4,10 +4,12 @@
 For each n, find the first covering parity graph in Z/n x Z/2, thicken it
 into the lattice until the sumset/difference-set inequality transfers,
 and linearize the result into an integer set.  Every output is re-checked
-with exact arithmetic.
+with exact arithmetic: a delta that differs from the reported one is
+printed and the script exits with status 1 after the last n.
 """
 
 import argparse
+import sys
 
 from mstdkit import EmbedError, embed_report, find_group_mstd, mstd_delta
 from mstdkit.cli import _int_arg
@@ -26,6 +28,7 @@ def main():
     if args.t_max < 1:
         parser.error("--t-max must be at least 1")
 
+    mismatches = 0
     for n in range(args.min_n, args.max_n + 1):
         try:
             witness = find_group_mstd(n, strategy="first")
@@ -43,6 +46,11 @@ def main():
             f"|A+A|={check.sum_card} |A-A|={check.diff_card} delta={check.delta}"
         )
         print(f"  set: {result.image.to_text()}")
+        if check.delta != result.delta:
+            print(f"  MISMATCH: embed reported delta={result.delta}")
+            mismatches += 1
+    if mismatches:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

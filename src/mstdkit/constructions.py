@@ -403,9 +403,10 @@ def interval_with_gap(m: int, r: int, s: int) -> IntervalGapFacts:
     """Compute B+B and B-B for B = [0,r-1] + [s,m-1] and flag fullness.
 
     ``sum_full`` reports B+B == [0, 2m-2]; ``diff_full`` reports
-    B-B == [1-m, m-1].  Sufficient conditions: s <= 2r-1 together with
-    2s <= m+r-1 forces the sumset full, and either inequality alone
-    forces the difference set full.
+    B-B == [1-m, m-1].  B holds 0 and m-1 inside [0, m-1], so each is full
+    exactly when it has 2m-1 elements.  Sufficient conditions: s <= 2r-1
+    together with 2s <= m+r-1 forces the sumset full, and either inequality
+    alone forces the difference set full.
     """
     m, r, s = _strict_int("m", m), _strict_int("r", r), _strict_int("s", s)
     _require(m >= 4, "m must be at least 4")
@@ -416,8 +417,8 @@ def interval_with_gap(m: int, r: int, s: int) -> IntervalGapFacts:
     ss = sumset(b, b)
     ds = diffset(b, b)
     return IntervalGapFacts(
-        sum_full=(ss == interval(0, 2 * m - 2)),
-        diff_full=(ds == interval(1 - m, m - 1)),
+        sum_full=len(ss) == 2 * m - 1,
+        diff_full=len(ds) == 2 * m - 1,
         sumset=ss,
         diffset=ds,
     )

@@ -14,8 +14,7 @@ Every fold hS - kS of a point set runs on one mixed-radix layout
 axis's low coordinate just after its widest cyclic gap and reduces the
 fold mod m, and a lattice set takes each axis's least coordinate and
 skips the reduction.  ``linearize``'s base-radix map psi is used only
-where the output is psi: ``linearize`` itself, the thickness scan and
-embed's image (below).
+where the output is psi: ``linearize`` itself and embed's image (below).
 
 On axis i, let lo_i be the low coordinate, write each coordinate c as the
 digit c - lo_i (for a group, (c - lo_i) mod m_i, with lo_i just after the
@@ -55,45 +54,33 @@ before any fold.  ``lattice_sum_diff`` raises ``OverflowError`` (from
 their size against ``MAX_LATTICE_POINTS`` first.
 
 The thickness search never builds B_t = phi(A) + box(0, t), where
-box(s, t) = {(q_1 m_1, ..., q_d m_d) : s <= q_i < t}.  It rests on two facts:
+box(s, t) = {(q_1 m_1, ..., q_d m_d) : s <= q_i < t}.  Per axis, a sum of
+h multipliers in [0, t) minus k of them takes every integer value in
+[-k(t-1), h(t-1)] (raise the terms one at a time from the lowest value)
+and no other, and the axes are independent, so with S = phi(A)
 
-* h box(0, t) - k box(0, t) = box(-k(t-1), h(t-1) + 1).  Per axis, a sum of
-  h multipliers in [0, t) minus k of them takes every integer value in
-  [-k(t-1), h(t-1)] (raise the terms one at a time from the lowest value)
-  and no other; the axes are independent.
-* psi(X + Y) = psi(X) + psi(Y) for psi(p) = sum_i p_i radix^i, because psi
-  is additive on points.  With psi(-p) = -psi(p) this carries every
-  Minkowski fold: psi(hS - kS) = h psi(S) - k psi(S).
+    hB_t - kB_t = hS - kS + box(-k(t-1), h(t-1) + 1).
 
-So psi(hB_t - kB_t) = h psi(phi(A)) - k psi(phi(A)) + sum_i P_i, where P_i
-is the progression {q m_i radix^i : -k(t-1) <= q <= h(t-1)}: d folds of
-the image's mask, each over one run of (h + k)(t - 1) + 1 shifts
-(``_fold_box``, O(log t) big-int shifts), instead of |A| t^d points;
-``_thickened_psi`` gives the radix, psi(A) (by ``_psi``, the map
-``linearize`` uses) and the steps m_i radix^i once per thickness for both
-pairs of a scan, from A sorted once by ``_psi_columns``: the radix
-exceeds every coordinate, so psi orders A by its reversed tuples whatever
-the radix.  The scan returns the t it found with its two counts and that
-t's radix, psi(A) and steps, and ``embed_report`` folds B_t itself from
-them: one ``_thickened_psi`` per thickness.  Every coordinate of B_t
-lies in [0, maxnorm], so with fold budget h + k the argument above makes
-psi injective on hB_t - kB_t and the image has |hB_t - kB_t| elements.
-The thickness search compares the bit counts of the final masks and
-builds no set.  The envelope is the ``setops`` one: ``_check_sum_diff``
-on psi(A), then the range and span checks ``sumset`` makes for each
-progression step, all before ``_fold_sum_diff`` folds psi(A), so an
-image outside signed 64 bits or ``MAX_SPAN_BITS`` raises and never
-answers wrongly.  Each P_i contains 0, so each step's result lies
-inside the final set's range and cannot raise when the final set fits.
+On S's lattice layout its points are hD + k(s - D) + {q m : 0 <= q_i <=
+(h+k)(t-1)} moved by h lo - k(lo + s + (t-1) m): the mask of hD + k(s - D),
+folded on each axis by one run of (h + k)(t - 1) + 1 shifts by m_i stride_i
+(``_fold_box``, O(log t) big-int shifts), instead of |A| t^d points.  Its
+digits on axis i lie in [0, (h+k)(s_i + m_i(t-1))], so ``_box_cards``
+widens each field by h + k times the pad m_i(t-1) while ``top`` stays the
+code of A's own s; the set bits are the points of hB_t - kB_t, one each.
+Both pairs of a scan share one layout, checked after the point budget and
+before any fold.  Like every layout it depends on spreads, not on psi's
+radix, so B_t of a subset of Z/2 x Z/1000 at t = 30 is counted on about
+6.9e6 bits where psi's image of B_t - B_t would span about 6.7e9.
 
-``embed_report`` counts its output X = psi(B_t) without folding it again.
-With P_i = {q m_i radix^i : 0 <= q < t}, X = psi(A) + P_1 + ... + P_d, and
-at the t the scan returns its two masks are X + X and X - X themselves:
-the (2, 0) mask is 2 psi(A) + sum_i {q m_i radix^i : 0 <= q <= 2(t-1)}, and
-the (1, 1) mask is psi(A) - psi(A) + sum_i {q m_i radix^i : |q| <= t-1}.
-These are Minkowski sums of integer sets, so the scan's two counts are
-|X + X| and |X - X| for the X that was built, whatever the radix, and the
-scan returns only when the first exceeds the second.
+``embed_report`` builds its output X = psi(B_t) = ``linearize(B_t, 2)``
+once, at the t the scan found (``_box_image``): psi is additive on points,
+so X is psi(A) (by ``_psi``) folded by each progression
+{q m_i radix^i : 0 <= q < t}, after X's range and span checks.  Its delta
+is the scan's |2B_t| - |B_t - B_t|: every coordinate of B_t lies in
+[0, maxnorm], so fold budget 2's radix 4 maxnorm + 1 makes psi one-to-one
+on 2B_t and on B_t - B_t, and |X + X| = |2B_t| and |X - X| = |B_t - B_t|,
+the guarantee that makes X an MSTD set in the first place.
 """
 
 from __future__ import annotations
@@ -104,8 +91,8 @@ import math
 from dataclasses import dataclass
 from operator import add, mod, mul, sub
 
-from .setops import I64_MAX, IntSet, _bit_positions, _check_i64, _check_span, _check_sum_diff
-from .setops import _fold_runs, _fold_sum_diff, _load_json, _strict_int, _strict_ints
+from .setops import I64_MAX, IntSet, _bit_positions, _check_i64, _check_span, _fold_runs
+from .setops import _fold_sum_diff, _load_json, _shift_or, _strict_int, _strict_ints
 
 # Most points ``thicken`` or ``sublattice_box`` may build.  A 2-d point costs
 # about 230 bytes (tuple, ints, set entry), so one set stays near 240 MB.
@@ -221,19 +208,22 @@ class _Layout:
 
     lows: list[int]  # per axis: the coordinate that digit 0 stands for
     spreads: list[int]  # per axis: the largest digit s_i
-    widths: list[int]  # per axis: the field of (h + k) s_i + 1 digits
+    widths: list[int]  # per axis: the field of (h + k)(s_i + pad_i) + 1 digits
     strides: list[int]  # per axis: the product of the widths below it
     codes: list[int]  # the code of each point's digit vector D
     top: int  # the code of s
 
 
-def _layout(lows: list[int], columns: list[list[int]], total: int) -> _Layout:
+def _layout(
+    lows: list[int], columns: list[list[int]], total: int, pads: list[int] | None = None
+) -> _Layout:
     """The layout of the points with digits ``columns`` (one list per axis,
-    each digit at least 0) for every pair with h + k = ``total``.
+    each digit at least 0) for every pair with h + k = ``total``, each
+    axis's field widened by ``total`` times its pad (none by default).
 
     The layout must fit ``MAX_SPAN_BITS`` (module docstring)."""
     spreads = list(map(max, columns))
-    widths = [total * s + 1 for s in spreads]
+    widths = [total * (s + p) + 1 for s, p in zip(spreads, pads or itertools.repeat(0))]
     _check_span(math.prod(widths) - 1)
     strides = list(itertools.accumulate(widths[:-1], mul, initial=1))
     codes = [0] * len(columns[0])
@@ -361,11 +351,16 @@ def _check_fold(what: str, points: frozenset, h: int, k: int) -> tuple[int, int]
     return h, k
 
 
+def _lattice_layout(points: frozenset, total: int, pads: list[int] | None = None) -> _Layout:
+    """``_layout`` of lattice ``points``, digit 0 on each axis at their least coordinate."""
+    cols = list(zip(*points))
+    lows = list(map(min, cols))
+    return _layout(lows, [[c - low for c in col] for col, low in zip(cols, lows)], total, pads)
+
+
 def _lattice_fold(s: LatticeSet, h: int, k: int) -> tuple[_Layout, int]:
     """(layout, mask) of hS - kS, digit 0 on each axis at S's least coordinate."""
-    cols = list(zip(*s.points))
-    lows = list(map(min, cols))
-    layout = _layout(lows, [[c - low for c in col] for col, low in zip(cols, lows)], h + k)
+    layout = _lattice_layout(s.points, h + k)
     return layout, _fold_sum_diff(layout.codes, layout.top, h, k)
 
 
@@ -400,53 +395,37 @@ def thicken(a: GroupSubset, t: int) -> LatticeSet:
     return minkowski_sum(to_lattice(a), sublattice_box(a.spec, 0, t))
 
 
-def _psi_columns(a: GroupSubset) -> list[tuple[int, ...]]:
-    """A's coordinates axis by axis, elements in ascending order of psi for
-    every radix above their coordinates.
+def _box_cards(a: GroupSubset, t: int, *pairs: tuple[int, int]) -> list[int]:
+    """|hB_t - kB_t| for each pair (h, k), B_t = ``thicken(a, t)``, counted on
+    one layout of phi(A) without building B_t (module docstring).
 
-    Such a radix makes psi(p) the number with base-radix digits p, last
-    axis most significant, so the order is that of the reversed tuples.
-    """
-    return list(zip(*sorted(a.elements, key=lambda p: p[::-1])))
-
-
-def _thickened_psi(
-    a: GroupSubset, cols: list[tuple[int, ...]], t: int, budget: int
-) -> tuple[int, list[int], list[int]]:
-    """(radix, psi(A) ascending, steps m_i radix^i) of ``linearize(thicken(a, t), budget)``.
-
-    ``cols`` is ``_psi_columns(a)``; the radix exceeds every coordinate, so
-    psi(A) comes out ascending.  The point budget and the radix's range are
-    checked first, in that order.
-    """
+    The pairs are ints of one total h + k.  The point budget is checked
+    first, then the layout's span, before any fold."""
     moduli = a.spec.moduli
     _check_points(len(a) * t ** len(moduli))
-    radix = _radix(budget, max(max(c) + m * (t - 1) for c, m in zip(cols, moduli)))
-    return radix, _psi(cols, radix), [m * radix**i for i, m in enumerate(moduli)]
+    total = sum(pairs[0])
+    layout = _lattice_layout(a.elements, total, [m * (t - 1) for m in moduli])
+    steps = list(map(mul, moduli, layout.strides))
+    length = total * (t - 1) + 1
+    masks = (_fold_sum_diff(layout.codes, layout.top, h, k) for h, k in pairs)
+    return [_fold_box(mask, steps, length).bit_count() for mask in masks]
 
 
-def _thickened_mask(
-    images: list[int], steps: list[int], t: int, h: int, k: int
-) -> tuple[int, int]:
-    """(min, mask) of the image of hB_t - kB_t, from ``_thickened_psi``'s
-    psi(A) and steps.
+def _box_image(a: GroupSubset, t: int) -> LinearImage:
+    """``linearize(thicken(a, t), 2)``, folded from psi(A) without building B_t.
 
-    Built as h psi(A) - k psi(A) plus one progression per axis, without a
-    lattice point; with h + k at most the fold budget the mask has
-    |hB_t - kB_t| set bits.  Every range and span check comes first, in
-    order: those of ``IntSet`` and of ``setops._check_sum_diff`` on psi(A),
-    then each axis's as ``sumset`` makes it.  Then ``setops._fold_sum_diff``
-    folds h psi(A) - k psi(A) and each axis's progression from 0 is folded
-    in; every step's result lies within the checked ends.
-    """
-    lo, hi = _check_i64(images[0]), _check_i64(images[-1])
-    base, end = _check_sum_diff(lo, hi, h, k)
-    for step in steps:
-        base = _check_i64(base - k * (t - 1) * step)
-        end = _check_i64(end + h * (t - 1) * step)
-        _check_span(end - base)
-    mask = _fold_sum_diff([e - lo for e in images], hi - lo, h, k)
-    return base, _fold_box(mask, steps, (h + k) * (t - 1) + 1)
+    The point budget is checked first, then the radix's range, then the
+    image's range and span, before any fold."""
+    moduli = a.spec.moduli
+    _check_points(len(a) * t ** len(moduli))
+    cols = list(zip(*a.elements))
+    radix = _radix(2, max(max(c) + m * (t - 1) for c, m in zip(cols, moduli)))
+    images = sorted(_psi(cols, radix))
+    steps = [m * radix**i for i, m in enumerate(moduli)]
+    lo = images[0]  # at least 0, as every coordinate of B_t is
+    _check_span(_check_i64(images[-1] + (t - 1) * sum(steps)) - lo)
+    mask = _fold_box(_shift_or(1, (e - lo for e in images)), steps, t)
+    return LinearImage(radix, IntSet._from_sorted(_bit_positions(mask, lo), mask))
 
 
 @dataclass(frozen=True)
@@ -513,28 +492,19 @@ def find_thickness(
         raise ValueError(
             f"group inequality fails: |{h1}A-{k1}A| = {c1} <= |{h2}A-{k2}A| = {c2}"
         )
-    return _thickness_scan(a, _psi_columns(a), pair1, pair2, t_max)[0]
+    return _thickness_scan(a, pair1, pair2, t_max)[0]
 
 
 def _thickness_scan(
-    a: GroupSubset,
-    cols: list[tuple[int, ...]],
-    pair1: tuple[int, int],
-    pair2: tuple[int, int],
-    t_max: int,
-) -> tuple[int, int, int, int, list[int], list[int]]:
-    """``find_thickness`` for pairs and a group inequality it has checked;
-    ``cols`` is ``_psi_columns(a)``.  Returns the t found with its counts
-    |h1 B_t - k1 B_t| and |h2 B_t - k2 B_t|, radix, psi(A) and steps
-    (``_thickened_psi``)."""
-    (h1, k1), (h2, k2) = pair1, pair2
+    a: GroupSubset, pair1: tuple[int, int], pair2: tuple[int, int], t_max: int
+) -> tuple[int, int, int]:
+    """``find_thickness`` for pairs and a group inequality it has checked.
+    Returns the t found with its counts |h1 B_t - k1 B_t| and
+    |h2 B_t - k2 B_t|."""
     for t in range(1, t_max + 1):
-        # both pairs have the fold budget h1 + k1, so they share radix and psi(A)
-        radix, images, steps = _thickened_psi(a, cols, t, h1 + k1)
-        card1 = _thickened_mask(images, steps, t, h1, k1)[1].bit_count()
-        card2 = _thickened_mask(images, steps, t, h2, k2)[1].bit_count()
+        card1, card2 = _box_cards(a, t, pair1, pair2)
         if card1 > card2:
-            return t, card1, card2, radix, images, steps
+            return t, card1, card2
     raise RuntimeError(f"no thickness up to {t_max} transfers the inequality")
 
 
@@ -560,8 +530,7 @@ def thickening_bounds(a: GroupSubset, h: int, k: int, t: int) -> ThickeningBound
         raise ValueError("need h >= 1, k >= 0, t >= 1")
     d = a.spec.dim
     (group_card,) = _group_cards(a, (h, k))
-    _, images, steps = _thickened_psi(a, _psi_columns(a), t, h + k)
-    lat_card = _thickened_mask(images, steps, t, h, k)[1].bit_count()
+    (lat_card,) = _box_cards(a, t, (h, k))
     upper_ok = lat_card <= group_card * ((h + k) * t) ** d
     base = (h + k) * t - 2 * (h + k - 1)
     lower_ok = True if base < 0 else lat_card >= group_card * base**d
@@ -624,7 +593,7 @@ def embed_report(a: GroupSubset, t_max: int = 32) -> EmbedResult:
     """Run group -> thickened lattice set -> integers.
 
     ``delta`` is |X + X| - |X - X| for the output X, as the thickness scan
-    counted it (module docstring)."""
+    counted it on B_t (module docstring)."""
     t_max = _strict_int("t_max", t_max)
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -632,17 +601,11 @@ def embed_report(a: GroupSubset, t_max: int = 32) -> EmbedResult:
     if sums <= diffs:
         raise ValueError("input is not an MSTD subset of its group")
     try:
-        # the scan's counts are |X + X| and |X - X| of the image X of B_t
-        t, sums, diffs, radix, images, steps = _thickness_scan(
-            a, _psi_columns(a), (2, 0), (1, 1), t_max
-        )
-    except (ValueError, RuntimeError) as e:
+        t, sums, diffs = _thickness_scan(a, (2, 0), (1, 1), t_max)
+        lin = _box_image(a, t)
+    except (ValueError, OverflowError, RuntimeError) as e:
         raise EmbedError(f"thickness search: {e}") from e
-    # B_t itself, linearized with the fold budget 2 that |2B| vs |B - B| needs;
-    # the scan has checked 2B_t's range and span, which contain B_t's
-    lo, mask = _thickened_mask(images, steps, t, 1, 0)
-    image = IntSet._from_sorted(_bit_positions(mask, lo), mask)
-    return EmbedResult(t=t, radix=radix, image=image, delta=sums - diffs)
+    return EmbedResult(t=t, radix=lin.radix, image=lin.image, delta=sums - diffs)
 
 
 def _psi(cols: list[tuple[int, ...]], radix: int) -> list[int]:

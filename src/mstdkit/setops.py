@@ -96,14 +96,19 @@ def _check_span(span: int) -> int:
     return span
 
 
-def _strict_int(name: str, value) -> int:
-    """``value`` as an int if it is a Python or numpy integer; anything else raises.
+def _is_strict_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer other than a bool.
 
     No numpy integer exists before numpy is imported, so numpy's type is
     tested only once ``sys.modules`` holds it."""
     np = sys.modules.get("numpy")
     kinds = int if np is None else (int, np.integer)
-    if isinstance(value, kinds) and not isinstance(value, bool):
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _strict_int(name: str, value) -> int:
+    """``value`` as an int if ``_is_strict_int`` accepts it; anything else raises."""
+    if _is_strict_int(value):
         return int(value)
     try:
         shown = json.dumps(value)
@@ -210,8 +215,10 @@ class IntSet:
         return iter(self._elements)
 
     def __contains__(self, x: object) -> bool:
-        if not isinstance(x, int) or not self._elements:
+        """Whether ``x`` is an element; only an integer the constructor accepts can be."""
+        if not _is_strict_int(x):
             return False
+        x = int(x)
         i = bisect_left(self._elements, x)
         return i < len(self._elements) and self._elements[i] == x
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mstdkit
-from mstdkit import GroupSubset, IntSet, find_group_mstd, mstd_delta
+from mstdkit import GroupSubset, IntSet, embed_report, find_group_mstd, mstd_delta
 from mstdkit import cli
 from mstdkit.cli import main
 
@@ -388,6 +389,25 @@ def test_embed_demo_reports_a_failed_embed_per_n():
     lines = proc.stdout.splitlines()
     assert lines[0] == "n=7: thickness search: no thickness up to 1 transfers the inequality"
     assert lines[1].startswith("n=8: ")
+
+
+def test_embed_demo_exits_on_a_wrong_delta(capsys, monkeypatch):
+    # a delta that mstd_delta of the image does not confirm is printed, and
+    # the script exits with status 1 after the last n
+    def wrong(witness, t_max):
+        result = embed_report(witness, t_max=t_max)
+        if witness.spec.moduli[0] != 8:
+            return result
+        return dataclasses.replace(result, delta=result.delta + 1)
+
+    monkeypatch.setattr(mstdkit, "embed_report", wrong)
+    monkeypatch.setattr(sys, "argv", ["embed_demo.py", "--min-n", "7", "--max-n", "9"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(REPO / "scripts" / "embed_demo.py"), run_name="__main__")
+    assert exit_info.value.code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "MISMATCH" in line] == ["  MISMATCH: embed reported delta=7"]
+    assert lines[-2].startswith("n=9: ")
 
 
 @pytest.mark.parametrize(

@@ -30,9 +30,7 @@ from mstdkit import (
     to_lattice,
 )
 from mstdkit import ParityGraph, grouplattice, mstd_delta, setops
-from mstdkit.grouplattice import MAX_LATTICE_POINTS, LinearImage, _psi_columns
-from mstdkit.grouplattice import _thickened_mask, _thickened_psi, _thickness_scan
-from mstdkit.setops import IntSet, _bit_positions
+from mstdkit.grouplattice import MAX_LATTICE_POINTS, _box_cards, _box_image, _thickness_scan
 from oracles import brute_group_fold, brute_lattice_fold, brute_sum_diff, pair_delta
 
 
@@ -591,14 +589,6 @@ class TestThickenedFold:
     PAIRS = [(h, k) for h in range(4) for k in range(4) if 1 <= h + k <= 3]
 
     @staticmethod
-    def fold(a, t, h, k, budget):
-        """The image of hB_t - kB_t under ``linearize(thicken(a, t), budget)``,
-        folded from ``_thickened_psi`` by ``_thickened_mask``."""
-        radix, images, steps = _thickened_psi(a, _psi_columns(a), t, budget)
-        lo, mask = _thickened_mask(images, steps, t, h, k)
-        return LinearImage(radix=radix, image=IntSet(_bit_positions(mask, lo)))
-
-    @staticmethod
     def odd_parity_subsets():
         # every element has last coordinate 1, so the minimum corner is nonzero
         yield GroupSubset(GroupSpec((5, 2)), frozenset({(0, 1), (2, 1), (3, 1)}))
@@ -612,27 +602,42 @@ class TestThickenedFold:
             for t in range(1, 5):
                 points = thicken(a, t).points
                 for h, k in self.PAIRS:
-                    got = self.fold(a, t, h, k, h + k).image
-                    assert len(got) == len(brute_lattice_fold(points, h, k))
+                    (got,) = _box_cards(a, t, (h, k))
+                    assert got == len(brute_lattice_fold(points, h, k))
 
     def test_is_linearized_thickening(self):
         rng = random.Random(17)
         subsets = [random_subset(rng, max_mod=5) for _ in range(20)]
         for a in subsets + list(self.odd_parity_subsets()):
             for t in range(1, 5):
-                lin = self.fold(a, t, 1, 0, 2)
-                assert lin == linearize(thicken(a, t), 2)
+                assert _box_image(a, t) == linearize(thicken(a, t), 2)
 
     def test_point_budget_checked_first(self):
         a = GroupSubset(GroupSpec((2,) * 21), frozenset({(0,) * 21}))
         with pytest.raises(ValueError, match="budget"):
-            self.fold(a, 2, 1, 0, 2)
+            _box_cards(a, 2, (1, 0))
+        with pytest.raises(ValueError, match="budget"):
+            _box_image(a, 2)
 
-    def test_span_checked_per_axis(self):
-        # the fold of A spans 2 bits; the second axis's progression about 6.7e9
+    def test_fields_sized_by_spread(self):
+        # psi's image of 1B_30 - 1B_30 would span about 6.7e9 bits; the
+        # layout's fields 2(s_i + 29 m_i) + 1 span about 6.9e6
         a = GroupSubset(GroupSpec((2, 1000)), frozenset({(0, 0), (1, 0)}))
+        want = lattice_sum_diff_card(thicken(a, 30), 1, 1)
+        assert _box_cards(a, 30, (1, 1)) == [want] == [7021]
+        assert thickening_bounds(a, 1, 1, 30).upper_ok
+
+    def test_span_checked_before_any_fold(self, monkeypatch):
+        # at t = 1 the fields 2(m - 1) + 1 span about 2^30 bits
+        def no_fold(*args):
+            raise AssertionError("folded")
+
+        monkeypatch.setattr(grouplattice, "_fold_sum_diff", no_fold)
+        monkeypatch.setattr(grouplattice, "_fold_box", no_fold)
+        m = 1 << 14
+        a = GroupSubset(GroupSpec((m, m)), frozenset({(0, 0), (m - 1, m - 1)}))
         with pytest.raises(ValueError, match="dense-kernel limit"):
-            self.fold(a, 30, 1, 1, 2)
+            _box_cards(a, 1, (1, 1))
 
 
 class TestThicknessSearch:
@@ -652,20 +657,31 @@ class TestThicknessSearch:
                 t, lin.radix, lin.image, sums - diffs
             )
 
-    def test_embed_computes_psi_once_per_thickness(self, monkeypatch):
-        # the scan's radix, psi(A) and steps at the t it finds build the image
+    def test_embed_computes_psi_once(self, monkeypatch):
+        # the scan counts on the layout; psi builds only the image at its t
         calls = []
-        thickened_psi = grouplattice._thickened_psi
+        psi = grouplattice._psi
 
         def counted(*args):
-            calls.append(args[2])
-            return thickened_psi(*args)
+            calls.append(args)
+            return psi(*args)
 
-        monkeypatch.setattr(grouplattice, "_thickened_psi", counted)
+        monkeypatch.setattr(grouplattice, "_psi", counted)
         for n in range(7, 13):
             calls.clear()
-            res = embed_report(find_group_mstd(n, strategy="first"))
-            assert calls == list(range(1, res.t + 1))
+            embed_report(find_group_mstd(n, strategy="first"))
+            assert len(calls) == 1, n
+
+    def test_scan_does_not_linearize(self, monkeypatch):
+        a = covering_pair_subset()
+        want = find_thickness(a, (2, 0), (1, 1), 16), thickening_bounds(a, 2, 1, 3)
+
+        def no_psi(*args):
+            raise AssertionError("linearized")
+
+        monkeypatch.setattr(grouplattice, "_psi", no_psi)
+        monkeypatch.setattr(grouplattice, "_radix", no_psi)
+        assert (find_thickness(a, (2, 0), (1, 1), 16), thickening_bounds(a, 2, 1, 3)) == want
 
     def test_finds_small_thickness(self):
         a = covering_pair_subset()
@@ -704,6 +720,14 @@ class TestPipeline:
         with pytest.raises(EmbedError, match="thickness search"):
             embed_report(a, t_max=1)
 
+    def test_image_overflow_names_the_stage(self):
+        # B_2 of the covering subset times {0}^2 fits the layout (about 6e7
+        # bits), but its image under psi passes 2^66
+        spec = GroupSpec((7, 2, 2, 1 << 15))
+        a = GroupSubset(spec, frozenset(e + (0, 0) for e in covering_pair_subset().elements))
+        with pytest.raises(EmbedError, match="^thickness search: value .* signed 64-bit range$"):
+            embed_report(a, t_max=8)
+
     @pytest.mark.parametrize("t_max", [0, -1])
     def test_t_max_below_one_rejected_before_any_fold(self, monkeypatch, t_max):
         def no_fold(*args):
@@ -733,8 +757,8 @@ class TestImageDelta:
         for a in self.witnesses():
             res = embed_report(a)
             image = res.image
-            scan = _thickness_scan(a, _psi_columns(a), (2, 0), (1, 1), 32)
-            assert scan[:3] == (res.t, *astuple(mstd_delta(image))), a.to_json()
+            scan = _thickness_scan(a, (2, 0), (1, 1), 32)
+            assert scan == (res.t, *astuple(mstd_delta(image))), a.to_json()
             assert res.delta == pair_delta(image), a.to_json()
 
     def test_folds_the_image_once_after_the_scan(self, monkeypatch):

@@ -386,6 +386,14 @@ class TestParsing:
         assert got == IntSet([1, 2, 3])
         assert all(type(e) is int for e in got)
 
+    def test_membership_agrees_with_constructor(self):
+        s = IntSet([1, 3])
+        assert np.int64(3) in s and np.uint8(1) in s and np.int32(2) not in s
+        # the constructor refuses these, so none is an element; none raises
+        for other in (True, 1.0, np.float64(3.0), "3", None, [1]):
+            assert other not in s
+        assert np.int64(0) not in IntSet()
+
     def test_empty_inputs(self):
         assert IntSet.from_text("") == IntSet()
         assert IntSet.from_json('{"elements": []}') == IntSet()
