@@ -126,8 +126,7 @@ def _cmd_count(args) -> dict:
 
 
 def _cmd_group_search(args) -> dict:
-    subset = find_group_mstd(args.n, strategy=args.strategy, seed=args.seed)
-    return json.loads(subset.to_json())
+    return find_group_mstd(args.n, strategy=args.strategy, seed=args.seed).to_dict()
 
 
 def _cmd_spectrum(args):

@@ -182,7 +182,8 @@ def count_covering(n: int) -> CoverReport:
     not_covering, rem = divmod(weighted, n)
     if rem:
         raise RuntimeError("internal error: weighted symmetry count not divisible by n")
-    misses = {(b, p): _twisted_fixed(n, b, 1 - p, n, 0) for b in range(n) for p in (0, 1)}
+    by_class = {(b, p): _twisted_fixed(n, b, 1 - p, n, 0) for b in range(g) for p in (0, 1)}
+    misses = {(b, p): by_class[b % g, p] for b in range(n) for p in (0, 1)}
     return CoverReport(n, 2**n - not_covering, coverage_bound(n), misses)
 
 

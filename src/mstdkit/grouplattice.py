@@ -160,13 +160,14 @@ class GroupSubset:
             raise ValueError("duplicate elements in JSON input")
         return subset
 
+    def to_dict(self) -> dict:
+        return {
+            "moduli": list(self.spec.moduli),
+            "elements": [list(e) for e in sorted(self.elements)],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "moduli": list(self.spec.moduli),
-                "elements": [list(e) for e in sorted(self.elements)],
-            }
-        )
+        return json.dumps(self.to_dict())
 
 
 @dataclass(frozen=True)

@@ -84,19 +84,20 @@ smaller, and B's digit at p is 2 against A's 1.  Otherwise B's tuple is a
 proper prefix of A's, so B is smaller, and at the first position past
 B's top B has 0 where A has 1 or 2; every earlier digit agrees.  At two
 bits per digit the key takes 2 range_max + 2 <= 50 bits of a uint64.
-The key is 2 at every digit up to the top, less 1 at each element's
+With top t, the key is G[t] = 2 (4^(range_max + 1) - 4^(range_max - t)) / 3,
+which has digit 2 at every position 0..t, less 1 at each element's
 digit.  With H not empty, every position of L lies below the top, so the
 key of L | H is the key of H less L's table part (1 at each element's
-digit) shifted into place.  With H = 0 and top t, it is the key of {t},
-with the digit at t raised to 2, less the same.  The key of H is
-G[max H] - sum_{p in H} 4^(range_max - p), where G[t] has digit 2 at
-every position through t; the walk keeps the sum as it adds bits.  One
-``np.minimum.at`` per pass keeps the smallest key for each delta, and
-the witness mask is decoded from it.  The counts and the keys are kept
-in ``_LANES`` copies that successive rows take in turn, since
-``np.bincount`` and ``np.minimum.at`` run about 1.3-1.8x faster when
-neighbouring rows rarely hit one entry; the copies are summed and
-minimized once, at the end.
+digit) shifted into place.  With H = 0 and top t, it is G[t] less the
+same.  The key of H is G[max H] - sum_{p in H} 4^(range_max - p); the
+walk keeps the sum as it adds bits.  One ``np.minimum.at`` per pass
+keeps the smallest key for each delta, and the witness is read off it:
+its elements are the positions p whose digit key >> 2 (range_max - p) & 3
+is 1.  The counts and the keys are kept in ``_LANES`` copies that
+successive rows take in turn, since ``np.bincount`` and
+``np.minimum.at`` run about 1.3-1.8x faster when neighbouring rows
+rarely hit one entry; the copies are summed and minimized once, at the
+end.
 
 Witness selection per delta is restricted to masks containing 0: every
 subset's normalized form (translate to 0, divide by the gcd) lies in the
@@ -143,13 +144,14 @@ reads one 32-bit Mersenne Twister word per try, keeps its top
 b = m.bit_length() bits and tries again while they are >= m.
 ``rng.getrandbits(32 W)`` returns the next W words of the same stream,
 word j at bits [32j, 32j + 32).  As n <= 64, b <= 7: the replay keeps
-only each word's top byte (byte 4j + 3 of the little-endian bytes) and
-translates those bytes into one string of top b bits per b in use.  A
-Python loop walks the strings, one try per word, for the accepted j; the
-pool swaps then run on a (rows, n) uint8 array a column at a time.
-Words left unread carry over to the next batch.  A sample that runs out
-of words starts again once more words of the stream are drawn, so a
-shortfall never skips or changes a draw.  The rng is private to
+only each word's top byte x (byte 4j + 3 of the little-endian bytes),
+whose top b bits x >> (8 - b) are below m exactly when x < m << (8 - b).
+A Python loop walks the raw bytes, one try per word, and keeps each
+accepted x; each column of these is shifted down by 8 - b once, to give
+j, and the pool swaps then run on a (rows, n) uint8 array a column at a
+time.  Words left unread carry over to the next batch.  A sample that
+runs out of words starts again once more words of the stream are drawn,
+so a shortfall never skips or changes a draw.  The rng is private to
 ``random_search``, so the words drawn past the last sample change
 nothing.  ``_replays_sample`` checks the replay against ``rng.sample`` on
 a fixed seed, once per (n, k) and process; where they differ, as on an
@@ -165,7 +167,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .setops import I64_MAX, IntSet, _bit_positions, _check_sum_diff, _fold_delta, _shift_or
+from .setops import I64_MAX, IntSet, _check_sum_diff, _fold_delta, _shift_or
 from .setops import _strict_int, mstd_delta
 
 if TYPE_CHECKING:
@@ -213,27 +215,6 @@ class SearchReport:
             text = witness.to_text() if witness is not None else ""
             lines.append(f"{d},{self.spectrum[d]},{text}")
         return "\n".join(lines) + "\n"
-
-
-def _lex_key(mask: int, range_max: int) -> int:
-    """Witness key of a mask over positions 0..range_max (module docstring):
-    digit 2 at every position through the top, less 1 at each element."""
-    # 2 (4^(range_max + 1) - 4^(range_max - top)) / 3 has digit 2 at positions
-    # 0..top; the mask's binary digits reversed, read in base 4, have digit 1
-    # at each element
-    top = mask.bit_length() - 1
-    through_top = 2 * ((4 << 2 * range_max) - (1 << 2 * (range_max - top))) // 3
-    return through_top - int(f"{mask:0{range_max + 1}b}"[::-1], 4)
-
-
-def _key_mask(key: int, range_max: int) -> int:
-    """The mask that ``_lex_key`` maps to ``key``: digit 1 marks an element."""
-    # the low bit of each digit that is 1 (no digit is 3); the low bit of
-    # position p's digit is bit 2 (range_max - p), character 2 p + 1 of the
-    # key in 2 range_max + 2 binary digits, so the odd characters reversed
-    # are the mask
-    ones = key & ~(key >> 1) & ((4 << 2 * range_max) - 1) // 3
-    return int(format(ones, f"0{2 * range_max + 2}b")[-1::-2], 2)
 
 
 @dataclass(frozen=True)
@@ -397,13 +378,12 @@ def _count_node(
             stop0 = start0
         else:
             weight1 = 2 * weight0
-    # one scan per run of adjacent slices: (start, stop, ((stop, weight)...))
-    if stop1 != start0:
-        scans = ((start1, stop1, ((stop1, weight1),)), (start0, stop0, ((stop0, weight0),)))
-    elif weight1 != weight0:
-        scans = ((start1, stop0, ((stop1, weight1), (stop0, weight0))),)
+    # one scan per run of adjacent blocks: (start, stop, ((start, stop, weight) per block))
+    blocks = ((start1, stop1, weight1), (start0, stop0, weight0))
+    if stop1 == start0:
+        scans = ((start1, stop0, blocks),)
     else:
-        scans = ((start1, stop0, ((stop0, weight0),)),)
+        scans = tuple((first, end, ((first, end, w),)) for first, end, w in blocks)
     for start, stop, parts in scans:
         if start == stop:
             continue
@@ -420,10 +400,10 @@ def _count_node(
             # every position of L lies below H's top, where H's key has digit 2
             np.subtract(key, walk.low_digits[rows], out=keys)
             np.minimum.at(walk.best, index, keys)
-            done = 0
-            for end, w in parts:
-                counts += np.bincount(index[done : end - start], minlength=len(counts)) * w
-                done = end - start
+            for first, end, w in parts:
+                if first < end:
+                    part = index[first - start : end - start]
+                    counts += np.bincount(part, minlength=len(counts)) * w
             continue
         top_row = tables.top[rows]
         # with H = 0 and top t, L's key is ground[t] less L's digits (module docstring)
@@ -470,9 +450,10 @@ def exhaustive_spectrum(range_max: int, min_size: int, max_size: int) -> SearchR
         tables,
         # L's key digits are positions 0..width-1, above H's in significance
         low_digits=tables.key << np.uint64(2 * (range_max - width + 1)),
-        # per t: the key of {t} with the digit at t raised to 2, as for a gap
+        # per t: G[t], with digit 2 at every position 0..t
         ground=tuple(
-            _lex_key(1 << t, range_max) + (1 << 2 * (range_max - t)) for t in range(range_max + 1)
+            2 * ((4 << 2 * range_max) - (1 << 2 * (range_max - t))) // 3
+            for t in range(range_max + 1)
         ),
         counts=np.zeros(_LANES * hist, dtype=np.int64),
         best=np.full(_LANES * hist, np.iinfo(np.uint64).max, dtype=np.uint64),
@@ -492,7 +473,11 @@ def exhaustive_spectrum(range_max: int, min_size: int, max_size: int) -> SearchR
     for i in np.flatnonzero(counts).tolist():
         v = i - 2 * range_max
         spectrum[v] = spectrum.get(v, 0) + int(counts[i])
-        w = IntSet._from_sorted(_bit_positions(_key_mask(int(best[i]), range_max)))
+        # the positions whose key digit is 1
+        key = int(best[i])
+        w = IntSet._from_sorted(
+            p for p in range(range_max + 1) if key >> 2 * (range_max - p) & 3 == 1
+        )
         if mstd_delta(w).delta != v:  # pragma: no cover - internal consistency
             raise RuntimeError(f"witness {w} does not verify to delta {v}")
         witnesses[v] = w
@@ -617,36 +602,35 @@ class _PoolReplay:
     def __init__(self, rng: random.Random, n: int, k: int) -> None:
         self.rng = rng
         self.n = n
-        # step i draws randbelow(n - i) from the top b bits of a word
-        self.steps = [(n - i, (n - i).bit_length()) for i in range(k)]
-        # words a sample takes on average: each draw is kept with chance bound / 2^b
-        self.per_sample = sum((1 << b) / bound for bound, b in self.steps)
-        # b <= 7, so a word's top byte holds its top b bits: byte x -> x >> (8 - b)
-        bits = {b for _, b in self.steps}
-        self.shifts = {b: bytes(x >> (8 - b) for x in range(256)) for b in bits}
+        # step i draws randbelow(n - i) from a word's top b = (n - i).bit_length() <= 7
+        # bits, which its top byte x holds: x >> (8 - b) < n - i exactly when
+        # x < (n - i) << (8 - b), so the walk compares raw bytes with these limits
+        self.drops = [8 - (n - i).bit_length() for i in range(k)]
+        self.limits = [(n - i) << d for i, d in enumerate(self.drops)]
+        # words a sample takes on average: each try is kept with chance limit / 256
+        self.per_sample = sum(256 / limit for limit in self.limits)
         self.unread = b""  # the top byte of each word drawn and not yet read
 
     def draw(self, count: int) -> np.ndarray:
         """The next ``count`` samples, as the rows of a uint8 array."""
         import numpy as np
 
-        k = len(self.steps)
-        picks = bytearray()  # randbelow(n - i) of each step, k per sample
+        k, limits = len(self.limits), self.limits
+        picks = bytearray()  # the accepted byte of each step, k per sample
         while len(picks) < count * k:
             left = count - len(picks) // k
             # at least one new word, so a sample cut short gets further each pass
             new = max(1, math.ceil(left * self.per_sample) - len(self.unread))
             # word j is bits [32j, 32j + 32), so its top byte is byte 4j + 3
             self.unread += self.rng.getrandbits(32 * new).to_bytes(4 * new, "little")[3::4]
-            tops = {b: self.unread.translate(table) for b, table in self.shifts.items()}
-            steps = [(bound, tops[b]) for bound, b in self.steps]
+            v = self.unread
             q = start = 0
             try:
                 for _ in range(left):
-                    for bound, v in steps:
+                    for limit in limits:
                         r = v[q]
                         q += 1
-                        while r >= bound:
+                        while r >= limit:
                             r = v[q]
                             q += 1
                         picks.append(r)
@@ -659,8 +643,8 @@ class _PoolReplay:
         pool = np.tile(np.arange(self.n, dtype=np.uint8), (count, 1))
         rows = np.arange(count)
         out = np.empty_like(picks)
-        for i in range(k):
-            j = picks[:, i]
+        for i, d in enumerate(self.drops):
+            j = picks[:, i] >> d  # randbelow(n - i): the top b bits of the byte
             out[:, i] = pool[rows, j]
             pool[rows, j] = pool[:, self.n - 1 - i]
         return out

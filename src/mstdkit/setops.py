@@ -147,8 +147,7 @@ def _bit_positions(mask: int, base: int = 0) -> list[int]:
     """``base + i`` for each set bit ``i`` of a nonnegative int, ascending.
 
     Without numpy, it takes 3-3.5x numpy's decode time on dense masks of
-    1e3 to 1e6 bits and up to 1.7x on sparse ones (CHANGES.md); decodes
-    take 1-2.5% of a bench pass."""
+    1e3 to 1e6 bits and up to 1.7x on sparse ones (CHANGES.md)."""
     gaps = bin(mask)[:1:-1].split("1")[:-1]
     return list(accumulate([len(g) + 1 for g in gaps], initial=base - 1))[1:]
 

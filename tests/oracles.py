@@ -100,6 +100,17 @@ def enumerate_covering(n):
     return covering, misses
 
 
+def _lex_key(mask: int, range_max: int) -> int:
+    """Witness key of a mask over positions 0..range_max (``search`` module
+    docstring): digit 2 at every position through the top, less 1 at each element."""
+    # 2 (4^(range_max + 1) - 4^(range_max - top)) / 3 has digit 2 at positions
+    # 0..top; the mask's binary digits reversed, read in base 4, have digit 1
+    # at each element
+    top = mask.bit_length() - 1
+    through_top = 2 * ((4 << 2 * range_max) - (1 << 2 * (range_max - top))) // 3
+    return through_top - int(f"{mask:0{range_max + 1}b}"[::-1], 4)
+
+
 def random_draws(range_max, size, seed):
     """The sorted samples ``random_search`` scores, in order (endless)."""
     rng = random.Random(seed)

@@ -15,7 +15,7 @@ from mstdkit import (
     find_group_mstd,
     miss_count,
 )
-from mstdkit import grouplattice
+from mstdkit import counting, grouplattice
 from mstdkit.counting import MAX_COUNT_N
 from mstdkit.grouplattice import _group_cards
 from oracles import brute_group_fold, enumerate_covering
@@ -210,7 +210,7 @@ class TestCountCovering:
 
 class TestMissCounts:
     def test_closed_forms(self):
-        for n in range(3, 15):
+        for n in [*range(2, 65), 4095, 4096]:
             rep = count_covering(n)
             for b in range(n):
                 for parity in (0, 1):
@@ -220,6 +220,22 @@ class TestMissCounts:
                         f"enumerated miss count {got} for n={n}, g=({b},{parity}) "
                         f"disagrees with the closed form {want}"
                     )
+
+    def test_table_from_the_classes_of_b(self, monkeypatch):
+        # T(b, c, e, u) depends on b only through b mod gcd(2, n), so the table
+        # and the weighted sum evaluate it only at b = 0 and, for n even, b = 1
+        seen = []
+        twisted_fixed = counting._twisted_fixed
+
+        def recorded(n, b, *rest):
+            seen.append(b)
+            return twisted_fixed(n, b, *rest)
+
+        monkeypatch.setattr(counting, "_twisted_fixed", recorded)
+        for n, classes in ((21, {0}), (4095, {0}), (22, {0, 1}), (4096, {0, 1})):
+            seen.clear()
+            assert len(count_covering(n).misses) == 2 * n
+            assert set(seen) == classes
 
     def test_single_element_queries(self):
         assert miss_count(5, 0, 0) == 0

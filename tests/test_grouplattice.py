@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 import time
@@ -61,6 +62,11 @@ class TestGroupTypes:
     def test_json_round_trip(self):
         a = GroupSubset(GroupSpec((5, 2)), frozenset({(0, 0), (1, 1)}))
         assert GroupSubset.from_json(a.to_json()) == a
+
+    def test_dict_round_trip(self):
+        a = GroupSubset(GroupSpec((7, 3, 2)), frozenset({(6, 0, 1), (0, 2, 0), (3, 1, 1)}))
+        assert a.to_dict() == {"moduli": [7, 3, 2], "elements": [[0, 2, 0], [3, 1, 1], [6, 0, 1]]}
+        assert GroupSubset.from_json(json.dumps(a.to_dict())) == a
 
     def test_json_rejects_duplicates(self):
         with pytest.raises(ValueError):
