@@ -50,8 +50,8 @@ the whole of a cyclic factor of order above 2^26, raises ``ValueError``
 before any fold.  ``lattice_sum_diff`` raises ``OverflowError`` (from
 ``LatticeSet``) for a point outside signed 64 bits, which
 ``lattice_sum_diff_card`` counts.  The lattice folds return S for
-(1, 0) without a span check.  ``thicken`` and ``sublattice_box`` check
-their size against ``MAX_LATTICE_POINTS`` first.
+(1, 0) without a span check.  ``thicken``, ``sublattice_box`` and
+``minkowski_sum`` check their size against ``MAX_LATTICE_POINTS`` first.
 
 The thickness search never builds B_t = phi(A) + box(0, t), where
 box(s, t) = {(q_1 m_1, ..., q_d m_d) : s <= q_i < t}.  Per axis, a sum of
@@ -94,8 +94,9 @@ from operator import add, mod, mul, sub
 from .setops import I64_MAX, IntSet, _bit_positions, _check_i64, _check_span, _fold_runs
 from .setops import _fold_sum_diff, _load_json, _shift_or, _strict_int, _strict_ints
 
-# Most points ``thicken`` or ``sublattice_box`` may build.  A 2-d point costs
-# about 230 bytes (tuple, ints, set entry), so one set stays near 240 MB.
+# Most points ``thicken``, ``sublattice_box`` or ``minkowski_sum`` (its |A| |B|
+# sums) may build.  A 2-d point costs about 230 bytes (tuple, ints, set
+# entry), so one set stays near 240 MB.
 MAX_LATTICE_POINTS = 1 << 20
 
 
@@ -321,8 +322,10 @@ def sublattice_box(spec: GroupSpec, lo: int, hi: int) -> LatticeSet:
 
 
 def minkowski_sum(a: LatticeSet, b: LatticeSet) -> LatticeSet:
+    """A + B, built from its |A| |B| sums after the point budget's check."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
+    _check_points(len(a) * len(b))
     return LatticeSet(
         a.dim,
         frozenset(

@@ -109,28 +109,29 @@ it leaves the witnesses unchanged.  Chunks merge by adding counts and by
 the integer minimum of keys, so the report does not depend on the chunk
 size.  The arithmetic is integer throughout.
 
-Random samples.  ``random_search`` draws ``sorted(rng.sample(...))`` and
-keeps the least normalized sample per delta (s = A - min A divided by its
-gcd, compared as a list), which becomes an ``IntSet`` once, at the end,
-re-verified by ``mstd_delta``.  With range_max <= 63, A's shifted mask and
-the nonnegative half of A-A fit one uint64 lane and A+A two, so the draws
-are scored a batch at a time: up to 2^_CHUNK_BITS sample elements, the
-working set of one spectrum chunk.  Each row is sorted and shifted to 0,
-m = OR_j 1 << s_j, and for each column e
+Random samples.  ``random_search`` runs one loop for every range_max.
+Each batch draws up to 2^_CHUNK_BITS sample elements, the working set of
+one spectrum chunk, and a scorer gives (delta, tally, least normalized
+sample) triples, a normalized sample being s = A - min A divided by its
+gcd, compared as a list: ``_score_lanes`` one per delta of the batch,
+``_score_sets`` one per sample.  One merge adds the tallies and keeps
+the least sample per delta, which becomes an ``IntSet`` once, at the
+end, re-verified by ``mstd_delta``.  The samples come in the same order
+whatever the batch size (replayed draws, below), so the report does not
+depend on it.  With range_max <= 63, A's shifted mask and the
+nonnegative half of A-A fit one uint64 lane and A+A two, so
+``_score_lanes`` scores the batch in numpy.  Each row is sorted and
+shifted to 0, m = OR_j 1 << s_j, and for each column e
 
     lo |= m << e,   hi |= (m >> 1) >> (63 - e),   dif |= m >> e,
 
 where hi holds the bits of A+A from 64 up (m >> (64 - e), written so no
-shift reaches 64), and delta = |lo| + |hi| - (2 |dif| - 1).  The samples
-come in the same order whatever the batch size (replayed draws, below),
-so the report does not depend on it.  ``mstd_delta``'s range and span
-checks grow with max A and with the span, and every sample lies in
-[0, range_max], so one check of the whole range before the first draw
-covers every sample.  Above 63 each
-sample is scored on plain ints: its mask is the shift-OR of 1 by s, and
-``setops._fold_delta(mask, s, max s)``, the counting body ``mstd_delta``
-shares, gives |A+A| and |A-A| after ``mstd_delta``'s checks on that
-sample, which raise at the first failing trial.  Both scorers cost O(|A|)
+shift reaches 64), and delta = |lo| + |hi| - (2 |dif| - 1); the rows are
+then grouped by delta.  ``mstd_delta``'s range and span checks grow with
+max A and with the span, and every sample lies in [0, range_max], so
+one check of the whole range before the first draw covers every sample.
+Above 63 ``_score_sets`` takes ``mstd_delta`` of each sample, whose
+checks raise at the first failing trial.  Both scorers cost O(|A|)
 shifts per sample, while the exhaustive tables enumerate whole bands,
 which caps them at MAX_RANGE.
 
@@ -156,7 +157,7 @@ so a shortfall never skips or changes a draw.  The rng is private to
 nothing.  ``_replays_sample`` checks the replay against ``rng.sample`` on
 a fixed seed, once per (n, k) and process; where they differ, as on an
 interpreter whose sampler draws otherwise, and in the set branch
-(n > setsize), the lanes call ``rng.sample``, as does the scorer above 63.
+(n > setsize), the batches are ``sorted(rng.sample(...))``, as above 63.
 """
 
 from __future__ import annotations
@@ -165,10 +166,9 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
-from .setops import I64_MAX, IntSet, _check_sum_diff, _fold_delta, _shift_or
-from .setops import _strict_int, mstd_delta
+from .setops import I64_MAX, IntSet, _check_sum_diff, _strict_int, mstd_delta
 
 if TYPE_CHECKING:
     import numpy as np
@@ -469,24 +469,14 @@ def exhaustive_spectrum(range_max: int, min_size: int, max_size: int) -> SearchR
     counts = walk.counts.reshape(_LANES, hist).sum(axis=0)
     best = walk.best.reshape(_LANES, hist).min(axis=0)
     spectrum: dict = {0: 1} if min_size == 0 else {}
-    witnesses = {}
+    least = {}
     for i in np.flatnonzero(counts).tolist():
         v = i - 2 * range_max
         spectrum[v] = spectrum.get(v, 0) + int(counts[i])
         # the positions whose key digit is 1
         key = int(best[i])
-        w = IntSet._from_sorted(
-            p for p in range(range_max + 1) if key >> 2 * (range_max - p) & 3 == 1
-        )
-        if mstd_delta(w).delta != v:  # pragma: no cover - internal consistency
-            raise RuntimeError(f"witness {w} does not verify to delta {v}")
-        witnesses[v] = w
-    return SearchReport(
-        range_max=range_max,
-        spectrum=spectrum,
-        witnesses=witnesses,
-        enumerated=enumerated,
-    )
+        least[v] = [p for p in range(range_max + 1) if key >> 2 * (range_max - p) & 3 == 1]
+    return _report(range_max, spectrum, least, enumerated)
 
 
 def random_search(range_max: int, size: int, trials: int, seed: int) -> SearchReport:
@@ -494,7 +484,7 @@ def random_search(range_max: int, size: int, trials: int, seed: int) -> SearchRe
 
     The same seed reproduces the identical report.  Witnesses are the
     lexicographically minimal normalized forms among the sampled sets.
-    Each sample is scored on its shifted mask (module docstring).
+    The samples are drawn and scored a batch at a time (module docstring).
     ``range_max`` may be at most ``I64_MAX - 1``, the largest range the
     sampler takes; a larger one raises ValueError before any draw.
     """
@@ -509,88 +499,86 @@ def random_search(range_max: int, size: int, trials: int, seed: int) -> SearchRe
     if not 1 <= size <= range_max + 1:
         raise ValueError("size must be in [1, range_max + 1]")
     rng = random.Random(seed)
-    population = range(range_max + 1)
-    spectrum: dict = {}
-    best: dict = {}  # delta -> least normalized sample, as a list
-    if range_max <= 63:
+    n = range_max + 1
+    population = range(n)
+    lanes = range_max <= 63
+    if lanes:
         # every sample lies in [0, range_max], and mstd_delta's checks grow with
         # max A and with the span, so this one call covers every sample
         _check_sum_diff(0, range_max, 2, 0)
-        _score_lanes(rng, population, size, trials, spectrum, best)
-    else:
-        for _ in range(trials):
-            elems = sorted(rng.sample(population, size))
-            lo, hi = elems[0], elems[-1]
-            _check_sum_diff(lo, hi, 2, 0)
-            s = [e - lo for e in elems]
-            d = _fold_delta(_shift_or(1, s), s, hi - lo).delta
-            spectrum[d] = spectrum.get(d, 0) + 1
-            g = math.gcd(*s)
-            if g > 1:
-                s = [e // g for e in s]
-            if d not in best or s < best[d]:
-                best[d] = s
-    witnesses = {}
-    for d, s in best.items():
-        w = IntSet._from_sorted(s)
-        if mstd_delta(w).delta != d:  # pragma: no cover - internal consistency
-            raise RuntimeError(f"witness {w} does not verify to delta {d}")
-        witnesses[d] = w
-    return SearchReport(
-        range_max=range_max,
-        spectrum=spectrum,
-        witnesses=witnesses,
-        enumerated=trials,
-    )
-
-
-def _score_lanes(
-    rng: random.Random, population: range, size: int, trials: int, spectrum: dict, best: dict
-) -> None:
-    """``random_search``'s loop for a population within [0, 63]: the draws
-    of ``rng.sample``, replayed where ``_replays_sample`` allows, scored a
-    batch at a time in uint64 lanes (module docstring)."""
-    import numpy as np
-
-    one = np.uint64(1)
+    replay = _PoolReplay(rng, n, size) if lanes and _replays_sample(n, size) else None
+    score = _score_lanes if lanes else _score_sets
     rows = max(1, (1 << _CHUNK_BITS) // size)
-    n = len(population)
-    replay = _PoolReplay(rng, n, size) if _replays_sample(n, size) else None
+    spectrum: dict = {}
+    best: dict = {}  # delta -> least normalized sample, as a list
     for done in range(0, trials, rows):
         count = min(rows, trials - done)
         if replay is not None:
             draws = replay.draw(count)
         else:
-            draws = [rng.sample(population, size) for _ in range(count)]
-        s = np.array(draws, dtype=np.uint64)
-        s.sort(axis=1)
-        s -= s[:, :1]
-        mask = np.bitwise_or.reduce(one << s, axis=1)
-        half = mask >> one
-        lo = np.zeros_like(mask)  # bits 0..63 of A+A
-        hi = np.zeros_like(mask)  # bits 64..127 of A+A
-        dif = np.zeros_like(mask)  # (A-A) ∩ N
-        for e in s.T:
-            lo |= mask << e
-            hi |= half >> (np.uint64(63) - e)  # mask >> (64 - e), and 0 at e = 0
-            dif |= mask >> e
-        sums = np.bitwise_count(lo).astype(np.intp) + np.bitwise_count(hi)
-        delta = sums - 2 * np.bitwise_count(dif).astype(np.intp) + 1
-        base = int(delta.min())
-        tally = np.bincount(delta - base)
-        g = np.gcd.reduce(s, axis=1)
-        np.maximum(g, one, out=g)  # a singleton shifts to [0], whose gcd is 0
-        # the normalized rows, grouped by delta
-        cands = (s // g[:, None])[np.argsort(delta)].tolist()
-        start = 0
-        for i in np.flatnonzero(tally).tolist():
-            stop = start + int(tally[i])
-            d = i + base
-            spectrum[d] = spectrum.get(d, 0) + stop - start
-            c = min(cands[start:stop])
-            if d not in best or c < best[d]:
-                best[d] = c
-            start = stop
+            draws = [sorted(rng.sample(population, size)) for _ in range(count)]
+        for d, tally, least in score(draws):
+            spectrum[d] = spectrum.get(d, 0) + tally
+            if d not in best or least < best[d]:
+                best[d] = least
+    return _report(range_max, spectrum, best, trials)
+
+
+def _score_lanes(draws) -> Iterator[tuple[int, int, list[int]]]:
+    """(delta, tally, least normalized sample) per delta of a batch of
+    samples within [0, 63], scored in uint64 lanes (module docstring)."""
+    import numpy as np
+
+    one = np.uint64(1)
+    s = np.array(draws, dtype=np.uint64)
+    s.sort(axis=1)
+    s -= s[:, :1]
+    mask = np.bitwise_or.reduce(one << s, axis=1)
+    half = mask >> one
+    lo = np.zeros_like(mask)  # bits 0..63 of A+A
+    hi = np.zeros_like(mask)  # bits 64..127 of A+A
+    dif = np.zeros_like(mask)  # (A-A) ∩ N
+    for e in s.T:
+        lo |= mask << e
+        hi |= half >> (np.uint64(63) - e)  # mask >> (64 - e), and 0 at e = 0
+        dif |= mask >> e
+    sums = np.bitwise_count(lo).astype(np.intp) + np.bitwise_count(hi)
+    delta = sums - 2 * np.bitwise_count(dif).astype(np.intp) + 1
+    base = int(delta.min())
+    tally = np.bincount(delta - base)
+    g = np.gcd.reduce(s, axis=1)
+    np.maximum(g, one, out=g)  # a singleton shifts to [0], whose gcd is 0
+    # the normalized rows, grouped by delta
+    cands = (s // g[:, None])[np.argsort(delta)].tolist()
+    start = 0
+    for i in np.flatnonzero(tally).tolist():
+        stop = start + int(tally[i])
+        yield i + base, stop - start, min(cands[start:stop])
+        start = stop
+
+
+def _score_sets(draws: list[list[int]]) -> Iterator[tuple[int, int, list[int]]]:
+    """(delta, 1, normalized sample) for each sorted sample, by ``mstd_delta``,
+    whose checks raise at the first failing one."""
+    for elems in draws:
+        d = mstd_delta(IntSet._from_sorted(elems)).delta
+        s = [e - elems[0] for e in elems]
+        g = math.gcd(*s)
+        yield d, 1, [e // g for e in s] if g > 1 else s
+
+
+def _report(range_max: int, spectrum: dict, least: dict, enumerated: int) -> SearchReport:
+    """The report whose witness for each delta is its least element list in
+    ``least``, re-verified by ``mstd_delta``."""
+    witnesses = {}
+    for d, elems in least.items():
+        w = IntSet._from_sorted(elems)
+        if mstd_delta(w).delta != d:  # pragma: no cover - internal consistency
+            raise RuntimeError(f"witness {w} does not verify to delta {d}")
+        witnesses[d] = w
+    return SearchReport(
+        range_max=range_max, spectrum=spectrum, witnesses=witnesses, enumerated=enumerated
+    )
 
 
 class _PoolReplay:

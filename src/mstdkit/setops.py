@@ -43,10 +43,7 @@ hA - kA a step at a time with ``sumset`` and ``diffset``.
 them.
 
 ``mstd_delta`` only counts: it takes ``int.bit_count`` of the A+A and
-A-A masks and never expands them into sets.  Its two folds are
-``_fold_delta``, which takes A's elements less ``min A`` in any order;
-``mstd_delta`` passes them ascending and ``search.random_search`` each
-sorted sample, without building an ``IntSet``.
+A-A masks and never expands them into sets.
 
 All element arithmetic is range-checked against signed 64-bit bounds;
 a result outside them raises ``OverflowError`` instead of wrapping.
@@ -441,8 +438,19 @@ def _check_sum_diff(lo: int, hi: int, h: int, k: int) -> tuple[int, int]:
     They are the range and span checks of building hA - kA a step at a
     time, in order: each j-fold sum jA for j = 2..max(h, k), then hA - kA
     itself.  Its span (h + k)(hi - lo) bounds A's own span, so for
-    (h, k) = (1, 0) the last check is A's own range and span."""
-    for j in range(2, max(h, k) + 1):
+    (h, k) = (1, 0) the last check is A's own range and span.
+
+    j lo, j hi and j (hi - lo) only move away from 0 as j grows, so the
+    first j-fold to fail is the least j that fails one of its checks, and
+    the j-folds are checked once, at that j or at max(h, k) if none fails."""
+    j = max(h, k)
+    if j >= 2:
+        # each check as j x <= bound (j lo >= I64_MIN as -j lo <= -I64_MIN);
+        # where j x is past its bound, the least j that is past it is bound // x + 1
+        for x, bound in ((-lo, -I64_MIN), (hi, I64_MAX), (hi - lo, MAX_SPAN_BITS)):
+            if j * x > bound:
+                j = bound // x + 1
+        j = max(j, 2)
         _check_i64(j * lo)
         _check_i64(j * hi)
         _check_span(j * (hi - lo))
@@ -456,6 +464,8 @@ def _fold_sum_diff(ups: list[int], top: int, h: int, k: int) -> int:
 
     With ``ups`` A's elements less ``min A`` and ``top`` its span, bit i
     marks i + h min A - k max A in hA - kA (module docstring)."""
+    if top == 0:  # A is one point, and every fold of {0} is {0}
+        return 1
     mask = 1
     for _ in range(h):
         mask = _shift_or(mask, ups)
@@ -504,17 +514,10 @@ def mstd_delta(a: IntSet) -> MstdDelta:
         return MstdDelta(0, 0)
     lo, hi = a.min, a.max
     _check_sum_diff(lo, hi, 2, 0)
-    return _fold_delta(a.mask, [e - lo for e in a.elements], hi - lo)
-
-
-def _fold_delta(mask: int, shifts: list[int], top: int) -> MstdDelta:
-    """``MstdDelta`` of the set A with mask ``mask``: ``shifts`` are its
-    elements less ``min A``, in any order, and ``top`` is ``max A - min A``.
-
-    A+A is the mask shifted by each shift, and A-A, moved up by ``top``,
-    the mask shifted by ``top`` less each."""
-    sums = _shift_or(mask, shifts)
-    diffs = _shift_or(mask, [top - e for e in shifts])
+    # A+A is the mask shifted by each e - min A, and A-A, moved up by the
+    # span, the mask shifted by each max A - e
+    sums = _shift_or(a.mask, [e - lo for e in a.elements])
+    diffs = _shift_or(a.mask, [hi - e for e in a.elements])
     return MstdDelta(sums.bit_count(), diffs.bit_count())
 
 

@@ -232,6 +232,24 @@ class TestGroupFold:
             find_thickness(a, (2, 0), (1, 1), 4)
         assert time.perf_counter() - start < 0.5
 
+    def test_one_point_folds_at_any_count(self, monkeypatch):
+        real = setops._shift_or
+        calls = []
+
+        def limited(*args):
+            calls.append(args)
+            assert len(calls) <= 40, "a fold per count"
+            return real(*args)
+
+        monkeypatch.setattr(setops, "_shift_or", limited)
+        a = GroupSubset(GroupSpec((5, 3)), frozenset({(1, 2)}))
+        # (10^18 - 1) (1, 2) mod (5, 3)
+        assert group_sum_diff(a, 10**18, 1).elements == {(4, 0)}
+        assert grouplattice._group_cards(a, (10**18, 1), (1, 10**18)) == [1, 1]
+        s = LatticeSet(2, frozenset({(0, 0)}))
+        assert lattice_sum_diff(s, 10**18, 10**18) == s
+        assert lattice_sum_diff_card(to_lattice(a), 10**18, 0) == 1
+
     def test_preconditions(self):
         a = GroupSubset(GroupSpec((3,)), frozenset({(0,)}))
         with pytest.raises(ValueError):
@@ -336,6 +354,22 @@ class TestBoxes:
             sublattice_box(GroupSpec((2,) * 40), 0, 2)
         with pytest.raises(ValueError, match="budget"):
             sublattice_box(GroupSpec((2,)), 0, MAX_LATTICE_POINTS + 1)
+
+    def test_sum_budget_checked_before_building(self, monkeypatch):
+        monkeypatch.setattr(grouplattice, "MAX_LATTICE_POINTS", 12)
+        spec = GroupSpec((3,))
+        a, b = sublattice_box(spec, 0, 3), sublattice_box(spec, 0, 4)
+        assert len(minkowski_sum(a, b)) == 6  # 12 sums, at the budget
+        monkeypatch.setattr(grouplattice, "MAX_LATTICE_POINTS", 11)
+        with pytest.raises(ValueError, match="12 lattice points exceed the budget of 11"):
+            minkowski_sum(a, b)
+        # A - A = {0, 1, 2} and box(-1, 1) make 6 sums; each box alone fits
+        pair = GroupSubset(spec, frozenset({(0,), (1,)}))
+        monkeypatch.setattr(grouplattice, "MAX_LATTICE_POINTS", 6)
+        assert embedding_consistency(pair, 1, 1).all_hold
+        monkeypatch.setattr(grouplattice, "MAX_LATTICE_POINTS", 5)
+        with pytest.raises(ValueError, match="6 lattice points exceed"):
+            embedding_consistency(pair, 1, 1)
 
     def test_cardinality_law(self):
         for d in (1, 2, 3):

@@ -6,16 +6,18 @@ flat axis, an arc that wraps round m, and an axis whose unpadded field of
 next field or one digit short of it unless the pad widens the field.
 """
 
+import math
 from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mstdkit import GroupSpec, GroupSubset, LatticeSet, mstd_delta
+from mstdkit import GroupSpec, GroupSubset, LatticeSet, grouplattice, mstd_delta, setops
 from mstdkit import lattice_sum_diff, lattice_sum_diff_card, linearize, thicken
-from mstdkit.grouplattice import _box_cards, _box_image
+from mstdkit import thickening_bounds, to_lattice
+from mstdkit.grouplattice import _box_cards, _box_image, _group_cards
 from mstdkit.setops import I64_MAX, I64_MIN
-from oracles import brute_lattice_fold
+from oracles import brute_group_fold, brute_lattice_fold
 
 SHAPES = ("any", "mod2", "flat", "wrap", "w=m", "w=m+1")
 
@@ -99,3 +101,73 @@ def test_box_image_is_linearized_thickening(a, t):
     image = _box_image(a, t).image
     assert image == linearize(thicken(a, t), 2).image
     assert list(astuple(mstd_delta(image))) == _box_cards(a, t, (2, 0), (1, 1))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_thickening_bounds_match_brute(data):
+    h, k = data.draw(_pairs.filter(lambda p: p[0] >= 1))
+    a = data.draw(_subsets(h + k))
+    t = data.draw(st.integers(1, 3))
+    group_card = len(brute_group_fold(a.elements, a.spec.moduli, h, k))
+    lat_card = len(brute_lattice_fold(thicken(a, t).points, h, k))
+    d, base = a.spec.dim, (h + k) * t - 2 * (h + k - 1)
+    upper = lat_card <= group_card * ((h + k) * t) ** d
+    lower = base < 0 or lat_card >= group_card * base**d
+    assert astuple(thickening_bounds(a, h, k, t)) == (upper, lower) == (True, True)
+
+
+def _spread(coords, m=None):
+    """The largest digit on one axis of a layout: max less min, or in Z/m, m
+    less the widest cyclic gap between the coordinates."""
+    vals = sorted(set(coords))
+    if m is None:
+        return vals[-1] - vals[0]
+    return m - max(b - a for a, b in zip(vals, vals[1:] + [vals[0] + m]))
+
+
+def _no_fold(*args):
+    raise AssertionError("folded past the span check")
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_layouts_either_side_of_the_span_limit(data):
+    # each count runs with MAX_SPAN_BITS at its layout's bits, prod(w_i) - 1,
+    # and one bit below them
+    h, k = data.draw(_pairs)
+    a = data.draw(_subsets(h + k))
+    t = data.draw(st.integers(1, 3))
+    cols, moduli, total = list(zip(*a.elements)), a.spec.moduli, h + k
+
+    def bits(widths):
+        return math.prod(widths) - 1
+
+    cases = [
+        (
+            bits(total * _spread(c, m) + 1 for c, m in zip(cols, moduli)),
+            lambda: _group_cards(a, (h, k)),
+            [len(brute_group_fold(a.elements, moduli, h, k))],
+        ),
+        (
+            bits(total * (_spread(c) + m * (t - 1)) + 1 for c, m in zip(cols, moduli)),
+            lambda: _box_cards(a, t, (h, k)),
+            [len(brute_lattice_fold(thicken(a, t).points, h, k))],
+        ),
+    ]
+    if (h, k) != (1, 0):  # the lattice folds return S itself at (1, 0)
+        cases.append(
+            (
+                bits(total * _spread(c) + 1 for c in cols),
+                lambda: lattice_sum_diff_card(to_lattice(a), h, k),
+                len(brute_lattice_fold(a.elements, h, k)),
+            )
+        )
+    for limit, count, want in cases:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(setops, "MAX_SPAN_BITS", limit)
+            assert count() == want
+            patch.setattr(setops, "MAX_SPAN_BITS", limit - 1)
+            patch.setattr(grouplattice, "_fold_sum_diff", _no_fold)
+            with pytest.raises(ValueError, match="dense-kernel limit"):
+                count()

@@ -409,7 +409,8 @@ class TestRandom:
     @pytest.mark.parametrize("chunk_bits", [1, 3, None], ids=["chunk1", "chunk3", "default"])
     def test_batch_size_invariant(self, monkeypatch, chunk_bits):
         # batches of one row up to batches wider than the trials
-        grid = [(63, 64, 37, 1), (63, 12, 500, 2), (40, 12, 1001, 5), (20, 1, 50, 3), (5, 2, 99, 4)]
+        grid = [(63, 64, 37, 1), (63, 12, 500, 2), (40, 12, 1001, 5), (20, 1, 50, 3), (5, 2, 99, 4),
+                (70, 12, 37, 1), (200, 2, 300, 7)]
         want = [replay_random_search(*args) for args in grid]
         if chunk_bits is not None:
             monkeypatch.setattr(search, "_CHUNK_BITS", chunk_bits)

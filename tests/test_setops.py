@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from mstdkit import (
     IntSet,
@@ -21,8 +21,8 @@ from mstdkit import (
     symmetry_witness,
 )
 from mstdkit import setops
-from mstdkit.setops import I64_MAX, MAX_SPAN_BITS, _FOLD_MIN, _RUN_MIN, _bit_positions
-from mstdkit.setops import _fold_runs, _shift_or
+from mstdkit.setops import I64_MAX, I64_MIN, MAX_SPAN_BITS, _FOLD_MIN, _RUN_MIN
+from mstdkit.setops import _bit_positions, _check_i64, _check_span, _fold_runs, _shift_or
 from oracles import brute_diffset, brute_sum_diff, brute_sumset
 
 A1 = IntSet([0, 2, 3, 4, 7, 11, 12, 14])
@@ -206,6 +206,86 @@ class TestSumDiffEnvelope:
         x = I64_MAX // 3
         with pytest.raises(OverflowError, match=re.escape(f"value {3 * (x + 1)} exceeds")):
             sum_diff(IntSet([x, x + 1]), h, k)
+
+
+    @pytest.mark.parametrize(
+        "elems, h, k, error, message",
+        [
+            # the span check fails first, at j = 2^27 + 1
+            ([0, 1], 10**9, 0, ValueError, f"span {MAX_SPAN_BITS + 1} exceeds"),
+            # j max A leaves signed 64 bits at j = 2^23
+            ([1 << 40, (1 << 40) + 1], 10**18, 3, OverflowError, f"value {1 << 63} exceeds"),
+            # j min A at j = 2^23 + 1, since -2^63 itself fits
+            ([-(1 << 40), 1 - (1 << 40)], 5, 10**18, OverflowError,
+             f"value {-(((1 << 23) + 1) << 40)} exceeds"),
+        ],
+        ids=["span", "max", "min"],
+    )
+    def test_large_fold_counts_checked_in_a_few_calls(
+        self, monkeypatch, elems, h, k, error, message
+    ):
+        _limit_calls(monkeypatch, "_check_i64", "_check_span")
+        with pytest.raises(error, match=re.escape(message)):
+            sum_diff(IntSet(elems), h, k)
+
+    def test_one_point_folds_at_any_count(self, monkeypatch):
+        _limit_calls(monkeypatch, "_check_i64", "_check_span", "_shift_or")
+        assert h_fold(IntSet([0]), 10**18) == IntSet([0])
+        assert sum_diff(IntSet([0]), 10**18, 10**18) == IntSet([0])
+        assert sum_diff(IntSet([-3]), 2, 10**18 + 2) == IntSet([3 * 10**18])
+
+
+def _limit_calls(monkeypatch, *names, most=40):
+    """Make setops' functions ``names`` raise once they are called more than
+    ``most`` times in all, so that work that grows with a fold count fails
+    at once instead of running on."""
+    calls = []
+    for name in names:
+        def limited(*args, real=getattr(setops, name)):
+            calls.append(name)
+            assert len(calls) <= most, f"more than {most} calls"
+            return real(*args)
+
+        monkeypatch.setattr(setops, name, limited)
+
+
+def _check_sum_diff_per_fold(lo, hi, h, k):
+    """``setops._check_sum_diff`` as the checks of each j-fold in turn."""
+    for j in range(2, max(h, k) + 1):
+        _check_i64(j * lo)
+        _check_i64(j * hi)
+        _check_span(j * (hi - lo))
+    lo, hi = _check_i64(h * lo - k * hi), _check_i64(h * hi - k * lo)
+    _check_span(hi - lo)
+    return lo, hi
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (OverflowError, ValueError) as e:
+        return type(e), str(e)
+
+
+# values that a j-fold for j <= 40 takes past signed 64 bits, or past the span limit,
+# or just short of it
+_near_i64 = st.builds(
+    lambda j, d, sign: sign * ((1 << 63) // j + d),
+    st.integers(1, 40), st.integers(-2, 2), st.sampled_from((1, -1)),
+)
+_near_span = st.builds(lambda j, d: MAX_SPAN_BITS // j + d, st.integers(1, 40), st.integers(-2, 2))
+
+
+@given(
+    st.one_of(st.integers(-9, 9), _near_i64),
+    st.one_of(st.integers(0, 9), _near_span),
+    st.integers(0, 45),
+    st.integers(0, 45),
+)
+def test_envelope_checks_match_the_checks_per_fold(lo, span, h, k):
+    assume(I64_MIN <= lo and lo + span <= I64_MAX)
+    args = (lo, lo + span, h, k)
+    assert _outcome(setops._check_sum_diff, *args) == _outcome(_check_sum_diff_per_fold, *args)
 
 
 @pytest.mark.parametrize(
