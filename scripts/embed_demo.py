@@ -20,7 +20,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--min-n", type=_int_arg, default=7)
     parser.add_argument("--max-n", type=_int_arg, default=10)
-    parser.add_argument("--t-max", type=_int_arg, default=16)
+    parser.add_argument("--t-max", type=_int_arg, default=32)
     args = parser.parse_args()
     for name, n in (("--min-n", args.min_n), ("--max-n", args.max_n)):
         if not 2 <= n <= MAX_COUNT_N:

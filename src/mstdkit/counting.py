@@ -64,8 +64,7 @@ class ParityGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "eps", _strict_ints("eps", self.eps))
-        if _strict_int("n", self.n) < 2:
-            raise ValueError("n must be at least 2")
+        _graph_n(self.n)
         if len(self.eps) != self.n:
             raise ValueError("eps must have exactly n bits")
         if any(e not in (0, 1) for e in self.eps):
@@ -73,6 +72,10 @@ class ParityGraph:
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "ParityGraph":
+        """The graph whose eps_i is bit i of ``mask``, which must be in [0, 2^n)."""
+        n, mask = _graph_n(n), _strict_int("mask", mask)
+        if not 0 <= mask < 1 << n:
+            raise ValueError(f"mask must be in [0, 2^{n})")
         return cls(n, tuple((mask >> i) & 1 for i in range(n)))
 
     @property
@@ -98,6 +101,7 @@ def covers_group(g: ParityGraph) -> bool:
 
 def coverage_bound(n: int) -> int:
     """The union bound: 2^n minus the sum of all 2n miss counts."""
+    n = _graph_n(n)
     return 2**n - n * 2 ** (n // 2 + 1)
 
 
@@ -153,6 +157,14 @@ def _twisted_fixed(n: int, b: int, c: int, e: int, u: int) -> int:
     if u * (n // e) % 2 or any((c + ((b - i) % n - i) // e * u) % 2 for i in fixed):
         return 0
     return 1 << ((e + len(fixed)) // 2)
+
+
+def _graph_n(n) -> int:
+    """``n`` as an int of at least 2, the least n of a parity graph, or ValueError."""
+    n = _strict_int("n", n)
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    return n
 
 
 def _check_n(n: int) -> int:

@@ -127,9 +127,9 @@ shifted to 0, m = OR_j 1 << s_j, and for each column e
 
 where hi holds the bits of A+A from 64 up (m >> (64 - e), written so no
 shift reaches 64), and delta = |lo| + |hi| - (2 |dif| - 1); the rows are
-then grouped by delta.  ``mstd_delta``'s range and span checks grow with
-max A and with the span, and every sample lies in [0, range_max], so
-one check of the whole range before the first draw covers every sample.
+then grouped by delta.  The lanes need no range or span check: A+A of a
+sample in [0, 63] lies in [0, 126], far inside the signed 64-bit range
+and the span limit, so ``mstd_delta``'s checks cannot fail on it.
 Above 63 ``_score_sets`` takes ``mstd_delta`` of each sample, whose
 checks raise at the first failing trial.  Both scorers cost O(|A|)
 shifts per sample, while the exhaustive tables enumerate whole bands,
@@ -168,7 +168,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator
 
-from .setops import I64_MAX, IntSet, _check_sum_diff, _strict_int, mstd_delta
+from .setops import I64_MAX, IntSet, _strict_int, mstd_delta, normalize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -502,10 +502,6 @@ def random_search(range_max: int, size: int, trials: int, seed: int) -> SearchRe
     n = range_max + 1
     population = range(n)
     lanes = range_max <= 63
-    if lanes:
-        # every sample lies in [0, range_max], and mstd_delta's checks grow with
-        # max A and with the span, so this one call covers every sample
-        _check_sum_diff(0, range_max, 2, 0)
     replay = _PoolReplay(rng, n, size) if lanes and _replays_sample(n, size) else None
     score = _score_lanes if lanes else _score_sets
     rows = max(1, (1 << _CHUNK_BITS) // size)
@@ -561,10 +557,8 @@ def _score_sets(draws: list[list[int]]) -> Iterator[tuple[int, int, list[int]]]:
     """(delta, 1, normalized sample) for each sorted sample, by ``mstd_delta``,
     whose checks raise at the first failing one."""
     for elems in draws:
-        d = mstd_delta(IntSet._from_sorted(elems)).delta
-        s = [e - elems[0] for e in elems]
-        g = math.gcd(*s)
-        yield d, 1, [e // g for e in s] if g > 1 else s
+        a = IntSet._from_sorted(elems)
+        yield mstd_delta(a).delta, 1, list(normalize(a).elements)
 
 
 def _report(range_max: int, spectrum: dict, least: dict, enumerated: int) -> SearchReport:

@@ -33,17 +33,20 @@ other shifts stay single.  ``_shift_or(mask, shifts)`` ORs fewer than
 ``_runs``; the gap family calls ``_runs`` once on its base.  The cutoffs
 were measured (CHANGES.md).
 
+A+B has one fold, ``_sum_mask``: the min, max and span checks of A+B,
+then the larger operand's mask shifted by the other's offsets, and on a
+size tie the first operand's.  A-B is A+(-B), with -B negated unchecked
+for ``_sum_mask`` alone to read.  By the tie rule ``diffset(a, a)`` and
+``mstd_delta``, which counts the bits of A+A and A+(-A), shift A's own
+mask, and the checks of A+A cover A+(-A).
+
 hA - kA has one fold and one envelope.  ``_fold_sum_diff`` folds the
 mask 1 of {0} h times by A's elements less ``min A`` and k times by
 ``max A`` less each element: a sum of those terms is a sum of h
 elements less a sum of k, moved up by ``k max A - h min A``.  Before
 it, ``_check_sum_diff`` makes the range and span checks of building
-hA - kA a step at a time with ``sumset`` and ``diffset``.
-``sum_diff``, ``mstd_delta``, ``search`` and ``grouplattice`` share
-them.
-
-``mstd_delta`` only counts: it takes ``int.bit_count`` of the A+A and
-A-A masks and never expands them into sets.
+hA - kA a step at a time with ``sumset`` and ``diffset``.  ``sum_diff``
+runs both, and ``grouplattice``'s group, lattice and embed folds the fold.
 
 All element arithmetic is range-checked against signed 64-bit bounds;
 a result outside them raises ``OverflowError`` instead of wrapping.
@@ -58,7 +61,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import eq, sub
+from operator import eq, neg, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 I64_MIN = -(1 << 63)
@@ -380,32 +383,28 @@ def sumset(a: IntSet, b: IntSet) -> IntSet:
     """A+B = {x + y : x in A, y in B}; empty if either operand is empty."""
     if not a or not b:
         return IntSet()
-    base = _check_i64(a.min + b.min)
-    _check_i64(a.max + b.max)
-    _check_span(a.span + b.span)
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    smin = small.min
-    acc = _shift_or(big.mask, (y - smin for y in small))
+    acc, base = _sum_mask(a, b)
     return IntSet._from_sorted(_bit_positions(acc, base), acc)
+
+
+def _sum_mask(a: IntSet, b: IntSet) -> tuple[int, int]:
+    """The mask of A+B for nonempty A and B and its base ``min A + min B``,
+    after A+B's range and span checks (module docstring)."""
+    base = _check_i64(a.min + b.min)
+    _check_span(_check_i64(a.max + b.max) - base)  # the span of A plus that of B
+    small, big = (a, b) if len(a) < len(b) else (b, a)
+    smin = small.min
+    return _shift_or(big.mask, [y - smin for y in small.elements]), base
+
+
+def _negated(a: IntSet) -> IntSet:
+    """-A, unchecked: its elements may reach 2^63, so only ``_sum_mask`` reads it."""
+    return IntSet._from_sorted(map(neg, reversed(a.elements)))
 
 
 def diffset(a: IntSet, b: IntSet) -> IntSet:
-    """A-B = {x - y : x in A, y in B}; empty if either operand is empty.
-
-    Bit ``(x - min A) + (max B - y)`` marks ``x - y``: A's mask is shifted by
-    ``max B - y``, or, when A is smaller, the mask of -B by ``x - min A``."""
-    if not a or not b:
-        return IntSet()
-    base = _check_i64(a.min - b.max)
-    _check_i64(a.max - b.min)
-    _check_span(a.span + b.span)
-    bmax = b.max
-    if len(b) <= len(a):
-        acc = _shift_or(a.mask, (bmax - y for y in b))
-    else:
-        amin = a.min
-        acc = _shift_or(_shift_or(1, (bmax - y for y in b)), (x - amin for x in a))
-    return IntSet._from_sorted(_bit_positions(acc, base), acc)
+    """A-B = {x - y : x in A, y in B}; empty if either operand is empty."""
+    return sumset(a, _negated(b))
 
 
 def h_fold(a: IntSet, h: int) -> IntSet:
@@ -507,17 +506,11 @@ def symmetry_witness(a: IntSet) -> Optional[SymmetryWitness]:
 def mstd_delta(a: IntSet) -> MstdDelta:
     """|A+A|, |A-A| and their difference; positive delta means A is MSTD.
 
-    Counts the set bits of the two shift-OR masks, after the checks of
-    ``sum_diff(a, 2, 0)``, which cover A-A too, without building either
-    set."""
+    Counts the set bits of the masks of A+A and A+(-A) without building
+    either set; the checks of A+A (2 min A, 2 max A, twice the span) cover A-A."""
     if not a:
         return MstdDelta(0, 0)
-    lo, hi = a.min, a.max
-    _check_sum_diff(lo, hi, 2, 0)
-    # A+A is the mask shifted by each e - min A, and A-A, moved up by the
-    # span, the mask shifted by each max A - e
-    sums = _shift_or(a.mask, [e - lo for e in a.elements])
-    diffs = _shift_or(a.mask, [hi - e for e in a.elements])
+    sums, diffs = _sum_mask(a, a)[0], _sum_mask(a, _negated(a))[0]
     return MstdDelta(sums.bit_count(), diffs.bit_count())
 
 

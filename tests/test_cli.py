@@ -391,6 +391,19 @@ def test_embed_demo_reports_a_failed_embed_per_n():
     assert lines[1].startswith("n=8: ")
 
 
+def test_embed_demo_default_t_max_reaches_n_22():
+    # the first covering witness needs t = n - 5 for n = 7..24, so n = 22
+    # needs t = 17, within the default t_max of 32 that embed_report shares
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "embed_demo.py"), "--min-n", "22", "--max-n", "22"],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("n=22: t=17 radix=1493 "), lines[0]
+    assert not any("no thickness" in line for line in lines)
+
+
 def test_embed_demo_exits_on_a_wrong_delta(capsys, monkeypatch):
     # a delta that mstd_delta of the image does not confirm is printed, and
     # the script exits with status 1 after the last n

@@ -106,6 +106,40 @@ class TestParityGraph:
             ParityGraph(3.0, (0, 1, 1))
         assert ParityGraph(np.int64(3), (0, np.uint8(1), 1)) == ParityGraph(3, (0, 1, 1))
 
+    @pytest.mark.parametrize(
+        "n, mask, message",
+        [(3, 0b1000, "mask must be in [0, 2^3)"), (3, -1, "mask must be in [0, 2^3)"),
+         (3, True, "mask must be an integer, got true"),
+         (3, 2.0, "mask must be an integer, got 2.0"),
+         (3.0, 1, "n must be an integer, got 3.0"), (1, 0, "n must be at least 2")],
+    )
+    def test_from_mask_rejects_what_it_cannot_represent(self, n, mask, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ParityGraph.from_mask(n, mask)
+
+    def test_from_mask_takes_every_mask_in_range(self):
+        assert [ParityGraph.from_mask(2, m).eps for m in range(4)] == [
+            (0, 0), (1, 0), (0, 1), (1, 1)
+        ]
+        assert ParityGraph.from_mask(np.int64(3), np.uint8(5)) == ParityGraph(3, (1, 0, 1))
+
+
+class TestCoverageBound:
+    @pytest.mark.parametrize(
+        "n, message",
+        [(2.5, "n must be an integer, got 2.5"), (True, "n must be an integer, got true"),
+         (-3, "n must be at least 2"), (1, "n must be at least 2")],
+    )
+    def test_rejects_non_graph_sizes(self, n, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            coverage_bound(n)
+
+    def test_takes_any_integer_from_two(self):
+        assert coverage_bound(2) == 2**2 - 2 * 2**2
+        assert coverage_bound(np.int64(7)) == coverage_bound(7)
+        n = MAX_COUNT_N + 1  # one closed form, with no cap
+        assert coverage_bound(n) == 2**n - n * 2 ** (n // 2 + 1)
+
 
 class TestCovers:
     def test_n2_never_covers(self):

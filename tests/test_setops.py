@@ -128,6 +128,42 @@ class TestMaskCache:
         assert got._mask_cache == IntSet(got.elements).mask
 
 
+class TestFoldCost:
+    """The masks ``_shift_or`` is called on: which masks each fold shifts and builds."""
+
+    @pytest.fixture
+    def shifted(self, monkeypatch):
+        calls = []  # (mask, result) per call
+
+        def record(mask, shifts):
+            out = _shift_or(mask, shifts)
+            calls.append((mask, out))
+            return out
+
+        monkeypatch.setattr(setops, "_shift_or", record)
+        return calls
+
+    def test_mstd_delta_shifts_the_cached_mask_twice(self, shifted):
+        a = IntSet(A1.elements)
+        mask = a.mask
+        shifted.clear()
+        assert mstd_delta(a) == MstdDelta(26, 25)
+        assert [m for m, _ in shifted] == [mask, mask]
+
+    def test_difference_with_itself_shifts_the_cached_mask_once(self, shifted):
+        a = IntSet(A1.elements)
+        mask = a.mask
+        shifted.clear()
+        assert set(diffset(a, a)) == brute_diffset(a, a)
+        assert [m for m, _ in shifted] == [mask]
+
+    def test_larger_subtrahend_builds_only_its_negation(self, shifted):
+        a, b = IntSet([0, 3, 4]), IntSet([-2, 5, 6, 11])
+        assert set(diffset(a, b)) == brute_diffset(a, b)
+        # a mask is built by shifting the mask 1 of {0}; -B's has bit max B - y per y
+        assert [out for m, out in shifted if m == 1] == [sum(1 << (b.max - y) for y in b)]
+
+
 class TestHFold:
     def test_zero_fold_is_origin(self):
         assert h_fold(A1, 0) == IntSet([0])
