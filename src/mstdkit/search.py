@@ -150,14 +150,15 @@ whose top b bits x >> (8 - b) are below m exactly when x < m << (8 - b).
 A Python loop walks the raw bytes, one try per word, and keeps each
 accepted x; each column of these is shifted down by 8 - b once, to give
 j, and the pool swaps then run on a (rows, n) uint8 array a column at a
-time.  Words left unread carry over to the next batch.  A sample that
-runs out of words starts again once more words of the stream are drawn,
-so a shortfall never skips or changes a draw.  The rng is private to
-``random_search``, so the words drawn past the last sample change
-nothing.  ``_replays_sample`` checks the replay against ``rng.sample`` on
-a fixed seed, once per (n, k) and process; where they differ, as on an
-interpreter whose sampler draws otherwise, and in the set branch
-(n > setsize), the batches are ``sorted(rng.sample(...))``, as above 63.
+time.  The bytes come from one stream per replay, refilled with the top
+bytes of the next 2^_CHUNK_BITS words whenever it runs dry, so a sample
+may cross a refill and each ``draw`` goes on where the last one stopped.
+The rng is private to ``random_search``, so the words drawn past the
+last sample change nothing.  ``_replays_sample`` checks the replay
+against ``rng.sample`` on a fixed seed, once per (n, k) and process;
+where they differ, as on an interpreter whose sampler draws otherwise,
+and in the set branch (n > setsize), the batches are
+``sorted(rng.sample(...))``, as above 63.
 """
 
 from __future__ import annotations
@@ -166,6 +167,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
 from .setops import I64_MAX, IntSet, _strict_int, mstd_delta, normalize
@@ -577,51 +579,36 @@ def _report(range_max: int, spectrum: dict, least: dict, enumerated: int) -> Sea
 
 class _PoolReplay:
     """``rng.sample(range(n), k)`` for n <= 64 in CPython's pool branch,
-    replayed from bulk generator words (module docstring).  Unread words
-    carry over from one ``draw`` to the next, so successive draws make
+    replayed from the top bytes of bulk generator words (module docstring).
+    One byte stream runs through successive ``draw`` calls, so they make
     the same samples as successive ``rng.sample`` calls."""
 
     def __init__(self, rng: random.Random, n: int, k: int) -> None:
-        self.rng = rng
         self.n = n
         # step i draws randbelow(n - i) from a word's top b = (n - i).bit_length() <= 7
         # bits, which its top byte x holds: x >> (8 - b) < n - i exactly when
         # x < (n - i) << (8 - b), so the walk compares raw bytes with these limits
         self.drops = [8 - (n - i).bit_length() for i in range(k)]
         self.limits = [(n - i) << d for i, d in enumerate(self.drops)]
-        # words a sample takes on average: each try is kept with chance limit / 256
-        self.per_sample = sum(256 / limit for limit in self.limits)
-        self.unread = b""  # the top byte of each word drawn and not yet read
+        words = 1 << _CHUNK_BITS
+        # word j is bits [32j, 32j + 32), so its top byte is byte 4j + 3
+        refills = iter(lambda: rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4], b"")
+        self.next_byte = chain.from_iterable(refills).__next__
 
     def draw(self, count: int) -> np.ndarray:
         """The next ``count`` samples, as the rows of a uint8 array."""
         import numpy as np
 
-        k, limits = len(self.limits), self.limits
+        next_byte, limits = self.next_byte, self.limits
         picks = bytearray()  # the accepted byte of each step, k per sample
-        while len(picks) < count * k:
-            left = count - len(picks) // k
-            # at least one new word, so a sample cut short gets further each pass
-            new = max(1, math.ceil(left * self.per_sample) - len(self.unread))
-            # word j is bits [32j, 32j + 32), so its top byte is byte 4j + 3
-            self.unread += self.rng.getrandbits(32 * new).to_bytes(4 * new, "little")[3::4]
-            v = self.unread
-            q = start = 0
-            try:
-                for _ in range(left):
-                    for limit in limits:
-                        r = v[q]
-                        q += 1
-                        while r >= limit:
-                            r = v[q]
-                            q += 1
-                        picks.append(r)
-                    start = q
-            except IndexError:  # out of words mid-sample: it starts again on more
-                del picks[len(picks) - len(picks) % k :]
-            self.unread = self.unread[start:]
+        for _ in range(count):
+            for limit in limits:
+                r = next_byte()
+                while r >= limit:
+                    r = next_byte()
+                picks.append(r)
         # the pool swaps, a column at a time: result[i] = pool[j]; pool[j] = pool[n - i - 1]
-        picks = np.frombuffer(picks, dtype=np.uint8).reshape(count, k)
+        picks = np.frombuffer(picks, dtype=np.uint8).reshape(count, len(limits))
         pool = np.tile(np.arange(self.n, dtype=np.uint8), (count, 1))
         rows = np.arange(count)
         out = np.empty_like(picks)

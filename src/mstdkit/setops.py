@@ -36,9 +36,10 @@ were measured (CHANGES.md).
 A+B has one fold, ``_sum_mask``: the min, max and span checks of A+B,
 then the larger operand's mask shifted by the other's offsets, and on a
 size tie the first operand's.  A-B is A+(-B), with -B negated unchecked
-for ``_sum_mask`` alone to read.  By the tie rule ``diffset(a, a)`` and
-``mstd_delta``, which counts the bits of A+A and A+(-A), shift A's own
-mask, and the checks of A+A cover A+(-A).
+for ``_sum_mask`` alone to read.  By the tie rule ``diffset(a, a)``
+shifts A's own mask.  ``mstd_delta`` shifts A's mask twice, by A's
+offsets ``e - min A`` for A+A (through ``_sum_mask``) and by
+``max A - e`` for A-A, with no -A built: the checks of A+A cover A-A.
 
 hA - kA has one fold and one envelope.  ``_fold_sum_diff`` folds the
 mask 1 of {0} h times by A's elements less ``min A`` and k times by
@@ -506,11 +507,14 @@ def symmetry_witness(a: IntSet) -> Optional[SymmetryWitness]:
 def mstd_delta(a: IntSet) -> MstdDelta:
     """|A+A|, |A-A| and their difference; positive delta means A is MSTD.
 
-    Counts the set bits of the masks of A+A and A+(-A) without building
-    either set; the checks of A+A (2 min A, 2 max A, twice the span) cover A-A."""
+    Counts the set bits of the masks of A+A and A-A without building
+    either set; the checks of A+A (2 min A, 2 max A, twice the span) cover
+    A-A, whose mask is A's shifted by ``max A - e`` for each element e."""
     if not a:
         return MstdDelta(0, 0)
-    sums, diffs = _sum_mask(a, a)[0], _sum_mask(a, _negated(a))[0]
+    top = a.max
+    sums = _sum_mask(a, a)[0]
+    diffs = _shift_or(a.mask, [top - e for e in a.elements])
     return MstdDelta(sums.bit_count(), diffs.bit_count())
 
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -492,36 +493,38 @@ class TestPoolReplay:
         st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
         st.integers(-(2**70), 2**70),
         st.lists(st.integers(1, 40), min_size=1, max_size=4),
+        st.sampled_from([search._CHUNK_BITS, 0]),  # refills of 2^14 words, or of one
     )
-    def test_rows_match_rng_sample_on_any_pool_shape(self, shape, seed, counts):
+    def test_rows_match_rng_sample_on_any_pool_shape(self, shape, seed, counts, chunk_bits):
         n, k = shape
         if search._replays_sample(n, k):
-            want, got = _samples(n, k, seed, counts)
+            with mock.patch.object(search, "_CHUNK_BITS", chunk_bits):
+                want, got = _samples(n, k, seed, counts)
             assert got == want
 
     @pytest.mark.parametrize("n, k", [(41, 12), (33, 6), (64, 64), (2, 1)])
-    def test_one_word_blocks_extend_the_stream_mid_sample(self, n, k):
+    def test_one_word_blocks_extend_the_stream_mid_sample(self, monkeypatch, n, k):
         rng = random.Random(5)
         want = [rng.sample(range(n), k) for _ in range(40)]
+        monkeypatch.setattr(search, "_CHUNK_BITS", 0)  # each refill is a single word
         replay = search._PoolReplay(random.Random(5), n, k)
-        replay.per_sample = 0  # each pass draws a single word
         got = replay.draw(25).tolist() + replay.draw(15).tolist()
         assert got == want
 
-    def test_unread_words_carry_across_one_row_batches(self, monkeypatch):
+    def test_stream_carries_across_one_row_batches(self, monkeypatch):
         draw = search._PoolReplay.draw
-        carried = []
+        counts = []
 
         def spy(self, count):
-            assert count == 1
-            carried.append(len(self.unread))
+            counts.append(count)
             return draw(self, count)
 
         monkeypatch.setattr(search._PoolReplay, "draw", spy)
-        monkeypatch.setattr(search, "_CHUNK_BITS", 1)
+        # one row per batch and one word per refill, so every sample crosses a refill
+        monkeypatch.setattr(search, "_CHUNK_BITS", 0)
         args = (40, 12, 300, 3)
         assert random_search(*args).to_dict() == replay_random_search(*args)
-        assert len(carried) == 300 and carried[0] == 0 and max(carried) > 0
+        assert counts == [1] * 300
 
     def test_set_branch_is_not_replayed(self):
         assert not search._replays_sample(41, 3)  # 41 > setsize 21

@@ -150,6 +150,26 @@ class TestFoldCost:
         assert mstd_delta(a) == MstdDelta(26, 25)
         assert [m for m, _ in shifted] == [mask, mask]
 
+    def test_mstd_delta_on_a_cached_mask_builds_no_set(self, monkeypatch):
+        a = IntSet(A1.elements)
+        a.mask
+        made = []  # the elements of each IntSet built, checked or trusted
+        init, from_sorted = IntSet.__init__, IntSet._from_sorted.__func__
+
+        def spy_init(self, elements=()):
+            made.append(elements)
+            init(self, elements)
+
+        def spy_from_sorted(cls, elems, mask=None):
+            made.append(elems)
+            return from_sorted(cls, elems, mask)
+
+        monkeypatch.setattr(IntSet, "__init__", spy_init)
+        monkeypatch.setattr(IntSet, "_from_sorted", classmethod(spy_from_sorted))
+        assert mstd_delta(a) == MstdDelta(26, 25)
+        assert made == []
+        assert len(diffset(a, a)) == 25 and len(made) == 2  # -A and A - A
+
     def test_difference_with_itself_shifts_the_cached_mask_once(self, shifted):
         a = IntSet(A1.elements)
         mask = a.mask
