@@ -8,6 +8,7 @@ import os
 import re
 import sys
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .constructions import (
@@ -99,7 +100,7 @@ def _cmd_construct(args) -> dict:
     return {
         "family": args.family,
         "params": params,
-        "set": list(built.elements),
+        "set": built,
         "delta": delta.delta,
         "a_star": a_star,
     }
@@ -116,7 +117,7 @@ def _cmd_embed(args) -> dict:
     return {
         "t_used": result.t,
         "m_used": result.radix,
-        "set": list(result.image.elements),
+        "set": result.image,
         "delta": result.delta,
     }
 
@@ -135,23 +136,32 @@ def _cmd_spectrum(args):
 
 
 def _to_json(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, at nesting ``indent``.
+    """``json.dumps(value, indent=2)``, byte for byte, at nesting ``indent``,
+    where an ``IntSet`` stands for the list of its elements.
 
     With ``indent`` set, ``json.dumps`` runs the pure-Python encoder on every
-    item.  Here a list of ints is one C ``repr``, and other nonempty lists
-    and string-keyed dicts recurse, so only scalars reach ``json.dumps``."""
+    item.  Here a nonempty ``IntSet`` or list of ints is one C-level ``%``
+    format of a ``%d`` template (``"%d" % x == str(x)`` for an int), other
+    nonempty lists and string-keyed dicts recurse, and a key is the
+    ``encode_basestring_ascii`` that ``json.dumps`` calls on a ``str``; so
+    only scalars and empty containers reach ``json.dumps``."""
     kind = type(value)
     if kind is int:
         return str(value)
+    if kind is IntSet and not value:
+        return "[]"
     inner = indent + "  "
-    if kind is list and value:
-        if {*map(type, value)} == {int}:
-            body = str(value)[1:-1].replace(", ", ",\n" + inner)
+    if kind is IntSet or kind is list and value:
+        if kind is IntSet or {*map(type, value)} == {int}:
+            ints = value.elements if kind is IntSet else tuple(value)
+            body = (f"%d,\n{inner}" * (len(ints) - 1) + "%d") % ints
         else:
             body = f",\n{inner}".join([_to_json(v, inner) for v in value])
         return f"[\n{inner}{body}\n{indent}]"
     if kind is dict and value and {*map(type, value)} == {str}:
-        items = [f"{json.dumps(k)}: {_to_json(v, inner)}" for k, v in value.items()]
+        items = [
+            f"{encode_basestring_ascii(k)}: {_to_json(v, inner)}" for k, v in value.items()
+        ]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
     # a scalar, an empty container or a dict with other keys; JSON text
     # holds no raw newline outside its indentation

@@ -126,10 +126,16 @@ shifted to 0, m = OR_j 1 << s_j, and for each column e
     lo |= m << e,   hi |= (m >> 1) >> (63 - e),   dif |= m >> e,
 
 where hi holds the bits of A+A from 64 up (m >> (64 - e), written so no
-shift reaches 64), and delta = |lo| + |hi| - (2 |dif| - 1); the rows are
-then grouped by delta.  The lanes need no range or span check: A+A of a
-sample in [0, 63] lies in [0, 126], far inside the signed 64-bit range
-and the span limit, so ``mstd_delta``'s checks cannot fail on it.
+shift reaches 64), and delta = |lo| + |hi| - (2 |dif| - 1), tallied by
+``np.bincount``.  The least sample per delta is picked on a packed key:
+columns 1..10 of each normalized row (column 0 is 0), 6 bits each as no
+value exceeds 63, in one uint64, which orders rows of one batch as their
+lists do up to column 10.  One ``np.minimum.at`` takes each delta's least
+key; only the rows that tie it become Python lists, and ``min`` breaks
+what ties remain past column 10.  The lanes need no range or span
+check: A+A of a sample in [0, 63] lies in [0, 126], far inside the
+signed 64-bit range and the span limit, so ``mstd_delta``'s checks
+cannot fail on it.
 Above 63 ``_score_sets`` takes ``mstd_delta`` of each sample, whose
 checks raise at the first failing trial.  Both scorers cost O(|A|)
 shifts per sample, while the exhaustive tables enumerate whole bands,
@@ -147,12 +153,14 @@ b = m.bit_length() bits and tries again while they are >= m.
 word j at bits [32j, 32j + 32).  As n <= 64, b <= 7: the replay keeps
 only each word's top byte x (byte 4j + 3 of the little-endian bytes),
 whose top b bits x >> (8 - b) are below m exactly when x < m << (8 - b).
-A Python loop walks the raw bytes, one try per word, and keeps each
-accepted x; each column of these is shifted down by 8 - b once, to give
-j, and the pool swaps then run on a (rows, n) uint8 array a column at a
-time.  The bytes come from one stream per replay, refilled with the top
-bytes of the next 2^_CHUNK_BITS words whenever it runs dry, so a sample
-may cross a refill and each ``draw`` goes on where the last one stopped.
+For each step, a ``for`` loop over the byte stream runs to the first
+byte below the step's limit and keeps it, so there is no Python call per
+byte; each column of the kept bytes is shifted down by 8 - b once, to
+give j, and the pool swaps then run on a (rows, n) uint8 array a column
+at a time.  The bytes come from one stream per replay, refilled with the
+top bytes of the next 2^_CHUNK_BITS words whenever it runs dry, so a
+sample may cross a refill and each ``draw`` goes on where the last one
+stopped.
 The rng is private to ``random_search``, so the words drawn past the
 last sample change nothing.  ``_replays_sample`` checks the replay
 against ``rng.sample`` on a fixed seed, once per (n, k) and process;
@@ -543,16 +551,26 @@ def _score_lanes(draws) -> Iterator[tuple[int, int, list[int]]]:
     sums = np.bitwise_count(lo).astype(np.intp) + np.bitwise_count(hi)
     delta = sums - 2 * np.bitwise_count(dif).astype(np.intp) + 1
     base = int(delta.min())
-    tally = np.bincount(delta - base)
+    index = delta - base
+    tally = np.bincount(index)
     g = np.gcd.reduce(s, axis=1)
     np.maximum(g, one, out=g)  # a singleton shifts to [0], whose gcd is 0
-    # the normalized rows, grouped by delta
-    cands = (s // g[:, None])[np.argsort(delta)].tolist()
-    start = 0
+    norm = s // g[:, None]
+    # columns 1..10 of each normalized row, 6 bits each (values <= 63), in a
+    # key that orders the rows as lists do up to ties past column 10
+    key = np.zeros_like(mask)
+    for col in norm.T[1:11]:
+        key <<= np.uint64(6)
+        key |= col
+    least = np.full(len(tally), np.iinfo(np.uint64).max, dtype=np.uint64)
+    np.minimum.at(least, index, key)
+    # only the rows that tie their delta's least key become lists
+    tied = np.flatnonzero(key == least[index])
+    cands: dict = {}
+    for i, row in zip(index[tied].tolist(), norm[tied].tolist()):
+        cands.setdefault(i, []).append(row)
     for i in np.flatnonzero(tally).tolist():
-        stop = start + int(tally[i])
-        yield i + base, stop - start, min(cands[start:stop])
-        start = stop
+        yield i + base, int(tally[i]), min(cands[i])
 
 
 def _score_sets(draws: list[list[int]]) -> Iterator[tuple[int, int, list[int]]]:
@@ -593,20 +611,22 @@ class _PoolReplay:
         words = 1 << _CHUNK_BITS
         # word j is bits [32j, 32j + 32), so its top byte is byte 4j + 3
         refills = iter(lambda: rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4], b"")
-        self.next_byte = chain.from_iterable(refills).__next__
+        self.stream = chain.from_iterable(refills)
 
     def draw(self, count: int) -> np.ndarray:
         """The next ``count`` samples, as the rows of a uint8 array."""
         import numpy as np
 
-        next_byte, limits = self.next_byte, self.limits
+        stream, limits = self.stream, self.limits
         picks = bytearray()  # the accepted byte of each step, k per sample
+        append = picks.append
         for _ in range(count):
             for limit in limits:
-                r = next_byte()
-                while r >= limit:
-                    r = next_byte()
-                picks.append(r)
+                # resumes the stream where the last step stopped
+                for r in stream:
+                    if r < limit:
+                        append(r)
+                        break
         # the pool swaps, a column at a time: result[i] = pool[j]; pool[j] = pool[n - i - 1]
         picks = np.frombuffer(picks, dtype=np.uint8).reshape(count, len(limits))
         pool = np.tile(np.arange(self.n, dtype=np.uint8), (count, 1))

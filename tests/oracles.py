@@ -119,23 +119,30 @@ def random_draws(range_max, size, seed):
         yield sorted(rng.sample(population, size))
 
 
-def replay_random_search(range_max, size, trials, seed) -> dict:
-    """``random_search(...).to_dict()``, scoring each draw with Python sets."""
-    spectrum = {}
-    witnesses = {}
-    for elems, _ in zip(random_draws(range_max, size, seed), range(trials)):
+def score_batch(draws) -> dict:
+    """{delta: (tally, least normalized sample)} over the samples ``draws``,
+    scored with Python sets; a normalized sample is A - min A divided by its
+    gcd, as a sorted list."""
+    scored = {}
+    for row in draws:
+        elems = sorted(row)
         d = len(brute_sumset(elems, elems)) - len(brute_diffset(elems, elems))
-        spectrum[d] = spectrum.get(d, 0) + 1
         shifted = [e - elems[0] for e in elems]
         g = math.gcd(*shifted) or 1  # a singleton shifts to [0], whose gcd is 0
         w = [e // g for e in shifted]
-        if d not in witnesses or w < witnesses[d]:
-            witnesses[d] = w
+        tally, least = scored.get(d, (0, w))
+        scored[d] = (tally + 1, min(least, w))
+    return scored
+
+
+def replay_random_search(range_max, size, trials, seed) -> dict:
+    """``random_search(...).to_dict()``, scoring each draw with Python sets."""
+    scored = score_batch(itertools.islice(random_draws(range_max, size, seed), trials))
     return {
         "range_max": range_max,
         "enumerated": trials,
-        "spectrum": {str(d): spectrum[d] for d in sorted(spectrum)},
-        "witnesses": {str(d): witnesses[d] for d in sorted(witnesses)},
+        "spectrum": {str(d): scored[d][0] for d in sorted(scored)},
+        "witnesses": {str(d): scored[d][1] for d in sorted(scored)},
     }
 
 

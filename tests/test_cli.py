@@ -18,6 +18,7 @@ import mstdkit
 from mstdkit import GroupSubset, IntSet, embed_report, find_group_mstd, mstd_delta
 from mstdkit import cli
 from mstdkit.cli import main
+from mstdkit.setops import I64_MAX, I64_MIN
 
 A1 = [0, 2, 3, 4, 7, 11, 12, 14]
 A2 = [0, 2, 3, 4, 7, 9, 13, 14, 16]
@@ -478,10 +479,32 @@ def test_scripts_take_only_decimal_integers(script, args, shown):
         {"t_used": 2, "set": [-(1 << 70), 3], "delta": 1},
         # values that leave the fast paths
         [], {}, [[]], [True, 1], [1, 2.5, None], {"\u00e9\"": "\u00fc\n"}, {1: [2]}, 7,
+        # the construct and embed "set", and ints at str's digit limit
+        IntSet(), IntSet([5]), IntSet([I64_MIN, 0, I64_MAX]),
+        {"t_used": 1, "inner": {"set": IntSet([-3, 0, 7]), "empty": IntSet()}},
+        [10**4299, -(10**4299)],
     ],
 )
 def test_json_emitter_matches_indented_dumps(value):
-    assert cli._to_json(value) == json.dumps(value, indent=2)
+    assert cli._to_json(value) == json.dumps(_listed(value), indent=2)
+
+
+def _listed(value):
+    """``value`` with each ``IntSet`` in it replaced by the list of its elements."""
+    if type(value) is IntSet:
+        return list(value.elements)
+    if type(value) is list:
+        return [_listed(v) for v in value]
+    if type(value) is dict:
+        return {k: _listed(v) for k, v in value.items()}
+    return value
+
+
+@given(st.builds(IntSet, st.lists(st.integers(I64_MIN, I64_MAX))))
+def test_json_emitter_writes_an_intset_as_its_list(s):
+    assert cli._to_json(s) == json.dumps(list(s.elements), indent=2)
+    nested = {"t_used": 2, "set": s}
+    assert cli._to_json(nested) == json.dumps({"t_used": 2, "set": list(s.elements)}, indent=2)
 
 
 json_values = st.recursive(

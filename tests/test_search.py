@@ -16,7 +16,14 @@ from mstdkit import IntSet, exhaustive_spectrum, mstd_delta, normalize, random_s
 from mstdkit import search
 from mstdkit.search import MAX_RANGE
 from mstdkit.setops import I64_MAX, MAX_SPAN_BITS
-from oracles import _lex_key, brute_diffset, brute_sumset, random_draws, replay_random_search
+from oracles import (
+    _lex_key,
+    brute_diffset,
+    brute_sumset,
+    random_draws,
+    replay_random_search,
+    score_batch,
+)
 
 
 def brute_spectrum(range_max, min_size, max_size):
@@ -440,6 +447,53 @@ class TestRandom:
         assert 2 * first[-1] > I64_MAX and 2 * (first[-1] - first[0]) > MAX_SPAN_BITS
         with pytest.raises(OverflowError):
             random_search(I64_MAX - 1, 2, 1, 1)
+
+
+def _scored(draws):
+    return {d: (tally, least) for d, tally, least in search._score_lanes(draws)}
+
+
+# 11 elements of [0, 25]; with a twelfth x > 25 the rows share normalized
+# columns 1..10, and so the scorer's packed key, and differ in column 11
+_PREFIX = [0, 2, 3, 4, 7, 11, 12, 14, 20, 21, 25]
+
+
+class TestScoreLanes:
+    def test_rows_that_differ_past_the_key(self):
+        # descending x, each row reversed, so the least row comes last
+        draws = [(_PREFIX + [x])[::-1] for x in range(63, 25, -1)]
+        want = score_batch(draws)
+        assert max(tally for tally, _ in want.values()) > 1
+        assert _scored(draws) == want
+
+    def test_rows_with_a_common_factor(self):
+        # the least rows, [0, 1, 3] and [0, 1, 2], come only from dilations by 2 and 3
+        draws = [[0, 1, 4], [16, 12, 10], [0, 6, 9], [39, 30, 33], [4, 8, 6], [1, 7, 4]]
+        want = score_batch(draws)
+        assert want == {-1: (4, [0, 1, 3]), 0: (2, [0, 1, 2])}
+        assert _scored(draws) == want
+
+    def test_singletons(self):
+        draws = [[5], [0], [63]]
+        assert _scored(draws) == score_batch(draws) == {0: (3, [0])}
+
+    def test_the_whole_range(self):
+        draws = [random.Random(3).sample(range(64), 64)]
+        assert _scored(draws) == score_batch(draws)
+
+    @given(
+        st.integers(0, 63).flatmap(
+            lambda top: st.integers(1, top + 1).flatmap(
+                lambda k: st.lists(
+                    st.permutations(range(top + 1)).map(lambda p: p[:k]),
+                    min_size=1,
+                    max_size=30,
+                )
+            )
+        )
+    )
+    def test_matches_python_sets(self, draws):
+        assert _scored(draws) == score_batch(draws)
 
 
 def _samples(n, k, seed, counts):
