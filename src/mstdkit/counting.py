@@ -64,7 +64,7 @@ class ParityGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "eps", _strict_ints("eps", self.eps))
-        _graph_n(self.n)
+        object.__setattr__(self, "n", _strict_int("n", self.n, 2))
         if len(self.eps) != self.n:
             raise ValueError("eps must have exactly n bits")
         if any(e not in (0, 1) for e in self.eps):
@@ -73,7 +73,7 @@ class ParityGraph:
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "ParityGraph":
         """The graph whose eps_i is bit i of ``mask``, which must be in [0, 2^n)."""
-        n, mask = _graph_n(n), _strict_int("mask", mask)
+        n, mask = _strict_int("n", n, 2), _strict_int("mask", mask)
         if not 0 <= mask < 1 << n:
             raise ValueError(f"mask must be in [0, 2^{n})")
         return cls(n, tuple((mask >> i) & 1 for i in range(n)))
@@ -101,7 +101,7 @@ def covers_group(g: ParityGraph) -> bool:
 
 def coverage_bound(n: int) -> int:
     """The union bound: 2^n minus the sum of all 2n miss counts."""
-    n = _graph_n(n)
+    n = _strict_int("n", n, 2)
     return 2**n - n * 2 ** (n // 2 + 1)
 
 
@@ -159,29 +159,13 @@ def _twisted_fixed(n: int, b: int, c: int, e: int, u: int) -> int:
     return 1 << ((e + len(fixed)) // 2)
 
 
-def _graph_n(n) -> int:
-    """``n`` as an int of at least 2, the least n of a parity graph, or ValueError."""
-    n = _strict_int("n", n)
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return n
-
-
-def _check_n(n: int) -> int:
-    """``n`` as an int in [2, MAX_COUNT_N], or ValueError."""
-    n = _strict_int("n", n)
-    if not 2 <= n <= MAX_COUNT_N:
-        raise ValueError(f"n must be in [2, {MAX_COUNT_N}]")
-    return n
-
-
 def count_covering(n: int) -> CoverReport:
     """Count the parity graphs whose sumset covers Z/n x Z/2, by the closed form.
 
     Also tabulates, for every group element g, how many graphs miss g in
     their sumset.  Exact for every n up to MAX_COUNT_N.
     """
-    n = _check_n(n)
+    n = _strict_int("n", n, 2, MAX_COUNT_N)
     primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
     g = 2 - n % 2  # T depends on b only through b mod gcd(2, n)
     weighted = 0
@@ -201,10 +185,8 @@ def count_covering(n: int) -> CoverReport:
 
 def miss_count(n: int, b: int, parity: int) -> int:
     """Number of parity graphs whose sumset misses (b, parity), by the closed form."""
-    n = _check_n(n)
-    b, parity = _strict_int("b", b), _strict_int("parity", parity)
-    if not 0 <= b < n or parity not in (0, 1):
-        raise ValueError("element must satisfy 0 <= b < n, parity in {0, 1}")
+    n = _strict_int("n", n, 2, MAX_COUNT_N)
+    b, parity = _strict_int("b", b, 0, n - 1), _strict_int("parity", parity, 0, 1)
     return _twisted_fixed(n, b, 1 - parity, n, 0)
 
 
@@ -226,7 +208,7 @@ def find_group_mstd(n: int, strategy: str = "first", seed: int | None = None) ->
     fixes it, and E1 equals the complement of a reflection only when
     |E1| = n/2, that is n = 6.
     """
-    n = _check_n(n)
+    n = _strict_int("n", n, 2, MAX_COUNT_N)
     seed = None if seed is None else _strict_int("seed", seed)
     if strategy == "first":
         if seed is not None:

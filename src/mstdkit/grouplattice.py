@@ -181,8 +181,7 @@ class LatticeSet:
     def __post_init__(self):
         pts = frozenset(_strict_ints("coordinate", p) for p in self.points)
         object.__setattr__(self, "points", pts)
-        if _strict_int("dimension", self.dim) < 1:
-            raise ValueError("dimension must be at least 1")
+        object.__setattr__(self, "dim", _strict_int("dimension", self.dim, 1))
         for p in pts:
             if len(p) != self.dim:
                 raise ValueError(f"point {p} has wrong dimension")
@@ -310,9 +309,8 @@ def reduce_to_cell(s: LatticeSet, spec: GroupSpec) -> LatticeSet:
 
 def sublattice_box(spec: GroupSpec, lo: int, hi: int) -> LatticeSet:
     """Points (q_1 m_1, ..., q_d m_d) with lo <= q_i < hi; (hi-lo)^d of them."""
-    lo, hi = _strict_int("lo", lo), _strict_int("hi", hi)
-    if lo > hi:
-        raise ValueError("need lo <= hi")
+    lo = _strict_int("lo", lo)
+    hi = _strict_int("hi", hi, lo)
     _check_points((hi - lo) ** spec.dim)
     pts = frozenset(
         tuple(q * m for q, m in zip(qs, spec.moduli))
@@ -347,11 +345,11 @@ def _check_points(count: int) -> None:
 def _check_fold(what: str, points: frozenset, h: int, k: int) -> tuple[int, int]:
     """``h`` and ``k`` as ints, once they and the set ``points`` are checked
     for a fold; ``what`` names the set in the message for an empty one."""
-    h, k = _strict_int("h", h), _strict_int("k", k)
+    h, k = _strict_int("h", h, 0), _strict_int("k", k, 0)
     if not points:
         raise ValueError(f"{what} must be nonempty")
-    if h < 0 or k < 0 or h + k < 1:
-        raise ValueError("fold counts must be nonnegative with h + k >= 1")
+    if h + k < 1:
+        raise ValueError("h + k must be at least 1")
     return h, k
 
 
@@ -390,11 +388,9 @@ def lattice_sum_diff_card(s: LatticeSet, h: int, k: int) -> int:
 
 def thicken(a: GroupSubset, t: int) -> LatticeSet:
     """The lattice set phi(A) + box(0, t); has exactly |A| * t^d points."""
-    t = _strict_int("t", t)
+    t = _strict_int("t", t, 1)
     if not a.elements:
         raise ValueError("subset must be nonempty")
-    if t < 1:
-        raise ValueError("thickness must be at least 1")
     _check_points(len(a) * t**a.spec.dim)
     return minkowski_sum(to_lattice(a), sublattice_box(a.spec, 0, t))
 
@@ -452,11 +448,9 @@ def embedding_consistency(a: GroupSubset, h: int, k: int) -> EmbeddingConsistenc
     lift_covered: h*phi(A) - k*phi(A) lies in phi(hA - kA) + box(-k, h);
     embed_covered: phi(hA - kA) lies in h*phi(A) - k*phi(A) + box(-h+1, k+1).
     """
-    h, k = _strict_int("h", h), _strict_int("k", k)
+    h, k = _strict_int("h", h, 1), _strict_int("k", k, 0)
     if not a.elements:
         raise ValueError("subset must be nonempty")
-    if h < 1 or k < 0:
-        raise ValueError("need h >= 1 and k >= 0")
     spec = a.spec
     embedded = to_lattice(group_sum_diff(a, h, k))
     lifted = lattice_sum_diff(to_lattice(a), h, k)
@@ -482,13 +476,12 @@ def find_thickness(
     group inequality |h1 A - k1 A| > |h2 A - k2 A|; such a t exists for all
     sufficiently large t, so the scan fails only if t_max is too small.
     """
-    t_max = _strict_int("t_max", t_max)
-    if t_max < 1:
-        raise ValueError("t_max must be at least 1")
-    pair1, pair2 = [(_strict_int("h", h), _strict_int("k", k)) for h, k in (pair1, pair2)]
+    t_max = _strict_int("t_max", t_max, 1)
+    pair1, pair2 = [
+        (_strict_int(f"h{i}", h, 1), _strict_int(f"k{i}", k, 0))
+        for i, (h, k) in enumerate((pair1, pair2), 1)
+    ]
     (h1, k1), (h2, k2) = pair1, pair2
-    if h1 < 1 or h2 < 1 or k1 < 0 or k2 < 0:
-        raise ValueError("need h1, h2 >= 1 and k1, k2 >= 0")
     if h1 + k1 != h2 + k2:
         raise ValueError("fold totals must match: h1 + k1 == h2 + k2")
     c1, c2 = _group_cards(a, pair1, pair2)
@@ -527,11 +520,9 @@ def thickening_bounds(a: GroupSubset, h: int, k: int, t: int) -> ThickeningBound
     ((h+k) t - 2 (h+k-1))^d, applied only when its base is nonnegative
     (reported vacuously true otherwise).
     """
-    h, k, t = _strict_int("h", h), _strict_int("k", k), _strict_int("t", t)
+    h, k, t = _strict_int("h", h, 1), _strict_int("k", k, 0), _strict_int("t", t, 1)
     if not a.elements:
         raise ValueError("subset must be nonempty")
-    if h < 1 or k < 0 or t < 1:
-        raise ValueError("need h >= 1, k >= 0, t >= 1")
     d = a.spec.dim
     (group_card,) = _group_cards(a, (h, k))
     (lat_card,) = _box_cards(a, t, (h, k))
@@ -559,11 +550,9 @@ def linearize(s: LatticeSet, cap_l: int) -> LinearImage:
     |hS - kS| = |h psi(S) - k psi(S)| is guaranteed for every h + k <= cap_l;
     keeping it minimal keeps images within 64-bit range.
     """
-    cap_l = _strict_int("cap_l", cap_l)
+    cap_l = _strict_int("cap_l", cap_l, 1)
     if not s.points:
         raise ValueError("lattice set must be nonempty")
-    if cap_l < 1:
-        raise ValueError("fold budget must be at least 1")
     cols = list(zip(*s.points))
     radix = _radix(cap_l, max(max(map(abs, col)) for col in cols))
     # IntSet raises OverflowError for an image outside the signed 64-bit range
@@ -598,9 +587,7 @@ def embed_report(a: GroupSubset, t_max: int = 32) -> EmbedResult:
 
     ``delta`` is |X + X| - |X - X| for the output X, as the thickness scan
     counted it on B_t (module docstring)."""
-    t_max = _strict_int("t_max", t_max)
-    if t_max < 1:
-        raise ValueError("t_max must be at least 1")
+    t_max = _strict_int("t_max", t_max, 1)
     sums, diffs = _group_cards(a, (2, 0), (1, 1))
     if sums <= diffs:
         raise ValueError("input is not an MSTD subset of its group")

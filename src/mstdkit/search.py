@@ -439,13 +439,9 @@ def exhaustive_spectrum(range_max: int, min_size: int, max_size: int) -> SearchR
     """
     import numpy as np
 
-    range_max = _strict_int("range_max", range_max)
-    min_size = _strict_int("min_size", min_size)
-    max_size = _strict_int("max_size", max_size)
-    if not 0 <= range_max <= MAX_RANGE:
-        raise ValueError(f"range_max must be in [0, {MAX_RANGE}]")
-    if not 0 <= min_size <= max_size <= range_max + 1:
-        raise ValueError("need 0 <= min_size <= max_size <= range_max + 1")
+    range_max = _strict_int("range_max", range_max, 0, MAX_RANGE)
+    min_size = _strict_int("min_size", min_size, 0, range_max + 1)
+    max_size = _strict_int("max_size", max_size, min_size, range_max + 1)
     enumerated = _band_size(range_max, min_size, max_size)
     width = min(_CHUNK_BITS, range_max) + 1
     tables = _low_tables(width)
@@ -498,16 +494,10 @@ def random_search(range_max: int, size: int, trials: int, seed: int) -> SearchRe
     ``range_max`` may be at most ``I64_MAX - 1``, the largest range the
     sampler takes; a larger one raises ValueError before any draw.
     """
-    range_max = _strict_int("range_max", range_max)
-    size = _strict_int("size", size)
-    trials = _strict_int("trials", trials)
+    range_max = _strict_int("range_max", range_max, hi=I64_MAX - 1)
+    size = _strict_int("size", size, 1, range_max + 1)
+    trials = _strict_int("trials", trials, 1)
     seed = _strict_int("seed", seed)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if range_max > I64_MAX - 1:
-        raise ValueError(f"range_max must be at most {I64_MAX - 1}")
-    if not 1 <= size <= range_max + 1:
-        raise ValueError("size must be in [1, range_max + 1]")
     rng = random.Random(seed)
     n = range_max + 1
     population = range(n)

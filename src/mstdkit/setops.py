@@ -107,15 +107,28 @@ def _is_strict_int(value) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _strict_int(name: str, value) -> int:
-    """``value`` as an int if ``_is_strict_int`` accepts it; anything else raises."""
-    if _is_strict_int(value):
-        return int(value)
-    try:
-        shown = json.dumps(value)
-    except (TypeError, ValueError):
-        shown = repr(value)
-    raise ValueError(f"{name} must be an integer, got {shown}")
+def _strict_int(name: str, value, lo: Optional[int] = None, hi: Optional[int] = None) -> int:
+    """``value`` as an int if ``_is_strict_int`` accepts it and it lies in
+    [lo, hi], an end given as None being open.
+
+    Anything else raises ``ValueError`` naming ``name``: "<name> must be an
+    integer, got <value>", or for a value out of range "<name> must be at
+    least <lo>", "at most <hi>" or "in [<lo>, <hi>]"."""
+    if not _is_strict_int(value):
+        try:
+            shown = json.dumps(value)
+        except (TypeError, ValueError):
+            shown = repr(value)
+        raise ValueError(f"{name} must be an integer, got {shown}")
+    value = int(value)
+    if lo is not None and value < lo or hi is not None and value > hi:
+        bound = (
+            f"at most {hi}" if lo is None
+            else f"at least {lo}" if hi is None
+            else f"in [{lo}, {hi}]"
+        )
+        raise ValueError(f"{name} must be {bound}")
+    return value
 
 
 def _strict_ints(name: str, values: Iterable) -> tuple[int, ...]:
@@ -419,9 +432,7 @@ def sum_diff(a: IntSet, h: int, k: int) -> IntSet:
     0A - 0A is {0} and 1A - 0A is A itself.  Any other hA - kA is checked
     once (``_check_sum_diff``), folded once (``_fold_sum_diff``) and
     decoded once."""
-    h, k = _strict_int("h", h), _strict_int("k", k)
-    if h < 0 or k < 0:
-        raise ValueError("fold counts must be nonnegative")
+    h, k = _strict_int("h", h, 0), _strict_int("k", k, 0)
     if h + k == 0:
         return IntSet((0,))
     if not a or (h, k) == (1, 0):

@@ -106,6 +106,10 @@ class TestParityGraph:
             ParityGraph(3.0, (0, 1, 1))
         assert ParityGraph(np.int64(3), (0, np.uint8(1), 1)) == ParityGraph(3, (0, 1, 1))
 
+    def test_numpy_n_stored_as_int(self):
+        assert type(ParityGraph(np.int64(3), (0, 1, 0)).n) is int
+        assert type(ParityGraph.from_mask(np.int64(3), 2).n) is int
+
     @pytest.mark.parametrize(
         "n, mask, message",
         [(3, 0b1000, "mask must be in [0, 2^3)"), (3, -1, "mask must be in [0, 2^3)"),

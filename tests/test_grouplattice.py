@@ -123,6 +123,11 @@ class TestGroupTypes:
             LatticeSet(2.0, frozenset({(3, 0)}))
         assert LatticeSet(2, frozenset({(3, np.int64(-1))})).points == {(3, -1)}
 
+    def test_lattice_set_stores_numpy_dim_as_int(self):
+        s = LatticeSet(np.int64(1), [(1,)])
+        assert type(s.dim) is int
+        assert s == LatticeSet(1, [(1,)])
+
 
 class TestGroupFold:
     def test_identity_fold(self):

@@ -344,6 +344,16 @@ def test_envelope_checks_match_the_checks_per_fold(lo, span, h, k):
     assert _outcome(setops._check_sum_diff, *args) == _outcome(_check_sum_diff_per_fold, *args)
 
 
+def test_envelope_admits_j_folds_at_their_bounds():
+    # 4 * 2^25 is the span limit itself; one more in A's span is past it
+    assert setops._check_sum_diff(0, 1 << 25, 4, 0) == (0, MAX_SPAN_BITS)
+    with pytest.raises(ValueError, match=f"exceeds the dense-kernel limit of {MAX_SPAN_BITS}"):
+        setops._check_sum_diff(0, (1 << 25) + 1, 4, 0)
+    # 7 divides 2^63 - 1, and 8 * -2^60 is -2^63
+    assert sum_diff(IntSet([I64_MAX // 7]), 7, 0) == IntSet([I64_MAX])
+    assert sum_diff(IntSet([-(1 << 60)]), 8, 0) == IntSet([I64_MIN])
+
+
 @pytest.mark.parametrize(
     "call, message",
     [(lambda: h_fold(A1, 2.0), "h must be an integer, got 2.0"),
