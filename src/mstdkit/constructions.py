@@ -2,16 +2,18 @@
 
 Every family adjoins one element to a core ``B + L + (a* - B)``: a base B,
 a middle L of arithmetic tracks or a generalized arithmetic progression,
-and B reflected about the center a* its theorem names.  Each builder
-validates its parameters and hands B and L as runs ``(start, step,
-length)``, a* and the element to one tail, ``_symmetric_mstd``.  The
-builders state their runs: one per track, one or two for a punctured
-interval, and for ``gap`` one per point of the progression, stepping by
-m; only ``gap``'s base is a generic set, whose runs ``setops._runs``
-finds once.  The tail checks that L, as listed, is its own mirror about
-a*: the mirror of ``(s, q, n)`` is ``(a* - s - (n-1) q, q, n)``, and L's
-runs must equal their mirrors listed in reverse (B + (a* - B) is
-symmetric by construction).  It makes the families' one span check, on
+and B reflected about the center a* its theorem names.  The parameter
+objects (``OneTrackParams``, ``TwoTrackParams``, ``GapBase``) check the
+theorem's conditions when they are built, and the builders check a plain
+``k`` (and ``gap``'s variant) on entry.  Each builder hands B and L as
+runs ``(start, step, length)``, a* and the element to one tail,
+``_symmetric_mstd``.  The builders state their runs: one per track, one
+or two for a punctured interval, and for ``gap`` one per point of the
+progression, stepping by m; only ``gap``'s base is a generic set, whose
+runs ``setops._runs`` finds once.  The tail checks that L, as listed, is
+its own mirror about a*: the mirror of ``(s, q, n)`` is
+``(a* - s - (n-1) q, q, n)``, and L's runs must equal their mirrors
+listed in reverse (B + (a* - B) is symmetric by construction).  It makes the families' one span check, on
 the runs' ends, before it expands a point: every run list is O(1) long,
 or bounded by ``MAX_GAP_POINTS`` or |B|.  It then sorts A's elements
 once and re-verifies the MSTD inequality exactly: cheap checks that
@@ -154,8 +156,6 @@ class OneTrackParams:
 
     def __post_init__(self):
         _strict_fields(self, "m", "d", "k")
-
-    def validate(self):
         _require(self.m >= 4, "m must be at least 4")
         _require(1 <= self.d <= self.m - 1, "d must be in [1, m-1]")
         _require(2 * self.d != self.m, "d must not equal m/2")
@@ -175,7 +175,6 @@ def one_track_family(p: OneTrackParams) -> IntSet:
 
 
 def _one_track(p: OneTrackParams) -> tuple[IntSet, MstdDelta, int]:
-    p.validate()
     m, d, k = p.m, p.d, p.k
     center = (k + 1) * m - 2 * d
     return _symmetric_mstd(_punctured(m, d), [(m - d, m, k)], center, m, "one-track family")
@@ -194,8 +193,6 @@ class TwoTrackParams:
 
     def __post_init__(self):
         _strict_fields(self, "m", "d", "k")
-
-    def validate(self):
         _require(self.m >= 4, "condition (i) violated: m must be at least 4")
         _require(
             1 <= self.d <= self.m - 2 and 2 * self.d != self.m,
@@ -220,7 +217,6 @@ def two_track_family(p: TwoTrackParams) -> IntSet:
 
 
 def _two_track(p: TwoTrackParams) -> tuple[IntSet, MstdDelta, int]:
-    p.validate()
     m, d, k = p.m, p.d, p.k
     center = (k + 2) * m
     tracks = [(2 * m - d, m, k - 1), (2 * m + d, m, k - 1)]
@@ -274,13 +270,6 @@ class GapBase:
 
     def __post_init__(self):
         _strict_fields(self, "m")
-
-    @cached_property
-    def _lstar_points(self) -> IntSet:
-        """``lstar`` expanded, once per base."""
-        return self.lstar.expand()
-
-    def validate(self):
         m = self.m
         _require(m >= 4, "m must be at least 4")
         _require(
@@ -309,6 +298,11 @@ class GapBase:
             "the element just below the progression must lie in the base set",
         )
 
+    @cached_property
+    def _lstar_points(self) -> IntSet:
+        """``lstar`` expanded, once per base."""
+        return self.lstar.expand()
+
 
 def gap_family(base: GapBase, k: int, variant: str = "one_to_k") -> IntSet:
     """MSTD set from a full-sumset base and a reflected progression block.
@@ -329,12 +323,11 @@ def gap_family(base: GapBase, k: int, variant: str = "one_to_k") -> IntSet:
     B+B stops at 2m-2, b + (m-l+jm) = 2m needs b = l, two block elements
     need j1 + j2 = 1 and l1 + l2 = m, and the other sums exceed c - m >= 2m.
     """
-    base.validate()
     return _gap(base, k, variant)[0]
 
 
 def _gap(base: GapBase, k: int, variant: str) -> tuple[IntSet, MstdDelta, int]:
-    """``gap_family`` on a base that has passed ``GapBase.validate``."""
+    """``gap_family``; ``base`` was checked when it was built."""
     k = _strict_int("k", k)
     _require(k >= 2, "k must be at least 2")
     if variant == "one_to_k":
@@ -379,11 +372,9 @@ def gap_base_recipe(p: Gap, r: int, s: int, m: int) -> GapBase:
         "s must satisfy r + max(P) + 1 <= s <= 2r - 1",
     )
     _require(2 * s <= m + r - 1, "m must satisfy 2s <= m + r - 1")
-    _check_span(2 * (m - 1))  # GapBase.validate's mstd_delta(B) check; B spans m - 1
+    _check_span(2 * (m - 1))  # GapBase's mstd_delta(B) check; B spans m - 1
     b = interval(0, r - 1) | interval(s, m - 1)
-    base = GapBase(m=m, b=b, lstar=p.translate(r))
-    base.validate()
-    return base
+    return GapBase(m=m, b=b, lstar=p.translate(r))
 
 
 # -- interval-with-hole arithmetic ---------------------------------------------

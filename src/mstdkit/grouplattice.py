@@ -49,9 +49,10 @@ stay small.  Its envelope is the ``setops`` one: a layout of more than
 the whole of a cyclic factor of order above 2^26, raises ``ValueError``
 before any fold.  ``lattice_sum_diff`` raises ``OverflowError`` (from
 ``LatticeSet``) for a point outside signed 64 bits, which
-``lattice_sum_diff_card`` counts.  The lattice folds return S for
-(1, 0) without a span check.  ``thicken``, ``sublattice_box`` and
-``minkowski_sum`` check their size against ``MAX_LATTICE_POINTS`` first.
+``lattice_sum_diff_card`` counts.  ``group_sum_diff`` and the lattice
+folds return S for (1, 0) without a span check.  ``thicken``,
+``sublattice_box`` and ``minkowski_sum`` check their size against
+``MAX_LATTICE_POINTS`` first.
 
 The thickness search never builds B_t = phi(A) + box(0, t), where
 box(s, t) = {(q_1 m_1, ..., q_d m_d) : s <= q_i < t}.  Per axis, a sum of
@@ -126,13 +127,15 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class GroupSubset:
-    """Subset of a finite abelian group, stored as reduced residue vectors."""
+    """Nonempty subset of a finite abelian group, as reduced residue vectors."""
 
     spec: GroupSpec
     elements: frozenset
 
     def __post_init__(self):
         elems = frozenset(_strict_ints("residue", e) for e in self.elements)
+        if not elems:
+            raise ValueError("subset must be nonempty")
         object.__setattr__(self, "elements", elems)
         moduli = self.spec.moduli
         for e in elems:
@@ -197,7 +200,9 @@ class LatticeSet:
 
 def group_sum_diff(a: GroupSubset, h: int, k: int) -> GroupSubset:
     """hA - kA inside the group: the decoded points of its fold, reduced mod m."""
-    h, k = _check_fold("subset", a.elements, h, k)
+    h, k = _check_fold(a.elements, h, k)
+    if (h, k) == (1, 0):  # A itself: no span check
+        return a
     layout = _group_layout(a, h + k)
     points = _decode(_group_mask(a, layout, h, k), layout, h, k)
     return GroupSubset(a.spec, frozenset(tuple(map(mod, p, a.spec.moduli)) for p in points))
@@ -285,7 +290,7 @@ def _group_cards(a: GroupSubset, *pairs: tuple[int, int]) -> list[int]:
 
     The pairs are ints of one total h + k; the first is checked as
     ``group_sum_diff`` checks its counts."""
-    layout = _group_layout(a, sum(_check_fold("subset", a.elements, *pairs[0])))
+    layout = _group_layout(a, sum(_check_fold(a.elements, *pairs[0])))
     return [_group_mask(a, layout, h, k).bit_count() for h, k in pairs]
 
 
@@ -342,12 +347,12 @@ def _check_points(count: int) -> None:
 # -- lattice folds ---------------------------------------------------------------
 
 
-def _check_fold(what: str, points: frozenset, h: int, k: int) -> tuple[int, int]:
+def _check_fold(points: frozenset, h: int, k: int) -> tuple[int, int]:
     """``h`` and ``k`` as ints, once they and the set ``points`` are checked
-    for a fold; ``what`` names the set in the message for an empty one."""
+    for a fold (only a lattice set can be empty)."""
     h, k = _strict_int("h", h, 0), _strict_int("k", k, 0)
     if not points:
-        raise ValueError(f"{what} must be nonempty")
+        raise ValueError("lattice set must be nonempty")
     if h + k < 1:
         raise ValueError("h + k must be at least 1")
     return h, k
@@ -368,7 +373,7 @@ def _lattice_fold(s: LatticeSet, h: int, k: int) -> tuple[_Layout, int]:
 
 def lattice_sum_diff(s: LatticeSet, h: int, k: int) -> LatticeSet:
     """hS - kS by exact vector arithmetic, decoded from its mixed-radix fold."""
-    h, k = _check_fold("lattice set", s.points, h, k)
+    h, k = _check_fold(s.points, h, k)
     if (h, k) == (1, 0):  # S itself: no span check
         return s
     layout, mask = _lattice_fold(s, h, k)
@@ -377,7 +382,7 @@ def lattice_sum_diff(s: LatticeSet, h: int, k: int) -> LatticeSet:
 
 def lattice_sum_diff_card(s: LatticeSet, h: int, k: int) -> int:
     """|hS - kS| without materializing the points: the bit count of its fold."""
-    h, k = _check_fold("lattice set", s.points, h, k)
+    h, k = _check_fold(s.points, h, k)
     if (h, k) == (1, 0):  # S itself: no span check
         return len(s)
     return _lattice_fold(s, h, k)[1].bit_count()
@@ -389,8 +394,6 @@ def lattice_sum_diff_card(s: LatticeSet, h: int, k: int) -> int:
 def thicken(a: GroupSubset, t: int) -> LatticeSet:
     """The lattice set phi(A) + box(0, t); has exactly |A| * t^d points."""
     t = _strict_int("t", t, 1)
-    if not a.elements:
-        raise ValueError("subset must be nonempty")
     _check_points(len(a) * t**a.spec.dim)
     return minkowski_sum(to_lattice(a), sublattice_box(a.spec, 0, t))
 
@@ -449,8 +452,6 @@ def embedding_consistency(a: GroupSubset, h: int, k: int) -> EmbeddingConsistenc
     embed_covered: phi(hA - kA) lies in h*phi(A) - k*phi(A) + box(-h+1, k+1).
     """
     h, k = _strict_int("h", h, 1), _strict_int("k", k, 0)
-    if not a.elements:
-        raise ValueError("subset must be nonempty")
     spec = a.spec
     embedded = to_lattice(group_sum_diff(a, h, k))
     lifted = lattice_sum_diff(to_lattice(a), h, k)
@@ -521,8 +522,6 @@ def thickening_bounds(a: GroupSubset, h: int, k: int, t: int) -> ThickeningBound
     (reported vacuously true otherwise).
     """
     h, k, t = _strict_int("h", h, 1), _strict_int("k", k, 0), _strict_int("t", t, 1)
-    if not a.elements:
-        raise ValueError("subset must be nonempty")
     d = a.spec.dim
     (group_card,) = _group_cards(a, (h, k))
     (lat_card,) = _box_cards(a, t, (h, k))

@@ -288,7 +288,6 @@ def _low_tables(width: int) -> _LowTables:
     return tables
 
 
-@dataclass(frozen=True)
 class _Walk:
     """One exhaustive scan: its band, its tables and the buffers its nodes
     share.  ``counts`` and ``best`` hold ``_LANES`` copies of the weighted
@@ -297,24 +296,35 @@ class _Walk:
     (``lanes``), so that successive rows with one delta update different
     entries; the copies are summed and minimized at the end."""
 
-    range_max: int
-    width: int
-    min_size: int
-    max_size: int
-    tables: _LowTables
-    low_digits: np.ndarray  # the key table shifted to L's digits
-    ground: tuple  # per t: the key with digit 2 at every position 0..t
-    counts: np.ndarray
-    best: np.ndarray
-    lanes: np.ndarray  # per row of a pass: its copy's offset into counts and best
-    # per row of a pass: the bits of A+A and of (A-A) ∩ N, then the index
-    sum_card: np.ndarray
-    diff_card: np.ndarray
-    index: np.ndarray
-    # the witness keys of a pass, and L << h while a child is built
-    scratch: np.ndarray
-    shifted_rev: np.ndarray  # rev << (h - width + 1) while a child is built
-    free: list  # spare (sums, diffs) buffer pairs
+    def __init__(self, range_max: int, min_size: int, max_size: int):
+        import numpy as np
+
+        self.range_max, self.min_size, self.max_size = range_max, min_size, max_size
+        self.width = width = min(_CHUNK_BITS, range_max) + 1
+        self.tables = tables = _low_tables(width)
+        rows = len(tables.low)
+        hist = 4 * range_max + 1  # delta + 2 range_max lies in [0, 4 range_max]
+        # the key table shifted to L's digits, positions 0..width-1, above H's
+        # in significance
+        self.low_digits = tables.key << np.uint64(2 * (range_max - width + 1))
+        # per t: the key G[t], with digit 2 at every position 0..t
+        self.ground = tuple(
+            2 * ((4 << 2 * range_max) - (1 << 2 * (range_max - t))) // 3
+            for t in range(range_max + 1)
+        )
+        self.counts = np.zeros(_LANES * hist, dtype=np.int64)
+        self.best = np.full(_LANES * hist, np.iinfo(np.uint64).max, dtype=np.uint64)
+        # per row of a pass: its copy's offset into counts and best
+        self.lanes = (np.arange(rows) % _LANES * hist).astype(np.uint16)
+        # per row of a pass: the bits of A+A and of (A-A) ∩ N, then the index
+        self.sum_card = np.empty(rows, dtype=np.uint8)
+        self.diff_card = np.empty(rows, dtype=np.uint8)
+        self.index = np.empty(rows, dtype=np.intp)
+        # the witness keys of a pass, and L << h while a child is built
+        self.scratch = np.empty(rows, dtype=np.uint64)
+        # rev << (h - width + 1) while a child is built
+        self.shifted_rev = np.empty(rows, dtype=np.uint32)
+        self.free: list = []  # spare (sums, diffs) buffer pairs
 
 
 def _walk(
@@ -443,37 +453,10 @@ def exhaustive_spectrum(range_max: int, min_size: int, max_size: int) -> SearchR
     min_size = _strict_int("min_size", min_size, 0, range_max + 1)
     max_size = _strict_int("max_size", max_size, min_size, range_max + 1)
     enumerated = _band_size(range_max, min_size, max_size)
-    width = min(_CHUNK_BITS, range_max) + 1
-    tables = _low_tables(width)
-    rows = len(tables.low)
-    # delta + 2 range_max lies in [0, 4 range_max]
-    hist = 4 * range_max + 1
-    walk = _Walk(
-        range_max,
-        width,
-        min_size,
-        max_size,
-        tables,
-        # L's key digits are positions 0..width-1, above H's in significance
-        low_digits=tables.key << np.uint64(2 * (range_max - width + 1)),
-        # per t: G[t], with digit 2 at every position 0..t
-        ground=tuple(
-            2 * ((4 << 2 * range_max) - (1 << 2 * (range_max - t))) // 3
-            for t in range(range_max + 1)
-        ),
-        counts=np.zeros(_LANES * hist, dtype=np.int64),
-        best=np.full(_LANES * hist, np.iinfo(np.uint64).max, dtype=np.uint64),
-        lanes=(np.arange(rows) % _LANES * hist).astype(np.uint16),
-        sum_card=np.empty(rows, dtype=np.uint8),
-        diff_card=np.empty(rows, dtype=np.uint8),
-        index=np.empty(rows, dtype=np.intp),
-        scratch=np.empty(rows, dtype=np.uint64),
-        shifted_rev=np.empty(rows, dtype=np.uint32),
-        free=[],
-    )
-    _walk(walk, 0, 0, tables.sums, tables.diffs, False)
-    counts = walk.counts.reshape(_LANES, hist).sum(axis=0)
-    best = walk.best.reshape(_LANES, hist).min(axis=0)
+    walk = _Walk(range_max, min_size, max_size)
+    _walk(walk, 0, 0, walk.tables.sums, walk.tables.diffs, False)
+    counts = walk.counts.reshape(_LANES, -1).sum(axis=0)
+    best = walk.best.reshape(_LANES, -1).min(axis=0)
     spectrum: dict = {0: 1} if min_size == 0 else {}
     least = {}
     for i in np.flatnonzero(counts).tolist():

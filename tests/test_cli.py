@@ -260,6 +260,12 @@ class TestGroupSearchAndEmbed:
         code, out, err = run_cli(capsys, "embed", "--input", str(path))
         assert code == 2 and out == "" and message in err
 
+    def test_embed_rejects_empty_subset(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"moduli": [5], "elements": []}')
+        code, out, err = run_cli(capsys, "embed", "--input", str(path))
+        assert (code, out, err) == (2, "", "error: subset must be nonempty\n")
+
 
 @pytest.mark.parametrize("value", ["1_0", "\u0667", " 7", "7.0", "0x7", ""])
 @pytest.mark.parametrize(

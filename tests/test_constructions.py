@@ -407,9 +407,8 @@ class TestGapFamily:
     def test_bad_base_rejected(self):
         # b = [0,3] + [6,8] has full sumset/difference set, but lstar = {5}
         # is not adjacent to the lower interval: min(lstar)-1 = 4 not in b
-        bad = GapBase(m=9, b=interval(0, 3) | interval(6, 8), lstar=Gap(5))
         with pytest.raises(ConstructionError, match="just below"):
-            gap_family(bad, 2, "one_to_k")
+            GapBase(m=9, b=interval(0, 3) | interval(6, 8), lstar=Gap(5))
 
     def test_base_fullness_enforced(self):
         with pytest.raises(ConstructionError, match="full sumset"):
@@ -504,7 +503,7 @@ class TestSymmetricTail:
 
 
 def test_gap_base_fullness_counts_match_set_equality():
-    # GapBase.validate decides fullness from |B+B| and |B-B| alone
+    # GapBase decides fullness from |B+B| and |B-B| alone
     checked = 0
     for m in range(4, 13):
         for mask in range(1, 1 << m):
@@ -516,7 +515,7 @@ def test_gap_base_fullness_counts_match_set_equality():
             else:
                 want = None
             try:
-                GapBase(m=m, b=b, lstar=Gap(0)).validate()
+                GapBase(m=m, b=b, lstar=Gap(0))
                 got = None
             except ConstructionError as e:
                 got = next((w for w in ("full sumset", "full difference set") if w in str(e)), None)

@@ -59,6 +59,12 @@ class TestGroupTypes:
         with pytest.raises(ValueError):
             GroupSubset(GroupSpec((5, 2)), frozenset({(0,)}))
 
+    def test_subset_must_be_nonempty(self):
+        with pytest.raises(ValueError, match="^subset must be nonempty$"):
+            GroupSubset(GroupSpec((5,)), frozenset())
+        with pytest.raises(ValueError, match="^subset must be nonempty$"):
+            GroupSubset.from_json('{"moduli": [5], "elements": []}')
+
     def test_json_round_trip(self):
         a = GroupSubset(GroupSpec((5, 2)), frozenset({(0, 0), (1, 1)}))
         assert GroupSubset.from_json(a.to_json()) == a
@@ -133,6 +139,16 @@ class TestGroupFold:
     def test_identity_fold(self):
         a = GroupSubset(GroupSpec((5, 2)), frozenset({(0, 0), (1, 1)}))
         assert group_sum_diff(a, 1, 0) == a
+
+    def test_identity_fold_needs_no_span_check(self):
+        # as sum_diff and lattice_sum_diff return the set for (1, 0) at any spread
+        a = GroupSubset(GroupSpec((2**40,)), [(0,), (2**39,)])
+        assert group_sum_diff(a, 1, 0) is a
+        with pytest.raises(ValueError, match="dense-kernel limit"):
+            group_sum_diff(a, 1, 1)
+        assert sum_diff(setops.IntSet([0, 2**39]), 1, 0) == setops.IntSet([0, 2**39])
+        s = LatticeSet(1, [(0,), (2**39,)])
+        assert lattice_sum_diff(s, 1, 0) is s
 
     def test_difference_by_hand(self):
         a = GroupSubset(GroupSpec((5, 2)), frozenset({(0, 0), (1, 1)}))
@@ -343,6 +359,13 @@ class TestEmbeddings:
         spec = GroupSpec((4, 3))
         pts = frozenset({(0, 0), (3, 2)})
         assert reduce_to_cell(LatticeSet(2, pts), spec).points == pts
+
+    def test_dimension_mismatch(self):
+        s = LatticeSet(1, frozenset({(0,)}))
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            reduce_to_cell(s, GroupSpec((4, 3)))
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            minkowski_sum(s, LatticeSet(2, frozenset({(0, 0)})))
 
 
 class TestBoxes:
@@ -620,6 +643,16 @@ class TestLinearize:
         s = LatticeSet(3, frozenset({(1 << 40, 1 << 40, 1 << 40)}))
         with pytest.raises(OverflowError):
             linearize(s, 2)
+
+    def test_empty_lattice_set_refused(self):
+        empty = LatticeSet(2, frozenset())
+        for call in (
+            lambda: linearize(empty, 2),
+            lambda: lattice_sum_diff(empty, 2, 0),
+            lambda: lattice_sum_diff_card(empty, 1, 1),
+        ):
+            with pytest.raises(ValueError, match="^lattice set must be nonempty$"):
+                call()
 
 
 def covering_pair_subset():

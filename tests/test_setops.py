@@ -545,6 +545,24 @@ class TestParsing:
         assert IntSet.from_json('{"elements": []}') == IntSet()
 
 
+class TestIntSetBasics:
+    def test_empty_set_has_no_min_or_max(self):
+        with pytest.raises(ValueError, match="^empty set has no minimum$"):
+            IntSet().min
+        with pytest.raises(ValueError, match="^empty set has no maximum$"):
+            IntSet().max
+
+    def test_union_with_a_non_set_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            IntSet([1]) | 1
+
+    def test_repr_and_hash(self):
+        assert repr(IntSet([3, -1, 2])) == "IntSet({-1, 2, 3})"
+        assert repr(IntSet()) == "IntSet({})"
+        assert hash(IntSet([2, 1])) == hash(IntSet([1, 2]))
+        assert len({IntSet([2, 1]), IntSet([1, 2]), IntSet()}) == 2
+
+
 class TestIntervalHelper:
     def test_basic(self):
         assert interval(2, 5) == IntSet([2, 3, 4, 5])
